@@ -18,14 +18,12 @@ import numpy as np
 
 from .checks import CSV_COLUMNS, InequalityCheck
 from .cotype import (
-    ScanResult,
     b_quantity_search,
     exhaustive_b_two_point,
     gamma_exhaustive_two_point,
     gamma_hilbert_exact,
     gamma_search,
     grid_distortion_bound,
-    m_parameter_experiment,
     mod_inequality_check,
     shift_growth_bound,
 )
@@ -35,7 +33,6 @@ from .embeddings import (
     frechet_cycle,
     grid_to_torus,
     sparse_frechet_cycle,
-    torus_to_grid_full,
 )
 from .errors import (
     CotypeLabError,
@@ -52,7 +49,6 @@ from .plotting import emit_plot
 from .spaces import (
     TorusDomain,
     load_metric_space,
-    points_space,
     torus_space,
     two_point_space,
 )
@@ -442,7 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["harmonic", "cotype", "smoothing", "embeddings",
                             "all"])
     p.add_argument("--trials", type=int)
-    common(p)
+    p.add_argument("--seed", type=int,
+                   help="seed for every suite (default: each suite's own)")
+    common(p, seeded=False)
 
     p = sub.add_parser("embed", help="reference embeddings and their records")
     p.add_argument("kind", choices=["frechet", "sparse", "grid-torus"])
@@ -500,6 +498,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw = vars(args)
     params = {k: v for k, v in raw.items()
               if k not in _CONFIG_KEYS and v is not None}
+    if raw["command"] == "verify" and raw.get("seed") is not None:
+        params["seed"] = raw["seed"]  # suites keep their own seeds otherwise
     return ExperimentConfig(
         command=raw["command"],
         params=params,

@@ -14,13 +14,21 @@ shift by an even shift ell and averages edges over full sign patterns:
 
 Every witness satisfies b_hat <= 1 (up to round-off); the code treats a
 violation as a defect, not as data.
+
+Every shift average runs through one kernel, gridops.shift_energy (batched
+over witnesses in the enumerators), on index tables that gridops.family_table
+caches per shift family. Per-shift means are added in shift order, so values
+match a shift-by-shift evaluation bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,11 +42,12 @@ from .errors import (
     PreconditionViolationError,
 )
 from .gridops import (
-    axis_shift,
+    family_table,
     random_point_values,
-    roll_values,
+    shift_energy,
+    shift_energy_batch,
+    shift_table,
     sign_patterns,
-    three_patterns,
 )
 from .harmonic import GridFunction
 from .spaces import FiniteMetricSpace, TorusDomain, two_point_space
@@ -47,13 +56,12 @@ from .targets import MetricTarget, NormTarget, as_target as _as_target
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
 B_INVARIANT_TOL = 1e-9
+WITNESS_CHUNK = 4096  # bounds the (witness, shift) means held at once
 
 
-def _mean_dp(f: GridFunction, target, shift, p: float) -> float:
-    """avg_x d(f(x + shift), f(x))^p."""
-    shifted = roll_values(f.domain, f.values, shift)
-    d = target.pairwise(shifted, f.values)
-    return float(np.mean(d ** p)) if p != 1 else float(np.mean(d))
+def _total(values) -> float:
+    """Left-to-right float sum, as += adds; sum() compensates from 3.12 on."""
+    return functools.reduce(operator.add, np.asarray(values).tolist(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -121,19 +129,12 @@ def cotype_functionals(f: GridFunction, space_or_norm, p: float, q: float,
         raise OddMError(f"half-circumference shift needs even m, got {m}")
     target = _as_target(space_or_norm)
 
-    lhs = 0.0
-    for j in range(n):
-        lhs += _mean_dp(f, target, axis_shift(dom, j, m // 2), p)
-
     exact = 3**n * dom.points <= budget
+    table = family_table(dom, "edges" if exact else "axes", m // 2)
+    means = shift_energy(f.values, target, table, p)
+    lhs = _total(means[:n])
     if exact:
-        total = 0.0
-        for eps in three_patterns(n):
-            if np.any(eps):
-                total += _mean_dp(f, target, eps, p)
-        rhs_raw = total / 3**n
-        stderr = 0.0
-        mode = "exact"
+        rhs_raw, stderr, mode = _total(means[n:]) / 3**n, 0.0, "exact"
     else:
         rng = np.random.default_rng(seed)
         n_samples = max(n, int(budget // max(dom.points, 1)))
@@ -153,21 +154,21 @@ def _sampled_eps_average(f: GridFunction, target, p: float,
     """Stratified estimate of the {-1,0,1}^n edge average.
 
     Strata are indexed by the number z of zero entries; the all-zero
-    stratum contributes exactly 0. Returns (estimate, standard error).
+    stratum contributes exactly 0. Every pattern is drawn first, then all
+    are evaluated in one kernel call. Returns (estimate, standard error).
     """
     n = f.domain.n
     weights = [comb(n, z) * 2 ** (n - z) / 3**n for z in range(n)]
-    wsum = sum(weights)
+    wsum = _total(weights)
     alloc = [max(1, round(n_samples * w / wsum)) for w in weights]
-    est = 0.0
-    var = 0.0
-    for z, (w, k) in enumerate(zip(weights, alloc)):
-        vals = np.empty(k)
-        for i in range(k):
-            eps = np.zeros(n, dtype=np.int64)
-            nonzero = rng.choice(n, size=n - z, replace=False)
-            eps[nonzero] = rng.choice((-1, 1), size=n - z)
-            vals[i] = _mean_dp(f, target, eps, p)
+    eps = np.zeros((sum(alloc), n), dtype=np.int64)
+    for row, z in enumerate(np.repeat(np.arange(n), alloc)):
+        nonzero = rng.choice(n, size=n - z, replace=False)
+        eps[row, nonzero] = rng.choice((-1, 1), size=n - z)
+    means = shift_energy(f.values, target, shift_table(f.domain, eps), p)
+    est = var = 0.0
+    for w, k in zip(weights, alloc):
+        vals, means = means[:k], means[k:]
         est += w * float(vals.mean())
         if k > 1:
             var += w**2 * float(vals.var(ddof=1)) / k
@@ -213,19 +214,12 @@ def gamma_hilbert_exact(n: int, m: int) -> tuple[float, tuple]:
     return math.sqrt(best), best_k
 
 
-def _shift_permutation(dom: TorusDomain, shift) -> np.ndarray:
-    """perm with perm[x] = linear index of x + shift."""
-    idx = np.arange(dom.points, dtype=np.int64)
-    return roll_values(dom, idx, shift)
-
-
-def hilbert_gamma_power_iteration(n: int, m: int, iters: int = 300,
-                                  seed: int = 7) -> float:
+def hilbert_gamma_power_iteration(n: int, m: int) -> float:
     """Independent oracle for gamma_hilbert_exact via dense quadratic forms.
 
-    Assembles both forms as symmetric matrices from shift permutations,
+    Assembles both forms as symmetric matrices from shift-table rows,
     whitens the edge form by its eigendecomposition (constants are its
-    kernel and get deflated), and power-iterates the whitened matrix.
+    kernel and get deflated), then takes eigvalsh of the whitened matrix.
     """
     if m % 2 != 0:
         raise OddMError(f"even m required, got {m}")
@@ -233,41 +227,52 @@ def hilbert_gamma_power_iteration(n: int, m: int, iters: int = 300,
     N = dom.points
     if N > 4096:
         raise BudgetExceededError(f"dense oracle capped at 4096 points, got {N}")
+    # a shift's permutation matrix P adds (P - I)^T (P - I) = 2I - P - P^T
     eye = np.eye(N)
-    A = np.zeros((N, N))
-    for j in range(n):
-        S = eye[_shift_permutation(dom, axis_shift(dom, j, m // 2))]
-        D = S - eye
-        A += D.T @ D
-    B = np.zeros((N, N))
-    pats = three_patterns(n)
-    for eps in pats:
-        S = eye[_shift_permutation(dom, eps)]
-        D = S - eye
-        B += D.T @ D
-    B /= len(pats)
+    table = family_table(dom, "three", m // 2)
+    A = sum(2.0 * eye - eye[row] - eye[row].T for row in table[:n])
+    B = sum(2.0 * eye - eye[row] - eye[row].T for row in table[n:]) / 3**n
 
     w, Q = np.linalg.eigh(B)
     keep = w > 1e-12 * w.max()
     W = Q[:, keep] / np.sqrt(w[keep])
-    M = W.T @ A @ W
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        v = M @ v
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        v /= nv
-        lam = float(v @ M @ v)
-    return math.sqrt(lam) / m
+    lam = float(np.linalg.eigvalsh(W.T @ A @ W)[-1])
+    return math.sqrt(max(lam, 0.0)) / m
 
 
-def _bit_table(count: int, width: int) -> np.ndarray:
-    idx = np.arange(count, dtype=np.int64)
+def _bit_rows(start: int, stop: int, width: int) -> np.ndarray:
+    """Binary digits (least significant first) of start..stop-1 as uint8 rows."""
+    idx = np.arange(start, stop, dtype=np.int64)
     return ((idx[:, None] >> np.arange(width)[None, :]) & 1).astype(np.uint8)
+
+
+_UnitTwoPoint = SimpleNamespace(pairwise=np.bitwise_xor)  # unit gap, 0/1 tables
+
+
+def _side_sums(witnesses: np.ndarray, target, table: np.ndarray, n: int,
+               p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per witness row, its means over the first n shift rows of table and
+    over the other rows, each pair of sums added in row order."""
+    lhs, rhs = np.zeros(len(witnesses)), np.zeros(len(witnesses))
+    for w0 in range(0, len(witnesses), WITNESS_CHUNK):
+        chunk = slice(w0, w0 + WITNESS_CHUNK)
+        means = shift_energy_batch(witnesses[chunk], target, table, p)
+        for s in range(len(table)):
+            (lhs if s < n else rhs)[chunk] += means[:, s]
+    return lhs, rhs
+
+
+@functools.lru_cache(maxsize=4)
+def _two_point_sides(n: int, m: int, family: str,
+                     amount: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only _side_sums of every two-point witness on Z_m^n, by index;
+    they do not depend on the exponents, so one enumeration serves all."""
+    dom = TorusDomain(n=n, m=m)
+    sides = _side_sums(_bit_rows(0, 2**dom.points, dom.points), _UnitTwoPoint,
+                       family_table(dom, family, amount), n, 1.0)
+    for side in sides:
+        side.setflags(write=False)
+    return sides
 
 
 def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
@@ -287,26 +292,14 @@ def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
         raise PreconditionViolationError(f"exhaustive scan needs m^n <= 20, got {N}")
     if 2**N > budget:
         raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
-    bits = _bit_table(2**N, N)
-
-    lhs = np.zeros(2**N)
-    for j in range(n):
-        perm = _shift_permutation(dom, axis_shift(dom, j, m // 2))
-        lhs += (bits ^ bits[:, perm]).mean(axis=1)
-    rhs = np.zeros(2**N)
-    pats = three_patterns(n)
-    for eps in pats:
-        if not np.any(eps):
-            continue
-        perm = _shift_permutation(dom, eps)
-        rhs += (bits ^ bits[:, perm]).mean(axis=1)
-    rhs /= len(pats)
+    lhs, rhs = _two_point_sides(n, m, "edges", m // 2)
+    rhs = rhs / 3**n
 
     weight = m**p * n ** (1.0 - p / q)
     with np.errstate(divide="ignore", invalid="ignore"):
         gammas = np.where(rhs > 0, (lhs / (weight * rhs)) ** (1.0 / p), 0.0)
     best = int(np.argmax(gammas))  # first index wins ties
-    witness = GridFunction.points(dom, bits[best].astype(np.int64))
+    witness = GridFunction.points(dom, _bit_rows(best, best + 1, N)[0])
     return CotypeReport(
         n=n, m=m, p=p, q=q, lhs=float(lhs[best]), rhs_raw=float(rhs[best]),
         gamma_hat=float(gammas[best]), degenerate=bool(rhs[best] <= 0),
@@ -341,26 +334,14 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
         raise OddMError(f"even m required, got {m}")
     N = dom.points
     rng = np.random.default_rng(seed)
-    half_perms = [_shift_permutation(dom, axis_shift(dom, j, m // 2))
-                  for j in range(n)]
-    eps_perms = [_shift_permutation(dom, eps) for eps in three_patterns(n)
-                 if np.any(eps)]
-    L = np.empty(trials)
-    R = np.empty(trials)
-    done = 0
-    while done < trials:
+    table = family_table(dom, "edges", m // 2)
+    L, R = np.empty(trials), np.empty(trials)
+    for done in range(0, trials, chunk):
         k = min(chunk, trials - done)
         bits = rng.integers(0, 2, size=(k, N), dtype=np.int64).astype(np.uint8)
-        lhs = np.zeros(k)
-        for perm in half_perms:
-            lhs += (bits ^ bits[:, perm]).mean(axis=1)
-        rhs = np.zeros(k)
-        for perm in eps_perms:
-            rhs += (bits ^ bits[:, perm]).mean(axis=1)
-        rhs /= 3**n
-        L[done:done + k] = lhs
-        R[done:done + k] = rhs
-        done += k
+        L[done:done + k], R[done:done + k] = _side_sums(
+            bits, _UnitTwoPoint, table, n, 1.0)
+    R /= 3**n
 
     weight = m**p * n ** (1.0 - p / q)
     Lbar, Rbar = float(L.mean()), float(R.mean())
@@ -429,14 +410,10 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int,
     if ell % 2 != 0:
         raise OddEllError(f"even shift required, got ell={ell}")
     target = _as_target(space_or_norm)
-    lhs = 0.0
-    for j in range(n):
-        lhs += _mean_dp(f, target, axis_shift(dom, j, ell), 2.0)
-    pats = sign_patterns(n)
-    rhs_raw = 0.0
-    for eps in pats:
-        rhs_raw += _mean_dp(f, target, eps, 2.0)
-    rhs_raw /= len(pats)
+    table = family_table(dom, "signs", ell)
+    means = shift_energy(f.values, target, table, 2.0)
+    lhs = _total(means[:n])
+    rhs_raw = _total(means[n:]) / 2**n
     if rhs_raw <= 0.0:
         return BReport(n=n, m=m, ell=ell, lhs=lhs, rhs_raw=0.0, b_hat=0.0,
                        degenerate=True)
@@ -568,12 +545,10 @@ def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
     if a < 0:
         raise PreconditionViolationError(f"need a >= 0, got a={a}")
     target = _as_target(space_or_norm)
-    shift = a * m + r
-    lhs = 0.0
-    for j in range(n):
-        lhs += _mean_dp(f, target, axis_shift(dom, j, shift), 2.0)
-    pats = sign_patterns(n)
-    edge = sum(_mean_dp(f, target, eps, 2.0) for eps in pats) / len(pats)
+    table = family_table(dom, "signs", a * m + r)
+    means = shift_energy(f.values, target, table, 2.0)
+    lhs = _total(means[:n])
+    edge = _total(means[n:]) / 2**n
     rhs = min(r**2, (m - r) ** 2) * n * edge
     return make_check(
         "shift-mod-bound",
@@ -595,13 +570,9 @@ def edge_sum_check(f: GridFunction, space_or_norm,
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     target = _as_target(space_or_norm)
-    lhs = 0.0
-    for j in range(n):
-        lhs += _mean_dp(f, target, axis_shift(dom, j, 1), p)
-    total = 0.0
-    for eps in three_patterns(n):
-        total += _mean_dp(f, target, eps, p)
-    rhs = 3.0 * 2.0 ** (p - 1.0) * n * (total / 3**n)
+    means = shift_energy(f.values, target, family_table(dom, "three", 1), p)
+    lhs = _total(means[:n])
+    rhs = 3.0 * 2.0 ** (p - 1.0) * n * (_total(means[n:]) / 3**n)
     return make_check("edge-sum-bound", {"n": n, "m": dom.m, "p": p}, lhs, rhs)
 
 
@@ -638,40 +609,7 @@ def contraction_principle_check(vectors, scalars, p: float,
 def exhaustive_b_two_point(n: int, ell: int, m: int,
                            budget: int = TWO_POINT_BUDGET) -> BReport:
     """Exact maximum of b_hat over all two-point witnesses on Z_m^n."""
-    dom = TorusDomain(n=n, m=m)
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
-    if ell % 2 != 0:
-        raise OddEllError(f"even shift required, got ell={ell}")
-    N = dom.points
-    if N > 20:
-        raise PreconditionViolationError(f"exhaustive scan needs m^n <= 20, got {N}")
-    if 2**N > budget:
-        raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
-    bits = _bit_table(2**N, N)
-    lhs = np.zeros(2**N)
-    for j in range(n):
-        perm = _shift_permutation(dom, axis_shift(dom, j, ell))
-        lhs += (bits ^ bits[:, perm]).mean(axis=1)
-    rhs = np.zeros(2**N)
-    pats = sign_patterns(n)
-    for eps in pats:
-        perm = _shift_permutation(dom, eps)
-        rhs += (bits ^ bits[:, perm]).mean(axis=1)
-    rhs /= len(pats)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bh = np.where(rhs > 0, np.sqrt(lhs / (ell**2 * n * rhs)), 0.0)
-    best = int(np.argmax(bh))
-    if bh[best] > 1.0 + B_INVARIANT_TOL:
-        raise InvariantViolationError(
-            f"exhaustive b_hat = {bh[best]} exceeds 1 at n={n} m={m} ell={ell}"
-        )
-    witness = GridFunction.points(dom, bits[best].astype(np.int64))
-    return BReport(
-        n=n, m=m, ell=ell, lhs=float(lhs[best]), rhs_raw=float(rhs[best]),
-        b_hat=float(bh[best]), degenerate=bool(rhs[best] <= 0),
-        mode="exact", witness=witness,
-    )
+    return _exhaustive_b_space(two_point_space(), n, ell, m, budget)
 
 
 GENERAL_ENUM_CAP = 1 << 16
@@ -681,40 +619,34 @@ def _exhaustive_b_space(space: FiniteMetricSpace, n: int, ell: int, m: int,
                         budget: int = TWO_POINT_BUDGET) -> BReport:
     """Exact maximum of b_hat over all maps Z_m^n -> space.
 
-    Two-point unit-distance spaces use the bit-table fast path; anything
-    else enumerates assignments in mixed radix, so sizes must be tiny.
+    Two-point unit-distance spaces enumerate the bit tables of the witness
+    indices (m^n <= 20); anything else enumerates assignments in mixed
+    radix, so sizes must be tiny. The first index wins ties.
     """
-    if space.size == 2 and float(space.dist[0, 1]) == 1.0:
-        return exhaustive_b_two_point(n, ell, m, budget)
     if m % 2 != 0:
         raise OddMError(f"even m required, got {m}")
     if ell % 2 != 0:
         raise OddEllError(f"even shift required, got ell={ell}")
     dom = TorusDomain(n=n, m=m)
-    N = dom.points
-    K = space.size
-    count = K**N
-    if N > 20 or count > min(budget, GENERAL_ENUM_CAP):
-        raise BudgetExceededError(
-            f"{K}^{N} witnesses exceed the exhaustive cap"
-        )
-    idx = np.arange(count, dtype=np.int64)
-    F = np.empty((count, N), dtype=np.int64)
-    div = count
-    for pos in range(N):
-        div //= K
-        F[:, pos] = (idx // div) % K
-    d2 = np.asarray(space.dist, dtype=np.float64) ** 2
-    lhs = np.zeros(count)
-    for j in range(n):
-        perm = _shift_permutation(dom, axis_shift(dom, j, ell))
-        lhs += d2[F, F[:, perm]].mean(axis=1)
-    rhs = np.zeros(count)
-    pats = sign_patterns(n)
-    for eps in pats:
-        perm = _shift_permutation(dom, eps)
-        rhs += d2[F, F[:, perm]].mean(axis=1)
-    rhs /= len(pats)
+    N, K = dom.points, space.size
+    bits = K == 2 and float(space.dist[0, 1]) == 1.0
+    if bits:
+        if N > 20:
+            raise PreconditionViolationError(
+                f"exhaustive scan needs m^n <= 20, got {N}")
+        if 2**N > budget:
+            raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
+        lhs, rhs = _two_point_sides(n, m, "signs", ell)
+    else:
+        if N > 20 or K**N > min(budget, GENERAL_ENUM_CAP):
+            raise BudgetExceededError(
+                f"{K}^{N} witnesses exceed the exhaustive cap"
+            )
+        idx = np.arange(K**N, dtype=np.int64)
+        F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
+        lhs, rhs = _side_sums(F, MetricTarget(space),
+                              family_table(dom, "signs", ell), n, 2.0)
+    rhs = rhs / 2**n
     with np.errstate(divide="ignore", invalid="ignore"):
         bh = np.where(rhs > 0, np.sqrt(lhs / (ell**2 * n * rhs)), 0.0)
     best = int(np.argmax(bh))
@@ -722,10 +654,11 @@ def _exhaustive_b_space(space: FiniteMetricSpace, n: int, ell: int, m: int,
         raise InvariantViolationError(
             f"exhaustive b_hat = {bh[best]} exceeds 1 at n={n} m={m} ell={ell}"
         )
+    witness = _bit_rows(best, best + 1, N)[0] if bits else F[best]
     return BReport(
         n=n, m=m, ell=ell, lhs=float(lhs[best]), rhs_raw=float(rhs[best]),
         b_hat=float(bh[best]), degenerate=bool(rhs[best] <= 0),
-        mode="exact", witness=GridFunction.points(dom, F[best]),
+        mode="exact", witness=GridFunction.points(dom, witness),
     )
 
 

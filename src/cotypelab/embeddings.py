@@ -18,7 +18,7 @@ from .errors import (
     HypothesisFailedError,
     PreconditionViolationError,
 )
-from .gridops import axis_shift, roll_values, sign_patterns
+from .gridops import axis_shift, family_table, roll_values, shift_energy
 from .harmonic import GridFunction
 from .spaces import (
     EmbeddingRecord,
@@ -250,12 +250,11 @@ def diag_geodesic_through(x, y, s: int, domain: TorusDomain) -> GeodesicPath:
 
 def _edge_activity(f: GridFunction, target) -> np.ndarray:
     """E over full sign patterns of d(f(x+eps), f(x))^2, per point."""
-    pats = sign_patterns(f.domain.n)
+    table = family_table(f.domain, "signs")
     acc = np.zeros(f.domain.points)
-    for eps in pats:
-        shifted = roll_values(f.domain, f.values, eps)
-        acc += target.pairwise(shifted, f.values) ** 2
-    return acc / len(pats)
+    for d in target.pairwise(f.values[table], f.values[None]):
+        acc += d ** 2
+    return acc / len(table)
 
 
 def _ball_sum(domain: TorusDomain, values: np.ndarray,
@@ -338,9 +337,8 @@ def extract_grid(f: GridFunction, space, s: int,
     target = as_target(space)
 
     lhs_s = 0.0
-    for j in range(n):
-        shifted = roll_values(dom, f.values, axis_shift(dom, j, s))
-        lhs_s += float(np.mean(target.pairwise(shifted, f.values) ** 2))
+    for v in shift_energy(f.values, target, family_table(dom, "axes", s), 2.0):
+        lhs_s += float(v)
     activity = _edge_activity(f, target)
     rhs_full = float(activity.mean())
     if rhs_full <= 0.0:

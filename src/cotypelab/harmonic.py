@@ -21,7 +21,7 @@ from .errors import (
     DimensionMismatchError,
     PreconditionViolationError,
 )
-from .gridops import axis_shift, roll_values, sign_patterns, three_patterns
+from .gridops import axis_shift, family_table, roll_values, sign_patterns
 from .spaces import TorusDomain
 from .targets import NormTarget
 
@@ -270,9 +270,7 @@ def rad_identity_residual(f: GridFunction) -> float:
     if signs.shape[0] * dom.points * f.dim > RESIDUAL_BUDGET:
         raise BudgetExceededError("residual tensor exceeds the desk budget")
     # H[e] = f(. + eps_e) - f(.) as one (2^n, N, d) tensor
-    H = np.stack([
-        roll_values(dom, f.values, e) - f.values for e in signs
-    ])
+    H = f.values[family_table(dom, "signs")] - f.values
     coeff = np.einsum("ej,end->jnd", signs.astype(np.float64), H) / signs.shape[0]
     lhs = np.einsum("ej,jnd->end", signs.astype(np.float64), coeff)
     T = np.stack([

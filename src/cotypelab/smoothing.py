@@ -20,7 +20,14 @@ from .errors import (
     KTooLargeError,
     PreconditionViolationError,
 )
-from .gridops import axis_shift, roll_values, sign_patterns
+from .gridops import (
+    axis_shift,
+    family_table,
+    roll_values,
+    shift_energy,
+    shift_table,
+    sign_patterns,
+)
 from .harmonic import GridFunction, central_diff
 from .spaces import TorusDomain
 from .targets import as_target
@@ -97,12 +104,11 @@ def _norm_of(target):
 
 def _edge_energy(f: GridFunction, target, p: float) -> float:
     """E over full sign patterns of avg_x d(f(x+eps), f(x))^p."""
-    pats = sign_patterns(f.domain.n)
+    table = family_table(f.domain, "signs")
     total = 0.0
-    for eps in pats:
-        shifted = roll_values(f.domain, f.values, eps)
-        total += float(np.mean(target.pairwise(shifted, f.values) ** p))
-    return total / len(pats)
+    for v in shift_energy(f.values, target, table, p):
+        total += float(v)
+    return total / len(table)
 
 
 def check_lemma_approx(f: GridFunction, space, j: int, k: int,
@@ -126,11 +132,10 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
         smoothed = smoothing_apply(f, j, k)
         lhs = float(np.mean(norm(smoothed.values - f.values) ** p))
     else:
-        total = 0.0
-        for y in sset.members:
-            shifted = roll_values(dom, f.values, y)
-            total += float(np.mean(target.pairwise(shifted, f.values) ** p))
-        lhs = total / sset.size
+        lhs = 0.0
+        for v in shift_energy(f.values, target, shift_table(dom, sset.members), p):
+            lhs += float(v)
+        lhs /= sset.size
     ej = roll_values(dom, f.values, axis_shift(dom, j, 1))
     ej_term = float(np.mean(target.pairwise(ej, f.values) ** p))
     rhs = 2.0**p * k**p * _edge_energy(f, target, p) + 2.0 ** (p - 1) * ej_term
@@ -187,9 +192,8 @@ def _cancellation_check_from(f: GridFunction, space, k: int, p: float,
     bwd = roll_values(dom, f.values, -ev)
     eps_term = float(np.mean(norm(fwd - bwd) ** p))
     edge_sum = 0.0
-    for j in range(n):
-        ej = roll_values(dom, f.values, axis_shift(dom, j, 1))
-        edge_sum += float(np.mean(norm(ej - f.values) ** p))
+    for v in shift_energy(f.values, target, family_table(dom, "axes", 1), p):
+        edge_sum += float(v)
     rhs = (3.0 ** (p - 1) * eps_term
            + 24.0**p * n ** (2 * p - 1) / k**p * edge_sum)
     return make_check(

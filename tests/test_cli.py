@@ -256,3 +256,22 @@ def test_config_from_args_filters_none():
     assert cfg.params == {"n": 1, "m": 4}
     assert cfg.budget == 100
     assert cfg.seed == 0
+
+
+def test_verify_seed_reaches_the_suites(capsys):
+    from cotypelab import run_suite
+
+    def checks(argv):
+        code, doc, _ = run_main(capsys, ["verify", "--suite", "cotype"] + argv)
+        assert code == 0
+        return doc
+
+    plain = checks([])
+    assert "seed" not in plain["params"] and plain["seed"] == 0
+    suite_default = [c.lhs for c in run_suite("cotype")]
+    assert [c["lhs"] for c in plain["checks"]] == suite_default
+    one, two = checks(["--seed", "1"]), checks(["--seed", "2"])
+    assert one["seed"] == one["params"]["seed"] == 1
+    assert [c["lhs"] for c in one["checks"]] == \
+        [c.lhs for c in run_suite("cotype", seed=1)]
+    assert one["checks"] != two["checks"]

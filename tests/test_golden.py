@@ -1,0 +1,34 @@
+"""Search and enumeration reports, byte for byte against frozen stdout.
+
+Each file under tests/golden/ holds the stdout of one command as it was
+before the shift kernel replaced the per-shift loops. Runtime goes to
+stderr, so stdout is byte-stable. A difference here is a behaviour
+change: argue for it in CHANGES.md instead of re-freezing the file.
+"""
+from pathlib import Path
+
+import pytest
+
+from cotypelab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "gamma_search_n2_m6.json":
+        ["gamma-search", "--n", "2", "--m", "6", "--budget", "3000",
+         "--seed", "5"],
+    "gamma_search_n3_m6_q4.json":
+        ["gamma-search", "--n", "3", "--m", "6", "--q", "4",
+         "--budget", "1000", "--seed", "3"],
+    "bq_n2_m6_ell2.json":
+        ["bq", "--n", "2", "--m", "6", "--ell", "2", "--budget", "2000",
+         "--seed", "2"],
+    "gamma_exhaustive_n4_m2_p1_q2.json":
+        ["gamma-exhaustive", "--n", "4", "--m", "2", "--p", "1", "--q", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
