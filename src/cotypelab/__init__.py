@@ -78,20 +78,15 @@ from .gridops import (
     three_patterns,
 )
 from .harmonic import (
-    CubeFunction,
     GridFunction,
-    KConvexityReport,
     SpectralCoefficients,
     avg_others,
     central_diff,
     edge_diff,
     fourier_forward,
     fourier_inverse,
-    k_convexity_estimate,
     parseval_residual,
-    projection_ratio,
     rad_identity_residual,
-    rademacher_projection,
     roundtrip_residual,
     scale_of,
     symbol_avg_others,
@@ -128,7 +123,7 @@ from .spaces import (
     two_point_space,
     validate_metric,
 )
-from .targets import MetricTarget, NormTarget, SnowflakeTarget, as_target, parse_norm_spec
+from .targets import MetricTarget, NormTarget, SnowflakeTarget, as_target
 from .verify import (
     cotype_suite,
     embeddings_suite,

@@ -1,11 +1,12 @@
 """Uniform record for verified inequalities.
 
 Every audited inequality produces one InequalityCheck; pass means
-lhs <= rhs + tolerance, where tolerance defaults to a relative 1e-9
-slack measured on the dominating side.
+lhs <= rhs + tolerance with all three finite, where tolerance defaults
+to a relative 1e-9 slack measured on the dominating side.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 INEQ_REL_TOL = 1e-9
@@ -22,7 +23,10 @@ class InequalityCheck:
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs + self.tolerance
+        """A non-finite side or tolerance never passes: inf <= inf holds,
+        but it certifies nothing."""
+        finite = all(map(math.isfinite, (self.lhs, self.rhs, self.tolerance)))
+        return finite and self.lhs <= self.rhs + self.tolerance
 
     @property
     def slack(self) -> float:

@@ -5,13 +5,16 @@ W_k(x) = exp(2*pi*i*<k, x>/m), and transforms use the normalized pairing
 coeff(k) = (1/m^n) * sum_x f(x) * conj(W_k(x)), so that
 f(x) = sum_k W_k(x) * coeff(k) and (1/m^n) * sum_x |f|^2 = sum_k |coeff|^2.
 
-Transforms run by direct summation up to 4096 points (the oracle path)
-and by a mixed-radix fast transform per axis beyond that; both paths
-agree to 1e-10 on their overlap.
+Transforms run numpy's mixed-radix FFT over every axis. The plain double
+sum `_direct_transform` is kept only as the reference the tests and the
+harmonic suite's `transform-two-path` check compare the FFT against.
+
+Window averages (the sign average of `avg_others` and the smoothing
+operators) average over a Cartesian product of per-axis offsets, so
+`_window_average` applies them one axis at a time.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +26,7 @@ from .errors import (
 )
 from .gridops import axis_shift, family_table, roll_values, sign_patterns
 from .spaces import TorusDomain
-from .targets import NormTarget
 
-DIRECT_SUM_LIMIT = 4096  # largest m^n still handled by direct summation
 RESIDUAL_BUDGET = 1 << 24
 
 
@@ -91,17 +92,6 @@ class SpectralCoefficients:
     def coeff(self, k) -> np.ndarray:
         return self.coeffs[self.domain.lin(k)]
 
-    def to_json_records(self) -> list:
-        recs = []
-        for idx in range(self.domain.points):
-            c = self.coeffs[idx]
-            recs.append({
-                "k": list(self.domain.coord_of(idx)),
-                "re": [float(v) for v in c.real],
-                "im": [float(v) for v in c.imag],
-            })
-        return recs
-
 
 def walsh_char(domain: TorusDomain, k, x=None) -> np.ndarray | complex:
     """W_k evaluated at a single point x, or at every point when x is None."""
@@ -119,7 +109,10 @@ def walsh_char(domain: TorusDomain, k, x=None) -> np.ndarray | complex:
 
 def _direct_transform(domain: TorusDomain, values: np.ndarray,
                       sign: float, chunk: int = 256) -> np.ndarray:
-    """Plain double-sum transform: out[k] = sum_x values[x] e^{sign*2pi i k.x/m}."""
+    """Reference double sum: out[k] = sum_x values[x] e^{sign*2pi i k.x/m}.
+
+    O(N^2); the FFT in fourier_forward/fourier_inverse is checked against it.
+    """
     pts = domain.coords().astype(np.float64)
     out = np.empty_like(values, dtype=np.complex128)
     for lo in range(0, domain.points, chunk):
@@ -129,40 +122,46 @@ def _direct_transform(domain: TorusDomain, values: np.ndarray,
     return out
 
 
-def fourier_forward(f: GridFunction, method: str = "auto") -> SpectralCoefficients:
-    """Normalized forward transform; see the module docstring for paths."""
+def fourier_forward(f: GridFunction) -> SpectralCoefficients:
+    """Normalized forward transform (see the module docstring)."""
     if not f.is_vector:
         raise PreconditionViolationError("transforms act on vector values")
     dom = f.domain
-    if method == "auto":
-        method = "direct" if dom.points <= DIRECT_SUM_LIMIT else "fast"
-    if method == "direct":
-        out = _direct_transform(dom, f.values, -1.0) / dom.points
-    elif method == "fast":
-        grid = f.values.reshape(dom.shape + (f.dim,))
-        out = np.fft.fftn(grid, axes=tuple(range(dom.n))) / dom.points
-        out = out.reshape(dom.points, f.dim)
-    else:
-        raise PreconditionViolationError(f"unknown transform method {method!r}")
-    return SpectralCoefficients(dom, out)
+    grid = f.values.reshape(dom.shape + (f.dim,))
+    out = np.fft.fftn(grid, axes=tuple(range(dom.n))) / dom.points
+    return SpectralCoefficients(dom, out.reshape(dom.points, f.dim))
 
 
-def fourier_inverse(coeffs: SpectralCoefficients,
-                    method: str = "auto") -> GridFunction:
+def fourier_inverse(coeffs: SpectralCoefficients) -> GridFunction:
     """Inverse of fourier_forward."""
     dom = coeffs.domain
     d = coeffs.coeffs.shape[1]
-    if method == "auto":
-        method = "direct" if dom.points <= DIRECT_SUM_LIMIT else "fast"
-    if method == "direct":
-        vals = _direct_transform(dom, coeffs.coeffs, +1.0)
-    elif method == "fast":
-        grid = coeffs.coeffs.reshape(dom.shape + (d,))
-        vals = np.fft.ifftn(grid, axes=tuple(range(dom.n))) * dom.points
-        vals = vals.reshape(dom.points, d)
-    else:
-        raise PreconditionViolationError(f"unknown transform method {method!r}")
-    return GridFunction(dom, vals)
+    grid = coeffs.coeffs.reshape(dom.shape + (d,))
+    vals = np.fft.ifftn(grid, axes=tuple(range(dom.n))) * dom.points
+    return GridFunction(dom, vals.reshape(dom.points, d))
+
+
+def _window_average(domain: TorusDomain, values: np.ndarray,
+                    axis_offsets: dict) -> np.ndarray:
+    """Average of x -> values(x + y) over y in the product of the per-axis
+    offset lists axis_offsets[axis]; axes not in the mapping stay put.
+
+    Each axis is padded cyclically once, so that every offset is a slice
+    of the padded grid. The slices are summed in list order and scaled by
+    the reciprocal of their count (a product, not a quotient, so that the
+    sign average of avg_others keeps the bits of 0.5 * (f(x+e) + f(x-e))).
+    """
+    m = domain.m
+    grid = values.reshape(domain.shape + values.shape[1:])
+    for axis, offsets in axis_offsets.items():
+        r = max(abs(off) for off in offsets)
+        padded = np.take(grid, np.arange(-r, m + r) % m, axis=axis)
+        lead = (slice(None),) * axis
+        acc = padded[lead + (slice(r + offsets[0], r + offsets[0] + m),)].copy()
+        for off in offsets[1:]:
+            acc += padded[lead + (slice(r + off, r + off + m),)]
+        grid = acc * (1.0 / len(offsets))
+    return grid.reshape(values.shape)
 
 
 def central_diff(f: GridFunction, j: int) -> GridFunction:
@@ -175,19 +174,13 @@ def central_diff(f: GridFunction, j: int) -> GridFunction:
 def avg_others(f: GridFunction, j: int) -> GridFunction:
     """Average of f(x + sum_{l != j} eps_l e_l) over signs eps in {-1,1}.
 
-    The average factorizes across axes, so it is computed as a product of
-    per-axis half-sums; the symbol is prod_{l != j} cos(2 pi k_l / m).
+    The average factorizes across axes into per-axis half-sums; the
+    symbol is prod_{l != j} cos(2 pi k_l / m).
     """
     if not 0 <= j < f.domain.n:
         raise IndexError(f"axis {j} out of range for n={f.domain.n}")
-    vals = f.values
-    for axis in range(f.domain.n):
-        if axis == j:
-            continue
-        e = axis_shift(f.domain, axis)
-        vals = 0.5 * (roll_values(f.domain, vals, e)
-                      + roll_values(f.domain, vals, -e))
-    return GridFunction(f.domain, vals)
+    others = {axis: (-1, 1) for axis in range(f.domain.n) if axis != j}
+    return GridFunction(f.domain, _window_average(f.domain, f.values, others))
 
 
 def edge_diff(f: GridFunction, eps) -> GridFunction:
@@ -220,40 +213,6 @@ def symbol_edge_diff(domain: TorusDomain, eps) -> np.ndarray:
     return np.exp(2j * np.pi * (ks @ e) / domain.m) - 1.0
 
 
-@dataclass(frozen=True)
-class CubeFunction:
-    """A function on the sign cube {-1,1}^n with complex vector values.
-
-    Row order matches sign_patterns(n): row-major from (-1,...,-1).
-    """
-
-    n: int
-    values: np.ndarray  # (2^n, d) complex
-
-    @staticmethod
-    def make(n: int, values) -> "CubeFunction":
-        v = np.asarray(values, dtype=np.complex128)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != 2**n:
-            raise DimensionMismatchError(
-                f"expected {2**n} rows, got {v.shape[0]}"
-            )
-        return CubeFunction(n, v)
-
-    def l2_norm(self, norm: NormTarget | None = None) -> float:
-        norm = norm or NormTarget(p=2.0)
-        return float(np.sqrt(np.mean(norm.norm(self.values) ** 2)))
-
-
-def rademacher_projection(g: CubeFunction) -> CubeFunction:
-    """Keep only the degree-one part: sum_j E[g * eps_j] * eps_j."""
-    signs = sign_patterns(g.n).astype(np.float64)
-    # c[j] = E_eps[g(eps) eps_j], shape (n, d)
-    c = signs.T @ g.values / signs.shape[0]
-    return CubeFunction(g.n, signs @ c)
-
-
 def rad_identity_residual(f: GridFunction) -> float:
     """Largest pointwise error in the projection identity.
 
@@ -281,74 +240,18 @@ def rad_identity_residual(f: GridFunction) -> float:
     return float(err.max())
 
 
-@dataclass(frozen=True)
-class KConvexityReport:
-    """Certified lower bound on the projection norm at fixed cube dimension."""
-
-    n: int
-    dim: int
-    p: float
-    trials: int
-    seed: int
-    best_ratio: float
-    witness: np.ndarray  # (2^n, d) complex values of the best cube function
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "p": self.p,
-            "trials": self.trials,
-            "seed": self.seed,
-            "best_ratio": self.best_ratio,
-            "witness_re": self.witness.real.tolist(),
-            "witness_im": self.witness.imag.tolist(),
-        }
-
-
-def projection_ratio(g: CubeFunction, norm: NormTarget) -> float:
-    """||Rad g|| / ||g|| in L_2 of the given norm; 0 for the zero function."""
-    denom = g.l2_norm(norm)
-    if denom == 0:
-        return 0.0
-    return rademacher_projection(g).l2_norm(norm) / denom
-
-
-def k_convexity_estimate(norm: NormTarget, n: int, trials: int,
-                         seed: int, dim: int | None = None) -> KConvexityReport:
-    """Sampled lower bound on the L_2 -> L_2 projection norm at dimension n.
-
-    Only a per-n lower bound is reported; no limit over n is claimed.
-    """
-    d = dim or norm.dim or 1
-    rng = np.random.default_rng(seed)
-    best = -1.0
-    best_vals = None
-    for _ in range(trials):
-        vals = rng.standard_normal((2**n, d)) + 1j * rng.standard_normal((2**n, d))
-        g = CubeFunction(n, vals)
-        r = projection_ratio(g, norm)
-        if r > best:
-            best = r
-            best_vals = vals
-    return KConvexityReport(
-        n=n, dim=d, p=norm.p, trials=trials, seed=seed,
-        best_ratio=float(best), witness=best_vals,
-    )
-
-
-def parseval_residual(f: GridFunction, method: str = "auto") -> float:
+def parseval_residual(f: GridFunction) -> float:
     """Relative gap between spatial and spectral energies."""
-    co = fourier_forward(f, method=method)
+    co = fourier_forward(f)
     spatial = float((np.abs(f.values) ** 2).sum() / f.domain.points)
     spectral = float((np.abs(co.coeffs) ** 2).sum())
     ref = max(spatial, spectral, 1e-300)
     return abs(spatial - spectral) / ref
 
 
-def roundtrip_residual(f: GridFunction, method: str = "auto") -> float:
+def roundtrip_residual(f: GridFunction) -> float:
     """Relative error of inverse(forward(f)) against f."""
-    back = fourier_inverse(fourier_forward(f, method=method), method=method)
+    back = fourier_inverse(fourier_forward(f))
     num = float(np.abs(back.values - f.values).max())
     ref = max(float(np.abs(f.values).max()), 1e-300)
     return num / ref

@@ -28,7 +28,7 @@ from .gridops import (
     shift_table,
     sign_patterns,
 )
-from .harmonic import GridFunction, central_diff
+from .harmonic import GridFunction, _window_average, central_diff
 from .spaces import TorusDomain
 from .targets import as_target
 
@@ -50,11 +50,18 @@ class SmoothingIndexSet:
         return complex(phases.mean())
 
 
-def _validate_window(k: int, domain: TorusDomain) -> None:
+def _window_axes(j: int, k: int, domain: TorusDomain) -> dict:
+    """Per-axis offsets of the index set: evens on axis j, odds elsewhere."""
+    if not 0 <= j < domain.n:
+        raise PreconditionViolationError(
+            f"coordinate {j} outside 0..{domain.n - 1}")
     if k % 2 == 0 or k < 1:
         raise EvenKError(f"window radius must be a positive odd integer, got {k}")
     if not k < domain.m / 2:
         raise KTooLargeError(f"need k < m/2, got k={k} with m={domain.m}")
+    evens = tuple(range(-(k - 1), k, 2))
+    odds = tuple(range(-k, k + 1, 2))
+    return {ax: evens if ax == j else odds for ax in range(domain.n)}
 
 
 def smoothing_set(j: int, k: int, domain: TorusDomain) -> SmoothingIndexSet:
@@ -63,15 +70,9 @@ def smoothing_set(j: int, k: int, domain: TorusDomain) -> SmoothingIndexSet:
     Cardinality is k * (k+1)^(n-1): k even residues on coordinate j,
     k+1 odd residues elsewhere.
     """
-    n = domain.n
-    if not 0 <= j < n:
-        raise PreconditionViolationError(f"coordinate {j} outside 0..{n - 1}")
-    _validate_window(k, domain)
-    evens = range(-(k - 1), k, 2)
-    odds = range(-k, k + 1, 2)
-    axes = [list(evens) if ax == j else list(odds) for ax in range(n)]
+    axes = _window_axes(j, k, domain).values()
     members = np.array(list(itertools.product(*axes)), dtype=np.int64)
-    assert members.shape[0] == k * (k + 1) ** (n - 1)
+    assert members.shape[0] == k * (k + 1) ** (domain.n - 1)
     return SmoothingIndexSet(j=j, k=k, members=members)
 
 
@@ -80,17 +81,17 @@ def smoothing_apply(f: GridFunction, j: int, k: int) -> GridFunction:
 
     Fixes constants and is a pointwise norm contraction relative to the
     window maximum. Vector-valued input only; metric-valued witnesses
-    enter the inequality checks through distances instead.
+    enter the inequality checks through distances instead. The index set
+    is a product of per-axis offset lists, so the average is taken one
+    axis at a time.
     """
     if not f.is_vector:
         raise PreconditionViolationError(
             "smoothing averages vectors; point-valued input has no mean"
         )
-    sset = smoothing_set(j, k, f.domain)
-    acc = np.zeros_like(f.values)
-    for y in sset.members:
-        acc += roll_values(f.domain, f.values, y)
-    return GridFunction.vector(f.domain, acc / sset.size)
+    axes = _window_axes(j, k, f.domain)
+    return GridFunction.vector(f.domain,
+                               _window_average(f.domain, f.values, axes))
 
 
 def _norm_of(target):
@@ -126,12 +127,12 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     dom = f.domain
     target = as_target(space)
-    sset = smoothing_set(j, k, dom)
     if f.is_vector:
-        norm = _norm_of(target)
         smoothed = smoothing_apply(f, j, k)
+        norm = _norm_of(target)
         lhs = float(np.mean(norm(smoothed.values - f.values) ** p))
     else:
+        sset = smoothing_set(j, k, dom)
         lhs = 0.0
         for v in shift_energy(f.values, target, shift_table(dom, sset.members), p):
             lhs += float(v)

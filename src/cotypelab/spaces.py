@@ -274,8 +274,18 @@ def torus_space(domain: TorusDomain, budget: int = 1 << 16) -> FiniteMetricSpace
     """Materialize Z_m^n with its word metric as a FiniteMetricSpace."""
     domain.require_points(budget)
     pts = domain.coords()
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    dist = np.minimum(diff, domain.m - diff).max(axis=2).astype(np.float64)
+    half = domain.m / 2
+    dist = np.zeros((domain.points, domain.points))
+    gap = np.empty_like(dist)
+    for c in pts.T.astype(np.float64):
+        # max over axes of the circular gap min(d, m - d) = m/2 - |d - m/2|
+        # for d = |x_a - y_a|, built in place: two (N, N) tables in all
+        np.subtract(c[:, None], c[None, :], out=gap)
+        np.abs(gap, out=gap)
+        gap -= half
+        np.abs(gap, out=gap)
+        np.subtract(half, gap, out=gap)
+        np.maximum(dist, gap, out=dist)
     dist.flags.writeable = False
     labels = tuple(",".join(map(str, p)) for p in pts)
     return FiniteMetricSpace(labels=labels, dist=dist)

@@ -95,19 +95,3 @@ def as_target(space_or_norm):
         f"cannot interpret {type(space_or_norm).__name__} as a codomain"
     )
 
-
-def parse_norm_spec(spec: str) -> NormTarget:
-    """Parse 'lp:<p>:<d>' into a NormTarget, e.g. 'lp:2:3' for l_2^3."""
-    parts = spec.split(":")
-    if len(parts) != 3 or parts[0] != "lp":
-        raise SchemaViolationError(
-            f"norm spec must look like 'lp:<p>:<d>', got {spec!r}"
-        )
-    p = math.inf if parts[1] in ("inf", "oo") else float(parts[1])
-    try:
-        d = int(parts[2])
-    except ValueError:
-        raise SchemaViolationError(f"bad dimension in norm spec {spec!r}")
-    if d < 1:
-        raise SchemaViolationError(f"dimension must be >= 1 in {spec!r}")
-    return NormTarget(p=p, dim=d)

@@ -1,4 +1,15 @@
-from cotypelab import InequalityCheck, make_check
+import math
+
+import numpy as np
+
+from cotypelab import (
+    GridFunction,
+    InequalityCheck,
+    NormTarget,
+    TorusDomain,
+    check_lemma_approx,
+    make_check,
+)
 
 
 def test_pass_and_slack():
@@ -41,3 +52,24 @@ def test_params_are_copied():
     chk = make_check("demo", src, 0.0, 1.0)
     src["k"] = 99
     assert chk.params["k"] == 1
+
+
+def test_non_finite_checks_fail():
+    # inf <= inf + inf holds in floating point but certifies nothing
+    for lhs, rhs in [(math.inf, math.inf), (math.nan, 0.0), (0.0, math.inf),
+                     (-math.inf, 0.0)]:
+        assert not make_check("demo", {}, lhs, rhs).passed, (lhs, rhs)
+    chk = InequalityCheck(name="demo", params={}, lhs=0.0, rhs=1.0,
+                          tolerance=math.inf)
+    assert not chk.passed
+
+
+def test_overflowing_witness_fails_the_approximation_check():
+    dom = TorusDomain(n=2, m=6)
+    rng = np.random.default_rng(0)
+    vals = rng.standard_normal((dom.points, 2)) + 0j
+    f = GridFunction.vector(dom, 1e200 * vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chk = check_lemma_approx(f, NormTarget(p=2.0), 0, 1, 2.0)
+    assert not (math.isfinite(chk.lhs) and math.isfinite(chk.rhs))
+    assert not chk.passed

@@ -3,30 +3,27 @@ import pytest
 
 from cotypelab import (
     BudgetExceededError,
-    CubeFunction,
     DimensionMismatchError,
     GridFunction,
-    NormTarget,
     PreconditionViolationError,
     TorusDomain,
     avg_others,
+    axis_shift,
     central_diff,
     edge_diff,
     fourier_forward,
     fourier_inverse,
-    k_convexity_estimate,
     parseval_residual,
-    projection_ratio,
     rad_identity_residual,
-    rademacher_projection,
+    roll_values,
     roundtrip_residual,
     scale_of,
-    sign_patterns,
     symbol_avg_others,
     symbol_central_diff,
     symbol_edge_diff,
     walsh_char,
 )
+from cotypelab.harmonic import _direct_transform
 
 
 def character(domain, k):
@@ -74,13 +71,17 @@ def test_transform_of_constant_and_character():
 
 
 def test_transform_two_paths_agree():
-    dom = TorusDomain(n=2, m=6)
-    f = random_vector(dom, 3, seed=1)
-    direct = fourier_forward(f, method="direct").coeffs
-    fast = fourier_forward(f, method="fast").coeffs
-    assert np.abs(direct - fast).max() < 1e-10
-    with pytest.raises(PreconditionViolationError):
-        fourier_forward(f, method="magic")
+    # the FFT against the reference double sum, both ways round
+    for n, m in [(1, 8), (2, 6), (3, 4), (2, 32)]:
+        dom = TorusDomain(n=n, m=m)
+        f = random_vector(dom, 3, seed=n * m)
+        tol = 1e-10 * scale_of(f)
+        oracle = _direct_transform(dom, f.values, -1.0) / dom.points
+        co = fourier_forward(f)
+        assert np.abs(co.coeffs - oracle).max() <= tol
+        back = _direct_transform(dom, co.coeffs, +1.0)
+        assert np.abs(fourier_inverse(co).values - back).max() <= tol
+        assert np.abs(back - f.values).max() <= tol
 
 
 def test_roundtrip_and_parseval():
@@ -90,15 +91,6 @@ def test_roundtrip_and_parseval():
     assert parseval_residual(f) < 1e-12
     back = fourier_inverse(fourier_forward(f))
     assert np.abs(back.values - f.values).max() < 1e-12
-
-
-def test_spectral_records():
-    dom = TorusDomain(n=1, m=4)
-    co = fourier_forward(character(dom, [2]))
-    recs = co.to_json_records()
-    assert len(recs) == 4
-    top = max(recs, key=lambda r: abs(complex(r["re"][0], r["im"][0])))
-    assert top["k"] == [2]
 
 
 def two_path_residual(f, op, symbol):
@@ -131,6 +123,26 @@ def test_avg_others_cases():
     assert np.abs(avg_others(g, 0).values).max() < 1e-12
     with pytest.raises(IndexError):
         avg_others(g, 2)
+
+
+def test_avg_others_keeps_the_half_sum_bits():
+    # reference: per-axis half-sums 0.5 * (f(x + e) + f(x - e)), bit for bit;
+    # a table of -0 + i entries also pins the sign of each zero
+    for n, m in [(1, 4), (2, 6), (3, 5), (4, 4)]:
+        dom = TorusDomain(n=n, m=m)
+        signed_zero = np.full((dom.points, 2), complex(-0.0, 1.0))
+        for f in (random_vector(dom, 2, seed=n + m),
+                  GridFunction.vector(dom, signed_zero)):
+            for j in range(n):
+                vals = f.values
+                for axis in range(n):
+                    if axis != j:
+                        e = axis_shift(dom, axis)
+                        vals = 0.5 * (roll_values(dom, vals, e)
+                                      + roll_values(dom, vals, -e))
+                got = avg_others(f, j).values
+                assert (got == vals).all()
+                assert got.tobytes() == vals.tobytes()
 
 
 def test_edge_diff_validation():
@@ -184,29 +196,6 @@ def test_grid_function_helpers():
         scale_of(pts)
 
 
-def test_cube_function_make_and_norm():
-    g = CubeFunction.make(2, [1.0, 1.0, 1.0, 1.0])
-    assert g.values.shape == (4, 1)
-    assert g.l2_norm() == pytest.approx(1.0)
-    with pytest.raises(DimensionMismatchError):
-        CubeFunction.make(2, [1.0, 2.0])
-
-
-def test_rademacher_projection_fixed_points():
-    n = 3
-    signs = sign_patterns(n).astype(np.float64)
-    a = np.array([2.0, -1.0, 0.5])
-    degree_one = CubeFunction.make(n, signs @ a)
-    proj = rademacher_projection(degree_one)
-    np.testing.assert_allclose(proj.values, degree_one.values, atol=1e-12)
-
-    const = CubeFunction.make(n, np.ones(2**n))
-    assert np.abs(rademacher_projection(const).values).max() < 1e-12
-    # products of two signs are killed as well
-    quad = CubeFunction.make(n, signs[:, 0] * signs[:, 1])
-    assert np.abs(rademacher_projection(quad).values).max() < 1e-12
-
-
 def test_projection_identity_residual():
     for n, m in [(1, 4), (2, 6), (3, 4)]:
         f = random_vector(TorusDomain(n=n, m=m), 2, seed=n + m)
@@ -221,63 +210,3 @@ def test_projection_identity_guards():
     big = random_vector(TorusDomain(n=5, m=8), 32, seed=0)
     with pytest.raises(BudgetExceededError):
         rad_identity_residual(big)
-
-
-def test_projection_ratio_hilbert_cap():
-    # in l_2 the projection is orthogonal, so the ratio never exceeds 1
-    rng = np.random.default_rng(7)
-    norm = NormTarget(p=2.0)
-    for _ in range(25):
-        g = CubeFunction.make(3, rng.standard_normal((8, 2))
-                              + 1j * rng.standard_normal((8, 2)))
-        assert projection_ratio(g, norm) <= 1.0 + 1e-12
-    zero = CubeFunction.make(2, np.zeros(4))
-    assert projection_ratio(zero, NormTarget(p=1.0)) == 0.0
-
-
-# hill-climbed l_1 witness on the 3-cube; the ratio above 1 shows the
-# degree-one projection expands some function in this norm
-L1_WITNESS = np.array([
-    [-0.11427252492001984, -2.0980322717417104],
-    [-0.8883054631547436, 0.0031516938658984264],
-    [-2.060141747231875, -0.11161281374264191],
-    [-1.3357708826304568, 0.0694217976968106],
-    [1.032488177348221, -0.6170033778569147],
-    [2.3670011986415975, 0.01829600643630891],
-    [1.533577705853969, 0.0007941370262420124],
-    [0.10599281408788937, 2.5120536250778316],
-])
-L1_WITNESS_RATIO = 1.1194553673101082
-
-
-def test_l1_projection_witness_frozen_value():
-    g = CubeFunction.make(3, L1_WITNESS)
-    assert projection_ratio(g, NormTarget(p=1.0)) == \
-        pytest.approx(L1_WITNESS_RATIO, rel=1e-12)
-
-
-def test_l1_projection_witness_recomputed_plainly():
-    # same ratio from scratch with explicit loops
-    signs = sign_patterns(3)
-    proj = np.zeros_like(L1_WITNESS)
-    for j in range(3):
-        cj = np.zeros(2)
-        for row, e in enumerate(signs):
-            cj += e[j] * L1_WITNESS[row]
-        cj /= len(signs)
-        for row, e in enumerate(signs):
-            proj[row] += e[j] * cj
-    num = np.sqrt(np.mean(np.abs(proj).sum(axis=1) ** 2))
-    den = np.sqrt(np.mean(np.abs(L1_WITNESS).sum(axis=1) ** 2))
-    assert num / den == pytest.approx(L1_WITNESS_RATIO, rel=1e-12)
-
-
-def test_k_convexity_estimate_deterministic():
-    norm = NormTarget(p=1.0)
-    a = k_convexity_estimate(norm, n=2, trials=20, seed=9, dim=2)
-    b = k_convexity_estimate(norm, n=2, trials=20, seed=9, dim=2)
-    assert a.best_ratio == b.best_ratio
-    assert a.best_ratio > 0
-    np.testing.assert_array_equal(a.witness, b.witness)
-    d = a.to_json_dict()
-    assert d["n"] == 2 and d["trials"] == 20

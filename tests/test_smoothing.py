@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotypelab import (
     EvenKError,
@@ -16,6 +18,8 @@ from cotypelab import (
     check_lemma_cancellation_all,
     fourier_forward,
     fourier_inverse,
+    roll_values,
+    scale_of,
     sign_patterns,
     smoothing_apply,
     smoothing_set,
@@ -68,6 +72,30 @@ def test_smoothing_apply_k1_matches_sign_average():
     got = smoothing_apply(f, 0, 1)
     want = avg_others(f, 0)
     assert np.abs(got.values - want.values).max() < 1e-12
+
+
+def enumerated_average(f, j, k):
+    # reference: roll once per member of the index set, then divide
+    sset = smoothing_set(j, k, f.domain)
+    acc = np.zeros_like(f.values)
+    for y in sset.members:
+        acc += roll_values(f.domain, f.values, y)
+    return acc / sset.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_smoothing_apply_matches_the_enumeration(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    m = data.draw(st.sampled_from([4, 6, 8, 10] if n < 4 else [4, 6]),
+                  label="m")
+    k = data.draw(st.sampled_from(range(1, (m + 1) // 2, 2)), label="k")
+    f = rand_vec(TorusDomain(n=n, m=m), 2,
+                 seed=data.draw(st.integers(0, 2**16), label="seed"))
+    tol = 64 * 2.0**-52 * scale_of(f)
+    for j in range(n):
+        got = smoothing_apply(f, j, k).values
+        assert np.abs(got - enumerated_average(f, j, k)).max() <= tol
 
 
 def test_smoothing_apply_fixes_constants():

@@ -188,6 +188,19 @@ def test_torus_space_cycle_table():
     np.testing.assert_array_equal(sp.dist, want)
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (2, 2), (2, 7), (3, 4),
+                                 (3, 5), (4, 3)])
+def test_torus_space_matches_broadcast_formula(n, m):
+    # reference: the word metric from one (N, N, n) table of coordinate gaps
+    dom = TorusDomain(n=n, m=m)
+    pts = dom.coords()
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    want = np.minimum(diff, m - diff).max(axis=2).astype(np.float64)
+    got = torus_space(dom).dist
+    assert got.dtype == want.dtype and (got == want).all()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_grid_points_enumeration():
     pts = grid_points(2, 2)
     assert pts.shape == (9, 2)

@@ -12,7 +12,6 @@ from cotypelab import (
     SnowflakeTarget,
     TorusDomain,
     as_target,
-    parse_norm_spec,
     torus_space,
     two_point_space,
 )
@@ -70,12 +69,3 @@ def test_as_target_coercion():
     with pytest.raises(SchemaViolationError):
         as_target(42)
 
-
-def test_parse_norm_spec():
-    t = parse_norm_spec("lp:2:3")
-    assert (t.p, t.dim) == (2.0, 3)
-    assert math.isinf(parse_norm_spec("lp:inf:1").p)
-    assert math.isinf(parse_norm_spec("lp:oo:2").p)
-    for bad in ("l2:2:3", "lp:2", "lp:2:x", "lp:2:0"):
-        with pytest.raises(SchemaViolationError):
-            parse_norm_spec(bad)
