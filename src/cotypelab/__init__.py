@@ -57,6 +57,7 @@ from .errors import (
     KTooLargeError,
     MetricValidationError,
     NegativeDistanceError,
+    NonFiniteValuesError,
     NonzeroDiagonalError,
     NotFoundError,
     NotInjectiveError,

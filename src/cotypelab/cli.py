@@ -32,6 +32,7 @@ from .embeddings import (
     extract_grid,
     frechet_cycle,
     grid_to_torus,
+    require_defect_budget,
     sparse_frechet_cycle,
 )
 from .errors import (
@@ -225,6 +226,10 @@ def _cmd_mod_check(cfg: ExperimentConfig):
 def _cmd_verify(cfg: ExperimentConfig):
     suite = _opt(cfg.params, "suite", str, "all")
     trials = _opt(cfg.params, "trials", int, None)
+    if trials is not None and trials < 1:
+        # a *-worst check over no trials has no worst case to report
+        raise SchemaViolationError(f"trials must be >= 1, got {trials}",
+                                   json_path="$.params.trials")
     seed = _opt(cfg.params, "seed", int, None)
     checks = run_suite(suite, seed=seed, trials=trials)
     return {"suite": suite, "checks_run": len(checks)}, checks, "suite"
@@ -254,6 +259,7 @@ def _cmd_extract_grid(cfg: ExperimentConfig):
         raise SchemaViolationError(f"s must be divisible by 4, got {s}",
                                    json_path="$.params.s")
     dom = TorusDomain(n=n, m=m)
+    require_defect_budget(dom, s)  # before the (N, N) torus table
     f = GridFunction.points(dom, np.arange(dom.points, dtype=np.int64))
     rec, info = extract_grid(f, torus_space(dom), s)
     return {"embedding": rec.to_json_dict(), "extraction": _jsonable(info)}, [], "exact"

@@ -7,6 +7,7 @@ bound for injections of the torus into Hilbert-like targets.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 from .checks import InequalityCheck, make_check
 from .cotype import cotype_functionals, gamma_hilbert_exact
 from .errors import (
+    BudgetExceededError,
     HypothesisFailedError,
     PreconditionViolationError,
 )
@@ -32,6 +34,10 @@ from .spaces import (
     torus_space,
 )
 from .targets import as_target
+
+# transition-point terms of one geodesic-defect sum; each costs about 10 ns
+# (2-core x86 desk machine, numpy 2.4), so the cap is about 1.5 s of work
+DEFECT_BUDGET = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -248,13 +254,20 @@ def diag_geodesic_through(x, y, s: int, domain: TorusDomain) -> GeodesicPath:
     return GeodesicPath(steps=arr, j=j, sign=1, through_index=t)
 
 
+def _edge_table(f: GridFunction, target) -> np.ndarray:
+    """(2^n, N) table of d(f(x+eps), f(x)), one row per sign pattern eps in
+    the row order of sign_patterns(n)."""
+    return target.pairwise(f.values[family_table(f.domain, "signs")],
+                           f.values[None])
+
+
 def _edge_activity(f: GridFunction, target) -> np.ndarray:
     """E over full sign patterns of d(f(x+eps), f(x))^2, per point."""
-    table = family_table(f.domain, "signs")
+    edge = _edge_table(f, target)
     acc = np.zeros(f.domain.points)
-    for d in target.pairwise(f.values[table], f.values[None]):
+    for d in edge:
         acc += d ** 2
-    return acc / len(table)
+    return acc / len(edge)
 
 
 def _ball_sum(domain: TorusDomain, values: np.ndarray,
@@ -269,16 +282,39 @@ def _ball_sum(domain: TorusDomain, values: np.ndarray,
     return acc
 
 
-def _balanced_sign_rows(s: int) -> np.ndarray:
-    """All {-1,1} rows of length s summing to zero, as a (C(s,s/2), s) array."""
-    from itertools import combinations
+def _walks(k: int, v: int) -> int:
+    """Number of +/-1 walks of k steps whose steps sum to v."""
+    if abs(v) > k or (k + v) % 2:
+        return 0
+    return math.comb(k, (k + v) // 2)
 
-    rows = []
-    for pos in combinations(range(s), s // 2):
-        row = -np.ones(s, dtype=np.int64)
-        row[list(pos)] = 1
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+
+def _axis_transitions(s: int, ell: int) -> list:
+    """(u, e, count) for one free axis at step ell of a balanced length-s
+    walk: count walks stand at u after ell-1 steps, step by e, and are
+    back at 0 after step s. Only triples with count > 0 are listed."""
+    out = []
+    for u in range(1 - ell, ell, 2):
+        for e in (-1, 1):
+            w = _walks(ell - 1, u) * _walks(s - ell, -(u + e))
+            if w:
+                out.append((u, e, w))
+    return out
+
+
+def require_defect_budget(domain: TorusDomain, s: int) -> int:
+    """Work units of the geodesic-defect sum at scale s: transitions x
+    points, summed over every axis j, both signs and every step. Raises
+    BudgetExceededError above DEFECT_BUDGET, before anything is allocated."""
+    per_step = sum(len(_axis_transitions(s, ell)) ** (domain.n - 1)
+                   for ell in range(1, s + 1))
+    work = 2 * domain.n * domain.points * per_step
+    if work > DEFECT_BUDGET:
+        raise BudgetExceededError(
+            f"geodesic-defect sum needs {work} transition-point terms, "
+            f"budget is {DEFECT_BUDGET}"
+        )
+    return work
 
 
 def _geodesic_defects(f: GridFunction, target, s: int) -> np.ndarray:
@@ -286,39 +322,50 @@ def _geodesic_defects(f: GridFunction, target, s: int) -> np.ndarray:
     the squared deviation of step distances from their path average.
 
     Geodesics from x to x + sign*s*e_j move coordinate j by sign each
-    step while every other coordinate takes a balanced +/-1 pattern;
-    translation invariance lets one offset table serve every basepoint.
+    step while every other coordinate takes a balanced +/-1 pattern.
+    Step ell of a path contributes (d(f(x+o+delta), f(x+o)) - base(x))^2
+    with o the offset after ell-1 steps and delta the step, so the sum
+    over paths is a sum over transitions (o, delta), each weighted by
+    the number of paths through it:
+
+        W = prod_{a != j} walks(ell-1, o_a) * walks(s-ell, -(o_a+delta_a)),
+
+    with walks(k, v) = C(k, (k+v)/2) (0 for the wrong parity or |v| > k).
+    Every term reads the edge table d(f(y+delta), f(y)), gathered once.
+    Raises BudgetExceededError when require_defect_budget does.
     """
     dom = f.domain
-    n = dom.n
-    N = dom.points
-    balanced = _balanced_sign_rows(s)  # (paths_per_axis, s)
-    defect = np.zeros(N)
+    n, m = dom.n, dom.m
+    require_defect_budget(dom, s)
+    # roll(edge[delta], o) is a window of the table padded cyclically by s
+    edge = _edge_table(f, target).astype(np.float64)
+    pad = np.pad(edge.reshape((len(edge),) + dom.shape),
+                 [(0, 0)] + [(s, s)] * n, mode="wrap")
+    defect = np.zeros(dom.shape)
     for j in range(n):
+        rest = [ax for ax in range(n) if ax != j]
         for sign in (1, -1):
             base = target.pairwise(
                 roll_values(dom, f.values, axis_shift(dom, j, sign * s)),
                 f.values,
-            ).astype(np.float64) / s
-            index_rest = [ax for ax in range(n) if ax != j]
-            pattern_sets = np.meshgrid(
-                *([np.arange(balanced.shape[0])] * len(index_rest)),
-                indexing="ij",
-            )
-            combos = (np.stack([g.ravel() for g in pattern_sets], axis=-1)
-                      if index_rest else np.zeros((1, 0), dtype=np.int64))
-            for combo in combos:
-                offsets = np.zeros((s + 1, n), dtype=np.int64)
-                offsets[1:, j] = sign * np.arange(1, s + 1)
-                for ax, pat in zip(index_rest, combo):
-                    offsets[1:, ax] = np.cumsum(balanced[pat])
-                prev = f.values
-                for ell in range(1, s + 1):
-                    curv = roll_values(dom, f.values, offsets[ell])
-                    d = target.pairwise(curv, prev).astype(np.float64)
-                    defect += (d - base) ** 2
-                    prev = curv
-    return defect
+            ).astype(np.float64).reshape(dom.shape) / s
+            for ell in range(1, s + 1):
+                for combo in itertools.product(_axis_transitions(s, ell),
+                                               repeat=n - 1):
+                    offset = [sign * (ell - 1)] * n
+                    step = [sign] * n
+                    weight = 1
+                    for ax, (u, e, count) in zip(rest, combo):
+                        offset[ax], step[ax] = u, e
+                        weight *= count
+                    row = sum((e > 0) << (n - 1 - ax)
+                              for ax, e in enumerate(step))  # sign-table row
+                    term = pad[(row,) + tuple(slice(s + o, s + o + m)
+                                              for o in offset)] - base
+                    term *= term
+                    term *= float(weight)
+                    defect += term
+    return defect.ravel()
 
 
 def extract_grid(f: GridFunction, space, s: int,

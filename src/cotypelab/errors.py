@@ -95,6 +95,10 @@ class BudgetExceededError(CotypeLabError):
     """The requested computation is larger than the configured budget."""
 
 
+class NonFiniteValuesError(CotypeLabError):
+    """A value table holds NaN or infinite entries."""
+
+
 class PreconditionViolationError(CotypeLabError):
     """An operation precondition does not hold for the given arguments."""
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    NonFiniteValuesError,
     PreconditionViolationError,
 )
 from .gridops import axis_shift, family_table, roll_values, sign_patterns
@@ -50,6 +51,11 @@ class GridFunction:
         if v.shape[0] != domain.points:
             raise DimensionMismatchError(
                 f"expected {domain.points} rows, got {v.shape[0]}"
+            )
+        if not np.isfinite(v).all():
+            row = int(np.flatnonzero(~np.isfinite(v).all(axis=1))[0])
+            raise NonFiniteValuesError(
+                f"value table has a NaN or infinite entry in row {row}"
             )
         return GridFunction(domain, v)
 

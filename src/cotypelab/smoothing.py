@@ -90,8 +90,7 @@ def smoothing_apply(f: GridFunction, j: int, k: int) -> GridFunction:
             "smoothing averages vectors; point-valued input has no mean"
         )
     axes = _window_axes(j, k, f.domain)
-    return GridFunction.vector(f.domain,
-                               _window_average(f.domain, f.values, axes))
+    return GridFunction(f.domain, _window_average(f.domain, f.values, axes))
 
 
 def _norm_of(target):

@@ -297,9 +297,10 @@ def grid_points(n: int, m: int) -> np.ndarray:
     return grids.T.copy()
 
 
-def points_space(points: np.ndarray, p: float, labels=None,
-                 block: int = 256) -> FiniteMetricSpace:
-    """Finite metric space of vectors under the l_p norm, built blockwise.
+def points_space(points: np.ndarray, p: float,
+                 labels=None) -> FiniteMetricSpace:
+    """Finite metric space of vectors under the l_p norm, built one
+    coordinate at a time into one (N, N) table.
 
     Complex coordinates are allowed; differences are measured by modulus.
     """
@@ -307,14 +308,21 @@ def points_space(points: np.ndarray, p: float, labels=None,
     if not np.iscomplexobj(pts):
         pts = pts.astype(np.float64)
     n = pts.shape[0]
-    dist = np.empty((n, n), dtype=np.float64)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        diff = np.abs(pts[lo:hi, None, :] - pts[None, :, :])
-        if math.isinf(p):
-            dist[lo:hi] = diff.max(axis=2)
+    dist = np.zeros((n, n))
+    gap = np.empty_like(dist)
+    for c in pts.T:
+        if np.iscomplexobj(pts):
+            np.abs(c[:, None] - c[None, :], out=gap)
         else:
-            dist[lo:hi] = np.power(np.power(diff, p).sum(axis=2), 1.0 / p)
+            np.subtract(c[:, None], c[None, :], out=gap)
+            np.abs(gap, out=gap)
+        if math.isinf(p):
+            np.maximum(dist, gap, out=dist)
+        else:
+            np.power(gap, p, out=gap)
+            dist += gap
+    if not math.isinf(p):
+        np.power(dist, 1.0 / p, out=dist)
     dist[np.diag_indices(n)] = 0.0
     dist.flags.writeable = False
     if labels is None:

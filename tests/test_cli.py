@@ -122,6 +122,21 @@ def test_extract_grid_bad_scale(capsys):
     assert "error:" in err
 
 
+def test_extract_grid_over_the_defect_budget(capsys, monkeypatch):
+    from cotypelab import embeddings
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the torus table is built before the guard")
+
+    monkeypatch.setattr(embeddings, "DEFECT_BUDGET", 1000)
+    monkeypatch.setattr("cotypelab.cli.torus_space", no_table)
+    code, doc, err = run_main(capsys, ["extract-grid", "--n", "2", "--m", "8",
+                                       "--s", "4"])
+    assert code == 2
+    assert doc is None
+    assert "error:" in err and "budget is 1000" in err
+
+
 def test_moduli_check_command(capsys):
     code, doc, _ = run_main(capsys, ["moduli-check", "--n", "2", "--m", "4",
                                      "--trials", "5"])
@@ -181,6 +196,35 @@ def test_odd_m_rejected_as_schema_violation(capsys):
                                        "--m", "5"])
     assert code == 2
     assert "must be even" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_rejects_fewer_than_one_trial(capsys, trials):
+    code, doc, err = run_main(capsys, ["verify", "--suite", "embeddings",
+                                       "--trials", trials])
+    assert code == 2
+    assert doc is None
+    assert "trials must be >= 1" in err
+    code, doc, _ = run_main(capsys, ["verify", "--suite", "embeddings",
+                                     "--trials", "1"])
+    assert code == 0 and doc["params"]["trials"] == 1
+
+
+def test_non_finite_witness_exit_code(capsys, monkeypatch):
+    import numpy as np
+
+    from cotypelab import GridFunction, TorusDomain
+
+    def nan_witness(cfg):
+        dom = TorusDomain(n=1, m=4)
+        GridFunction.vector(dom, np.full(4, np.nan))
+
+    monkeypatch.setitem(COMMANDS, "gamma-hilbert", nan_witness)
+    code, doc, err = run_main(capsys, ["gamma-hilbert", "--n", "1",
+                                       "--m", "4"])
+    assert code == 2
+    assert doc is None
+    assert "error:" in err and "NaN or infinite" in err
 
 
 def test_not_found_exit_code(capsys, monkeypatch):

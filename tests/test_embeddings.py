@@ -1,11 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from cotypelab import (
+    BudgetExceededError,
     GridFunction,
     HypothesisFailedError,
+    NormTarget,
     PreconditionViolationError,
     TorusDomain,
     VSet,
@@ -17,12 +20,16 @@ from cotypelab import (
     grid_lower_bound_check,
     grid_to_torus,
     points_space,
+    snowflake,
     sparse_anchors,
     sparse_frechet_cycle,
     torus_space,
     torus_to_grid_full,
     two_point_space,
 )
+from cotypelab import embeddings
+from cotypelab.gridops import axis_shift, roll_values
+from cotypelab.targets import as_target
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
@@ -187,6 +194,139 @@ class TestExtractGrid:
         ident = GridFunction.points(self.dom, np.arange(self.dom.points))
         with pytest.raises(PreconditionViolationError):
             extract_grid(ident, torus_space(self.dom), 8)  # m < 2s
+
+
+def _balanced_sign_rows(s):
+    """All {-1,1} rows of length s summing to zero, as a (C(s,s/2), s) array."""
+    rows = []
+    for pos in combinations(range(s), s // 2):
+        row = -np.ones(s, dtype=np.int64)
+        row[list(pos)] = 1
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def path_walk_defects(f, target, s):
+    """Reference for embeddings._geodesic_defects: walks every balanced
+    path, rolling the whole table once per step."""
+    dom = f.domain
+    n = dom.n
+    N = dom.points
+    balanced = _balanced_sign_rows(s)  # (paths_per_axis, s)
+    defect = np.zeros(N)
+    for j in range(n):
+        for sign in (1, -1):
+            base = target.pairwise(
+                roll_values(dom, f.values, axis_shift(dom, j, sign * s)),
+                f.values,
+            ).astype(np.float64) / s
+            index_rest = [ax for ax in range(n) if ax != j]
+            pattern_sets = np.meshgrid(
+                *([np.arange(balanced.shape[0])] * len(index_rest)),
+                indexing="ij",
+            )
+            combos = (np.stack([g.ravel() for g in pattern_sets], axis=-1)
+                      if index_rest else np.zeros((1, 0), dtype=np.int64))
+            for combo in combos:
+                offsets = np.zeros((s + 1, n), dtype=np.int64)
+                offsets[1:, j] = sign * np.arange(1, s + 1)
+                for ax, pat in zip(index_rest, combo):
+                    offsets[1:, ax] = np.cumsum(balanced[pat])
+                prev = f.values
+                for ell in range(1, s + 1):
+                    curv = roll_values(dom, f.values, offsets[ell])
+                    d = target.pairwise(curv, prev).astype(np.float64)
+                    defect += (d - base) ** 2
+                    prev = curv
+    return defect
+
+
+def _point_witness(kind, dom, rng):
+    """Identity, a random isometry x -> sigma * x[perm] + t, or a random
+    bijection of Z_m^n, as a point-valued witness into torus_space(dom)."""
+    if kind == "identity":
+        values = np.arange(dom.points)
+    elif kind == "isometry":
+        sigma = rng.choice([-1, 1], size=dom.n)
+        t = rng.integers(0, dom.m, size=dom.n)
+        moved = (sigma * dom.coords()[:, rng.permutation(dom.n)] + t) % dom.m
+        values = moved @ (dom.m ** np.arange(dom.n - 1, -1, -1))
+    else:
+        values = rng.permutation(dom.points)
+    return GridFunction.points(dom, values)
+
+
+# (n, m, s) with m = 2s; the path walk costs C(s,s/2)^(n-1) rolls per step,
+# so the largest sizes compare the random witness only
+SMALL_SCALES = [(1, 8, 4), (1, 16, 8), (1, 24, 12), (2, 8, 4), (2, 16, 8),
+                (3, 8, 4)]
+LARGE_SCALES = [(2, 24, 12), (4, 8, 4)]
+DEFECT_CASES = ([(n, m, s, kind) for n, m, s in SMALL_SCALES
+                 for kind in ("identity", "isometry", "random")]
+                + [(n, m, s, "random") for n, m, s in LARGE_SCALES])
+
+
+def _defect_case(n, m, s, kind):
+    dom = TorusDomain(n=n, m=m)
+    rng = np.random.default_rng([n, m, s])
+    if kind == "snowflake":
+        f = GridFunction.points(dom, np.arange(dom.points))
+        return f, snowflake(torus_space(dom), 0.5)
+    if kind == "vector":
+        return (GridFunction.vector(dom, rng.standard_normal((dom.points, 2))
+                                    + 1j * rng.standard_normal((dom.points, 2))),
+                NormTarget(p=2.0))
+    return _point_witness(kind, dom, rng), torus_space(dom)
+
+
+class TestGeodesicDefects:
+    @pytest.mark.parametrize(
+        "n,m,s,kind",
+        DEFECT_CASES + [(2, 16, 8, "snowflake"), (3, 8, 4, "snowflake"),
+                        (2, 16, 8, "vector"), (3, 8, 4, "vector")])
+    def test_transition_sum_matches_the_path_walk(self, n, m, s, kind,
+                                                  monkeypatch):
+        f, space = _defect_case(n, m, s, kind)
+        target = as_target(space)
+        got = embeddings._geodesic_defects(f, target, s)
+        want = path_walk_defects(f, target, s)
+        if kind in ("identity", "isometry"):
+            assert not want.any() and not got.any()  # exact zeros
+        else:
+            assert want.max() > 0
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * want.max())
+        # the extraction outcome does not depend on the summation order
+        rec, report = extract_grid(f, space, s)
+        monkeypatch.setattr(embeddings, "_geodesic_defects",
+                            lambda *args: want)
+        ref_rec, ref_report = extract_grid(f, space, s)
+        for key in ("x0", "y0", "sigma", "distortion"):
+            assert report[key] == ref_report[key], key
+        assert rec.distortion == ref_rec.distortion
+
+    @pytest.mark.parametrize("n,m,s", LARGE_SCALES + [(3, 16, 8)])
+    def test_isometric_witnesses_give_exact_zeros(self, n, m, s):
+        dom = TorusDomain(n=n, m=m)
+        target = as_target(torus_space(dom))
+        rng = np.random.default_rng(s)
+        for kind in ("identity", "isometry"):
+            f = _point_witness(kind, dom, rng)
+            assert not embeddings._geodesic_defects(f, target, s).any()
+
+    def test_budget_boundary(self, monkeypatch):
+        dom = TorusDomain(n=3, m=8)
+        f = GridFunction.points(dom, np.arange(dom.points))
+        target = as_target(torus_space(dom))
+        work = embeddings.require_defect_budget(dom, 4)
+        # transitions per step at s=4: 2, 4, 4, 2 per free axis, squared
+        assert work == 2 * 3 * dom.points * (4 + 16 + 16 + 4)
+        for budget in (work + 1, work):
+            monkeypatch.setattr(embeddings, "DEFECT_BUDGET", budget)
+            embeddings._geodesic_defects(f, target, 4)
+        monkeypatch.setattr(embeddings, "DEFECT_BUDGET", work - 1)
+        with pytest.raises(BudgetExceededError):
+            embeddings._geodesic_defects(f, target, 4)
 
 
 class TestCoarseObstruction:

@@ -3,8 +3,10 @@ import pytest
 
 from cotypelab import (
     BudgetExceededError,
+    CotypeLabError,
     DimensionMismatchError,
     GridFunction,
+    NonFiniteValuesError,
     PreconditionViolationError,
     TorusDomain,
     avg_others,
@@ -194,6 +196,21 @@ def test_grid_function_helpers():
     assert not pts.is_vector
     with pytest.raises(PreconditionViolationError):
         scale_of(pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(np.inf, 0)])
+def test_non_finite_value_tables_rejected(bad):
+    dom = TorusDomain(n=2, m=4)
+    vals = random_vector(dom, 2, 3).values
+    bad_vals = vals.copy()
+    bad_vals[5, 1] = bad
+    with pytest.raises(NonFiniteValuesError, match="row 5"):
+        GridFunction.vector(dom, bad_vals)
+    assert issubclass(NonFiniteValuesError, CotypeLabError)
+    # finite tables at extreme scales stay accepted
+    GridFunction.vector(dom, 1e200 * vals)
+    GridFunction.vector(dom, 1e-200 * vals)
 
 
 def test_projection_identity_residual():

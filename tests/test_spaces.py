@@ -201,18 +201,41 @@ def test_torus_space_matches_broadcast_formula(n, m):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 12])
+@pytest.mark.parametrize("p", [math.inf, 1.0, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("complex_points", [False, True])
+def test_points_space_matches_broadcast_formula(d, p, complex_points):
+    # reference: the l_p norm of one (N, N, d) table of coordinate gaps,
+    # summed over its last axis
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((40, d))
+    if complex_points:
+        pts = pts + 1j * rng.standard_normal((40, d))
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    if math.isinf(p):
+        want = diff.max(axis=2)
+    else:
+        want = np.power(np.power(diff, p).sum(axis=2), 1.0 / p)
+    want[np.diag_indices(len(pts))] = 0.0
+    got = points_space(pts, p).dist
+    if math.isinf(p) or d < 8:
+        # numpy adds fewer than 8 terms left to right, as the per-axis sum does
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=8 * 2.0**-52, atol=0)
+
+
 def test_grid_points_enumeration():
     pts = grid_points(2, 2)
     assert pts.shape == (9, 2)
     np.testing.assert_array_equal(pts[:4], [[0, 0], [0, 1], [0, 2], [1, 0]])
 
 
-def test_points_space_norms_and_blocks():
+def test_points_space_norms():
     pts = np.array([[0, 0], [3, 4], [0, 1]])
     assert points_space(pts, 2.0).dist[0, 1] == 5.0
     assert points_space(pts, math.inf).dist[0, 1] == 4.0
-    small_block = points_space(pts, 1.0, block=1)
-    assert small_block.dist[0, 1] == 7.0
+    assert points_space(pts, 1.0).dist[0, 1] == 7.0
     # complex coordinates measure differences by modulus
     cx = points_space(np.array([[0j], [3 + 4j]]), 2.0)
     assert cx.dist[0, 1] == 5.0
