@@ -27,7 +27,6 @@ from .cotype import (
     m_parameter_experiment,
     mod_inequality_check,
     random_two_point_mc,
-    rademacher_cotype_ratio,
     shift_growth_bound,
     tensor_submultiplicativity_check,
 )
@@ -113,18 +112,16 @@ from .spaces import (
     TorusDomain,
     diag_distance,
     distortion,
-    grid_distance,
     grid_points,
     load_metric_space,
     moduli,
     points_space,
     snowflake,
-    torus_distance,
     torus_space,
     two_point_space,
     validate_metric,
 )
-from .targets import MetricTarget, NormTarget, SnowflakeTarget, as_target
+from .targets import MetricTarget, NormTarget, as_target
 from .verify import (
     cotype_suite,
     embeddings_suite,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .checks import CSV_COLUMNS, InequalityCheck
 from .cotype import (
     b_quantity_search,
@@ -55,7 +56,6 @@ from .spaces import (
 )
 from .verify import run_suite
 
-VERSION = "0.1.0"
 DEFAULT_BUDGET = 1 << 20
 
 
@@ -77,7 +77,7 @@ class Report:
     mode: str
     checks: list[InequalityCheck] = field(default_factory=list)
     runtime: float = 0.0
-    version: str = VERSION
+    version: str = __version__
 
     @property
     def failures(self) -> int:
@@ -361,6 +361,9 @@ def run(config: ExperimentConfig) -> Report:
     """Dispatch one experiment, write requested outputs, return the report."""
     if config.command not in COMMANDS:
         raise UnknownCommandError(f"no command named {config.command!r}")
+    if config.budget < 1:
+        raise SchemaViolationError(f"budget must be >= 1, got {config.budget}",
+                                   json_path="$.budget")
     start = time.perf_counter()
     try:
         results, checks, mode = COMMANDS[config.command](config)
@@ -390,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cotypelab",
         description="numerical laboratory for cotype functionals on Z_m^n",
     )
-    top.add_argument("--version", action="version", version=VERSION)
+    top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, *, seeded: bool = True):
@@ -510,7 +513,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         command=raw["command"],
         params=params,
         seed=int(raw.get("seed") or 0),
-        budget=int(raw.get("budget") or DEFAULT_BUDGET),
+        budget=int(raw.get("budget", DEFAULT_BUDGET)),
         out=raw.get("out"),
         csv=raw.get("csv"),
         plot=raw.get("plot"),

@@ -26,7 +26,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from types import SimpleNamespace
 
@@ -42,6 +42,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .gridops import (
+    climb,
     family_table,
     random_point_values,
     shift_energy,
@@ -426,21 +427,27 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int,
                    degenerate=False)
 
 
-def _hill_climb(dom: TorusDomain, codomain_size: int, evaluate, budget: int,
-                seed: int, initial_values=()):
-    """Shared single-point-reassignment climber.
+def _hill_climb(dom: TorusDomain, codomain_size: int, score, budget: int,
+                seed: int, initial_values=()) -> np.ndarray:
+    """Restart policy around gridops.climb for point-valued witnesses.
 
-    evaluate(values) -> (score, report). Strict improvement only; number
-    of restarts is budget / m^n rounded up; provided starting witnesses
-    occupy the leading restarts; constant random starts are resampled.
-    Returns the best report across restarts (earliest wins ties).
+    score(values) -> float, -inf for a degenerate witness. Each restart
+    spends m^n evaluations (at least 2) of the budget; provided starting
+    witnesses occupy the leading restarts; constant random starts are
+    resampled. Returns the best table across restarts, earliest winning
+    ties; when every restart scores -inf, the first restart's table.
     """
-    N = dom.points
+    if budget < 1:
+        raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
+    N, K = dom.points, codomain_size
     per_restart = max(2, N)
     restarts = max(1, math.ceil(budget / per_restart))
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best_score = -math.inf
-    best_report = None
+
+    def reassign(rng, old):
+        return (old + int(rng.integers(1, K))) % K if K > 1 else old
+
+    best_score, best = -math.inf, None
     evals = 0
     initial = list(initial_values)
     for ri in range(restarts):
@@ -450,81 +457,61 @@ def _hill_climb(dom: TorusDomain, codomain_size: int, evaluate, budget: int,
         if ri < len(initial):
             vals = np.asarray(initial[ri], dtype=np.int64).copy()
         else:
-            vals = random_point_values(dom, codomain_size, rng)
-            while codomain_size > 1 and N > 1 and np.all(vals == vals[0]):
-                vals = random_point_values(dom, codomain_size, rng)
-        score, report = evaluate(vals)
-        evals += 1
-        budget_here = min(per_restart - 1, budget - evals)
-        for _ in range(budget_here):
-            x = int(rng.integers(N))
-            old = vals[x]
-            delta = int(rng.integers(1, codomain_size)) if codomain_size > 1 else 0
-            vals[x] = (old + delta) % codomain_size
-            new_score, new_report = evaluate(vals)
-            evals += 1
-            if new_score > score:
-                score, report = new_score, new_report
-            else:
-                vals[x] = old
-        if score > best_score:
-            best_score = score
-            best_report = report
-    return best_report, evals
+            vals = random_point_values(dom, K, rng)
+            while K > 1 and N > 1 and np.all(vals == vals[0]):
+                vals = random_point_values(dom, K, rng)
+        steps = min(per_restart - 1, budget - evals - 1)
+        got = climb(vals, score, reassign, steps, rng)
+        evals += 1 + steps
+        if best is None or got > best_score:
+            best_score, best = got, vals
+    return best
 
 
 def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
                  budget: int, seed: int,
                  initial_witnesses=()) -> CotypeReport:
-    """Hill-climb gamma_hat over maps Z_m^n -> space.
+    """Hill-climb gamma_hat over maps Z_m^n -> space (budget >= 1 evaluations).
 
     Reported value is a lower bound on the true supremum. Caller-supplied
     witnesses (value tables) join the restart pool, so the result is
-    always >= their evaluated gamma_hat.
+    always >= their evaluated gamma_hat. A move is kept only when it
+    strictly raises gamma_hat, and the earliest restart wins ties; when
+    every witness met is degenerate, the first restart's witness is
+    reported with degenerate = True.
     """
     _check_pq(p, q)
     dom = TorusDomain(n=n, m=m)
-    target = MetricTarget(space)
 
-    def evaluate(vals):
-        f = GridFunction.points(dom, vals)
-        rep = cotype_functionals(f, space, p, q)
-        rep = CotypeReport(
-            n=rep.n, m=rep.m, p=rep.p, q=rep.q, lhs=rep.lhs,
-            rhs_raw=rep.rhs_raw, gamma_hat=rep.gamma_hat,
-            degenerate=rep.degenerate, mode=rep.mode, stderr=rep.stderr,
-            seed=seed, budget=budget,
-            witness=GridFunction.points(dom, vals.copy()),
-        )
-        score = -math.inf if rep.degenerate else rep.gamma_hat
-        return score, rep
+    def score(vals):
+        rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
+        return -math.inf if rep.degenerate else rep.gamma_hat
 
-    best, _ = _hill_climb(dom, space.size, evaluate, budget, seed,
-                          initial_witnesses)
-    return best
+    witness = GridFunction.points(
+        dom, _hill_climb(dom, space.size, score, budget, seed, initial_witnesses))
+    return replace(cotype_functionals(witness, space, p, q),
+                   seed=seed, budget=budget, witness=witness)
 
 
 def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
                       budget: int, seed: int,
                       initial_witnesses=()) -> BReport:
-    """Hill-climb b_hat over maps Z_m^n -> space; result stays <= 1."""
+    """Hill-climb b_hat over maps Z_m^n -> space; result stays <= 1.
+
+    Same climb as gamma_search: budget >= 1 evaluations, strict
+    improvement, earliest restart wins ties, and the first restart's
+    witness, flagged degenerate, when no witness met is nondegenerate.
+    """
     dom = TorusDomain(n=n, m=m)
 
-    def evaluate(vals):
-        f = GridFunction.points(dom, vals)
-        rep = b_functionals(f, space, ell)
-        rep = BReport(
-            n=rep.n, m=rep.m, ell=rep.ell, lhs=rep.lhs, rhs_raw=rep.rhs_raw,
-            b_hat=rep.b_hat, degenerate=rep.degenerate, mode="exact",
-            seed=seed, budget=budget,
-            witness=GridFunction.points(dom, vals.copy()),
-        )
-        score = -math.inf if rep.degenerate else rep.b_hat
-        return score, rep
+    def score(vals):
+        rep = b_functionals(GridFunction.points(dom, vals), space, ell)
+        return -math.inf if rep.degenerate else rep.b_hat
 
-    best, _ = _hill_climb(dom, space.size, evaluate, budget, seed,
-                          initial_witnesses)
-    return best
+    witness = GridFunction.points(
+        dom, _hill_climb(dom, space.size, score, budget, seed, initial_witnesses))
+    return replace(b_functionals(witness, space, ell),
+                   seed=seed, budget=budget, witness=witness)
 
 
 def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
@@ -700,28 +687,6 @@ def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
         params["seed"] = seed
         return make_check("b-tensor-submultiplicative", params, worst, rhs)
     raise PreconditionViolationError(f"unknown mode {mode!r}")
-
-
-def rademacher_cotype_ratio(vectors, p: float, q: float,
-                            norm: NormTarget) -> float:
-    """(sum_j ||x_j||^q)^(1/q) / (E_eps ||sum_j eps_j x_j||^p)^(1/p), exact.
-
-    Evaluated over all 2^n sign patterns; n is capped at 20.
-    """
-    _check_pq(p, q)
-    X = np.asarray(vectors, dtype=np.complex128)
-    if X.ndim != 2:
-        raise PreconditionViolationError("vectors must form a 2-d array")
-    n = X.shape[0]
-    if n > 20:
-        raise BudgetExceededError(f"sign enumeration capped at n=20, got {n}")
-    num = float(np.power(norm.norm(X), q).sum() ** (1.0 / q))
-    signs = sign_patterns(n).astype(np.float64)
-    sums = signs @ X
-    denom = float(np.mean(norm.norm(sums) ** p) ** (1.0 / p))
-    if denom == 0.0:
-        return 0.0
-    return num / denom
 
 
 def linear_exponential_witness(vectors, m: int) -> GridFunction:

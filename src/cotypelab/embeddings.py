@@ -20,7 +20,7 @@ from .errors import (
     HypothesisFailedError,
     PreconditionViolationError,
 )
-from .gridops import axis_shift, family_table, roll_values, shift_energy
+from .gridops import axis_shift, climb, family_table, roll_values, shift_energy
 from .harmonic import GridFunction
 from .spaces import (
     EmbeddingRecord,
@@ -513,14 +513,19 @@ def coarse_obstruction_check(values, space, n: int, m: int, p: float,
     )
 
 
+def _collides(pts: np.ndarray) -> bool:
+    """Whether two points of the cloud lie within 1e-9 of each other."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    dist[np.diag_indices(len(pts))] = np.inf
+    return dist.min() <= 1e-9
+
+
 def _random_injection(rng, count: int, d: int) -> np.ndarray:
     """Gaussian point cloud, resampled if any pair nearly collides."""
     while True:
         pts = rng.standard_normal((count, d))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        dist[np.diag_indices(count)] = np.inf
-        if dist.min() > 1e-9:
+        if not _collides(pts):
             return pts
 
 
@@ -550,6 +555,12 @@ def grid_lower_bound_check(n: int, m: int, d: int, trials: int, seed: int,
             tgt = snowflake(points_space(pts, 1.0), 0.5)
         return distortion(mapping, source, tgt).distortion
 
+    def score(pts: np.ndarray) -> float:
+        return -math.inf if _collides(pts) else -measure(pts)
+
+    def nudge(rng, old):
+        return old + 0.25 * rng.standard_normal(d)
+
     worst = math.inf
     worst_pts = None
     for _ in range(trials):
@@ -558,19 +569,7 @@ def grid_lower_bound_check(n: int, m: int, d: int, trials: int, seed: int,
         if val < worst:
             worst = val
             worst_pts = pts
-    for _ in range(adversarial_steps):
-        i = int(rng.integers(dom.points))
-        cand = worst_pts.copy()
-        cand[i] += 0.25 * rng.standard_normal(d)
-        diff = cand[:, None, :] - cand[None, :, :]
-        dd = np.sqrt((diff**2).sum(axis=2))
-        dd[np.diag_indices(dom.points)] = np.inf
-        if dd.min() <= 1e-9:
-            continue
-        val = measure(cand)
-        if val < worst:
-            worst = val
-            worst_pts = cand
+    worst = -climb(worst_pts, score, nudge, adversarial_steps, rng, best=-worst)
     return make_check(
         "injection-distortion-floor",
         {"n": n, "m": m, "d": d, "trials": trials, "seed": seed,

@@ -58,6 +58,30 @@ def random_point_values(domain: TorusDomain, size: int,
     return rng.integers(0, size, size=domain.points, dtype=np.int64)
 
 
+def climb(values: np.ndarray, score, propose, steps: int,
+          rng: np.random.Generator, best: float | None = None) -> float:
+    """Hill-climb a value table in place by single-point changes.
+
+    Each step draws a point x, sets values[x] = propose(rng, old row) and
+    keeps the change only when score(values) is strictly higher, else
+    restores the old row, so values ends as the best table seen. best is
+    the score of the starting table (computed when not given); returns the
+    best score.
+    """
+    if best is None:
+        best = score(values)
+    for _ in range(steps):
+        x = int(rng.integers(len(values)))
+        old = values[x].copy()
+        values[x] = propose(rng, old)
+        new = score(values)
+        if new > best:
+            best = new
+        else:
+            values[x] = old
+    return best
+
+
 SHIFT_BLOCK_ELEMENTS = 1 << 18  # gathered value entries per kernel block
 
 

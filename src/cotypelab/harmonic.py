@@ -76,10 +76,6 @@ class GridFunction:
     def dim(self) -> int:
         return self.values.shape[1] if self.is_vector else 1
 
-    def shifted(self, shift) -> "GridFunction":
-        return GridFunction(self.domain,
-                            roll_values(self.domain, self.values, shift))
-
 
 def scale_of(f: GridFunction) -> float:
     """max_x ||f(x)||_2, the reference scale for relative tolerances."""

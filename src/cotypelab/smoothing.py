@@ -22,7 +22,9 @@ from .errors import (
 )
 from .gridops import (
     axis_shift,
+    climb,
     family_table,
+    random_vector_values,
     roll_values,
     shift_energy,
     shift_table,
@@ -215,58 +217,42 @@ def check_lemma_cancellation_all(f: GridFunction, space, k: int,
     ]
 
 
-def _climb_margin(make_witness, check_of, steps: int, seed: int,
-                  scale: float = 0.7) -> InequalityCheck:
-    """Maximize lhs - rhs by random single-point nudges; returns the
-    final witness's check. A positive margin would falsify the lemma."""
+def _adversarial(dom: TorusDomain, dim: int, check_of, steps: int,
+                 seed: int) -> InequalityCheck:
+    """Maximize lhs - rhs of check_of(f) by random single-point nudges of a
+    Gaussian witness; returns the check of the best witness. A positive
+    margin would falsify the lemma."""
     rng = np.random.default_rng(seed)
-    values = make_witness(rng)
-    best = check_of(values)
-    margin = best.lhs - best.rhs
-    N, d = values.shape
-    for _ in range(steps):
-        x = int(rng.integers(N))
-        old = values[x].copy()
-        values[x] = old + scale * (rng.standard_normal(d)
-                                   + 1j * rng.standard_normal(d))
-        cand = check_of(values)
-        if cand.lhs - cand.rhs > margin:
-            margin = cand.lhs - cand.rhs
-            best = cand
-        else:
-            values[x] = old
-    return best
+    values = random_vector_values(dom, dim, rng)
+    f = GridFunction(dom, values)  # climb edits values, so f follows every step
+
+    def margin(_):
+        chk = check_of(f)
+        return chk.lhs - chk.rhs
+
+    def nudge(rng, old):
+        return old + 0.7 * (rng.standard_normal(dim)
+                             + 1j * rng.standard_normal(dim))
+
+    climb(values, margin, nudge, steps, rng)
+    return check_of(f)
 
 
 def adversarial_approx_search(n: int, m: int, j: int, k: int, p: float,
                               norm, dim: int = 2, steps: int = 60,
                               seed: int = 0) -> InequalityCheck:
-    """Hill-climb the approximation margin; the result should never pass 0."""
-    dom = TorusDomain(n=n, m=m)
-
-    def make(rng):
-        return (rng.standard_normal((dom.points, dim))
-                + 1j * rng.standard_normal((dom.points, dim)))
-
-    def check(values):
-        return check_lemma_approx(GridFunction.vector(dom, values.copy()),
-                                  norm, j, k, p)
-
-    return _climb_margin(make, check, steps, seed)
+    """Hill-climb the approximation margin (strict improvement only); the
+    result should never pass 0."""
+    return _adversarial(TorusDomain(n=n, m=m), dim,
+                        lambda f: check_lemma_approx(f, norm, j, k, p),
+                        steps, seed)
 
 
 def adversarial_cancellation_search(n: int, m: int, k: int, p: float, eps,
                                     norm, dim: int = 2, steps: int = 60,
                                     seed: int = 0) -> InequalityCheck:
-    """Hill-climb the cancellation margin; the result should never pass 0."""
-    dom = TorusDomain(n=n, m=m)
-
-    def make(rng):
-        return (rng.standard_normal((dom.points, dim))
-                + 1j * rng.standard_normal((dom.points, dim)))
-
-    def check(values):
-        return check_lemma_cancellation(GridFunction.vector(dom, values.copy()),
-                                        norm, k, p, eps)
-
-    return _climb_margin(make, check, steps, seed)
+    """Hill-climb the cancellation margin (strict improvement only); the
+    result should never pass 0."""
+    return _adversarial(TorusDomain(n=n, m=m), dim,
+                        lambda f: check_lemma_cancellation(f, norm, k, p, eps),
+                        steps, seed)

@@ -102,44 +102,6 @@ class TorusDomain:
         return tuple(int(v) for v in np.unravel_index(index, self.shape))
 
 
-def torus_distance(x, y, m: int):
-    """Word metric of Z_m^n where one step may move every coordinate by 1.
-
-    Equals max_j min(|x_j - y_j|, m - |x_j - y_j|). Integer in, integer out.
-    Accepts single coordinates, tuples, or arrays of shape (..., n).
-    """
-    xa = np.asarray(x, dtype=np.int64)
-    ya = np.asarray(y, dtype=np.int64)
-    if xa.shape != ya.shape:
-        raise DimensionMismatchError(f"shapes {xa.shape} and {ya.shape} differ")
-    diff = np.abs(np.mod(xa, m) - np.mod(ya, m))
-    circ = np.minimum(diff, m - diff)
-    if circ.ndim == 0:
-        return int(circ)
-    out = circ.max(axis=-1)
-    return int(out) if out.ndim == 0 else out
-
-
-def grid_distance(x, y, p: float):
-    """l_p distance between integer grid points; p may be math.inf."""
-    xa = np.asarray(x, dtype=np.int64)
-    ya = np.asarray(y, dtype=np.int64)
-    if xa.shape != ya.shape:
-        raise DimensionMismatchError(f"shapes {xa.shape} and {ya.shape} differ")
-    if not math.isinf(p) and p < 1:
-        raise PreconditionViolationError(f"p must be >= 1, got {p}")
-    diff = np.abs(xa - ya)
-    if math.isinf(p):
-        out = diff.max(axis=-1)
-    elif p == 1:
-        out = diff.sum(axis=-1)
-    else:
-        out = np.power(np.power(diff.astype(np.float64), p).sum(axis=-1),
-                       1.0 / p)
-        return float(out) if out.ndim == 0 else out
-    return int(out) if out.ndim == 0 else out
-
-
 def _first_true(mask: np.ndarray):
     """Index tuple of the row-major first True entry, or None."""
     flat = np.flatnonzero(mask)

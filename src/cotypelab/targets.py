@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRangeError,
-    DimensionMismatchError,
-    SchemaViolationError,
-)
+from .errors import DimensionMismatchError, SchemaViolationError
 from .spaces import FiniteMetricSpace
 
 
@@ -24,8 +20,6 @@ class MetricTarget:
     """Values are integer indices into a finite metric space."""
 
     space: FiniteMetricSpace
-
-    kind = "metric"
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ai = np.asarray(a, dtype=np.int64)
@@ -39,8 +33,6 @@ class NormTarget:
 
     p: float
     dim: int = 0  # 0 means any dimension
-
-    kind = "norm"
 
     def __post_init__(self):
         if not math.isinf(self.p) and self.p < 1:
@@ -64,25 +56,6 @@ class NormTarget:
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.norm(np.asarray(a) - np.asarray(b))
-
-
-@dataclass(frozen=True)
-class SnowflakeTarget:
-    """Distances of a base target raised to a power alpha in (0, 1]."""
-
-    base: object
-    alpha: float
-
-    kind = "snowflake"
-
-    def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise AlphaOutOfRangeError(
-                f"alpha must be in (0, 1], got {self.alpha}"
-            )
-
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.power(self.base.pairwise(a, b), self.alpha)
 
 
 def as_target(space_or_norm):

@@ -290,6 +290,54 @@ def test_argparse_surface():
     assert ei.value.code == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["gamma-search", "--n", "1", "--m", "4"],
+    ["bq", "--n", "1", "--m", "4", "--ell", "2"],
+])
+def test_one_point_space_reports_a_degenerate_witness(tmp_path, capsys,
+                                                      command):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"dist": [[0]]}))
+    code, doc, _ = run_main(capsys, command + ["--space", str(path),
+                                               "--budget", "10"])
+    assert code == 0
+    assert doc["results"]["degenerate"] is True
+    assert doc["results"]["witness"] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ["gamma-search", "--n", "1", "--m", "4"],
+    ["bq", "--n", "1", "--m", "4", "--ell", "2"],
+    ["gamma-exhaustive", "--n", "1", "--m", "2"],
+])
+def test_budget_below_one_is_a_usage_error(capsys, command, budget):
+    code, doc, err = run_main(capsys, command + ["--budget", budget])
+    assert code == 2 and doc is None
+    assert f"$.budget: budget must be >= 1, got {budget}" in err
+    with pytest.raises(SchemaViolationError) as ei:
+        run(ExperimentConfig(command="gamma-hilbert",
+                             params={"n": 1, "m": 4}, budget=int(budget)))
+    assert ei.value.json_path == "$.budget"
+
+
+def test_one_version_everywhere(capsys):
+    import tomllib
+    from pathlib import Path
+
+    import cotypelab
+
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out.strip() == declared
+    assert cotypelab.__version__ == declared
+    code, doc, _ = run_main(capsys, ["gamma-hilbert", "--n", "1", "--m", "2"])
+    assert code == 0 and doc["version"] == declared
+
+
 def test_config_from_args_filters_none():
     import argparse
 
@@ -300,6 +348,9 @@ def test_config_from_args_filters_none():
     assert cfg.params == {"n": 1, "m": 4}
     assert cfg.budget == 100
     assert cfg.seed == 0
+    # a zero budget is passed through for run() to reject, not replaced
+    assert config_from_args(argparse.Namespace(**{**vars(ns), "budget": 0})
+                            ).budget == 0
 
 
 def test_verify_seed_reaches_the_suites(capsys):

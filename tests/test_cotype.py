@@ -5,6 +5,7 @@ import pytest
 
 from cotypelab import (
     BudgetExceededError,
+    FiniteMetricSpace,
     GridFunction,
     NormTarget,
     NotFoundError,
@@ -28,7 +29,6 @@ from cotypelab import (
     linear_exponential_witness,
     m_parameter_experiment,
     mod_inequality_check,
-    rademacher_cotype_ratio,
     random_two_point_mc,
     shift_growth_bound,
     tensor_submultiplicativity_check,
@@ -273,6 +273,29 @@ class TestSearches:
         assert rep.b_hat <= 1.0 + 1e-9
         assert rep.witness is not None
 
+    def test_all_degenerate_restarts_report_the_first_witness(self):
+        # one constant start, no room to move: nothing scores above -inf
+        rep = gamma_search(two_point_space(), 1, 2, 2, 2, 1, 0, [[0, 0]])
+        assert rep.degenerate and rep.gamma_hat == 0.0
+        assert rep.witness.values.tolist() == [0, 0]
+        assert (rep.seed, rep.budget) == (0, 1)
+        # a one-point codomain makes every witness degenerate
+        one = FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1)))
+        rep = b_quantity_search(one, 1, 2, 4, 50, 3)
+        assert rep.degenerate and rep.b_hat == 0.0
+        assert rep.witness.values.tolist() == [0, 0, 0, 0]
+        assert (rep.seed, rep.budget) == (3, 50)
+        rep = gamma_search(one, 2, 4, 2.0, 2.0, 50, 3)
+        assert rep.degenerate and rep.witness.values.tolist() == [0] * 16
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_searches_need_a_positive_budget(self, budget):
+        sp = two_point_space()
+        with pytest.raises(PreconditionViolationError, match="budget"):
+            gamma_search(sp, 1, 4, 2.0, 2.0, budget, 0)
+        with pytest.raises(PreconditionViolationError, match="budget"):
+            b_quantity_search(sp, 1, 2, 4, budget, 0)
+
 
 class TestModInequality:
     def test_even_r_passes_on_random_witnesses(self):
@@ -371,19 +394,6 @@ class TestContractionPrinciple:
         with pytest.raises(BudgetExceededError):
             contraction_principle_check(np.eye(21), np.ones(21), 2.0,
                                         NormTarget(p=2.0))
-
-
-def test_rademacher_cotype_ratio_hand_values():
-    basis = np.eye(2)
-    assert rademacher_cotype_ratio(basis, 2.0, 2.0, NormTarget(p=2.0)) == \
-        pytest.approx(1.0, rel=1e-12)
-    # in l_1 the signed sums all have length 2
-    assert rademacher_cotype_ratio(basis, 2.0, 2.0, NormTarget(p=1.0)) == \
-        pytest.approx(SQ2 / 2.0, rel=1e-12)
-    assert rademacher_cotype_ratio(np.zeros((2, 2)), 2.0, 2.0,
-                                   NormTarget(p=2.0)) == 0.0
-    with pytest.raises(BudgetExceededError):
-        rademacher_cotype_ratio(np.eye(21), 2.0, 2.0, NormTarget(p=2.0))
 
 
 def test_exponential_witness_contraction_bound():

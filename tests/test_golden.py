@@ -1,9 +1,13 @@
-"""Search and enumeration reports, byte for byte against frozen stdout.
+"""Reports of the searches, enumerations and verify suites, byte for byte
+against frozen stdout.
 
 Each file under tests/golden/ holds the stdout of one command as it was
-before the shift kernel replaced the per-shift loops. Runtime goes to
-stderr, so stdout is byte-stable. A difference here is a behaviour
-change: argue for it in CHANGES.md instead of re-freezing the file.
+before a refactor of the code it runs: the four search and enumeration
+reports from before the shift kernel replaced the per-shift loops, the
+two verify suites from before one climber replaced three climb loops.
+Runtime goes to stderr, so stdout is byte-stable. A difference here is a
+behaviour change: argue for it in CHANGES.md instead of re-freezing the
+file.
 """
 from pathlib import Path
 
@@ -25,6 +29,11 @@ CASES = {
          "--seed", "2"],
     "gamma_exhaustive_n4_m2_p1_q2.json":
         ["gamma-exhaustive", "--n", "4", "--m", "2", "--p", "1", "--q", "2"],
+    # the two adversarial smoothing climbs and the injection descent
+    "verify_smoothing_trials5.json":
+        ["verify", "--suite", "smoothing", "--trials", "5"],
+    "verify_embeddings_trials5.json":
+        ["verify", "--suite", "embeddings", "--trials", "5"],
 }
 
 

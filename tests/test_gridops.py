@@ -76,3 +76,26 @@ def test_random_tables_shapes_and_determinism():
     p = random_point_values(dom, 7, np.random.default_rng(5))
     assert p.shape == (16,)
     assert p.min() >= 0 and p.max() < 7
+
+
+def test_climb_keeps_strict_improvements_only():
+    from cotypelab.gridops import climb
+
+    rng = np.random.default_rng(0)
+    vals = np.zeros(6, dtype=np.int64)
+    best = climb(vals, lambda v: float(v.sum()),
+                 lambda rng, old: old + rng.integers(-1, 2), 200, rng)
+    assert best == vals.sum() > 0  # the table ends as the best one seen
+
+    # a flat score accepts nothing, so every proposed row is restored
+    def nudge(rng, old):
+        return old + rng.standard_normal(2)
+
+    rows = np.arange(12.0).reshape(6, 2)
+    assert climb(rows, lambda v: 0.0, nudge, 50, rng) == 0.0
+    np.testing.assert_array_equal(rows, np.arange(12.0).reshape(6, 2))
+    # a given starting score is used as is: one evaluation per step
+    calls = []
+    climb(rows, lambda v: calls.append(v) or 2.0, nudge, 3, rng, best=2.0)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(rows, np.arange(12.0).reshape(6, 2))

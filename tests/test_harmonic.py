@@ -189,8 +189,6 @@ def test_grid_function_helpers():
                                           dtype=complex))
     assert f.is_vector and f.dim == 1
     assert scale_of(f) == 4.0
-    g = f.shifted([1])
-    assert g.values[0, 0] == 0.0 and g.values[3, 0] == 3.0
 
     pts = GridFunction.points(dom, [0, 1, 1, 0])
     assert not pts.is_vector

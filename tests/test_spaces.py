@@ -23,13 +23,11 @@ from cotypelab import (
     ZeroOffDiagonalError,
     diag_distance,
     distortion,
-    grid_distance,
     grid_points,
     load_metric_space,
     moduli,
     points_space,
     snowflake,
-    torus_distance,
     torus_space,
     two_point_space,
     validate_metric,
@@ -59,41 +57,17 @@ def test_torus_domain_budget():
     ((0, 0, 0), (2, 2, 2), 4, 2),
 ])
 def test_torus_distance_values(x, y, m, want):
-    assert torus_distance(x, y, m) == want
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    dom = TorusDomain(n=len(x), m=m)
+    assert torus_space(dom).dist[dom.lin(x), dom.lin(y)] == want
 
 
 def test_torus_distance_antipodal_is_max():
     m, n = 6, 2
-    full = torus_space(TorusDomain(n=n, m=m))
+    dom = TorusDomain(n=n, m=m)
+    full = torus_space(dom)
     assert full.diameter == m / 2
-    assert torus_distance((0, 0), (3, 3), m) == 3
-
-
-def test_torus_distance_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        torus_distance((0, 0), (1, 2, 3), 4)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=3, max_value=9),
-    st.tuples(*(st.integers(0, 20),) * 3),
-    st.tuples(*(st.integers(0, 20),) * 3),
-    st.tuples(*(st.integers(0, 20),) * 3),
-)
-def test_torus_distance_is_a_metric(m, x, y, z):
-    dxy = torus_distance(x, y, m)
-    assert dxy == torus_distance(y, x, m)
-    assert torus_distance(x, x, m) == 0
-    assert dxy <= torus_distance(x, z, m) + torus_distance(z, y, m)
-
-
-def test_grid_distance_values():
-    assert grid_distance((0, 0), (1, 2), 1) == 3
-    assert grid_distance((0, 0), (1, 2), math.inf) == 2
-    assert grid_distance((0, 0), (1, 2), 2) == pytest.approx(math.sqrt(5))
-    with pytest.raises(PreconditionViolationError):
-        grid_distance((0,), (1,), 0.5)
+    assert full.dist[dom.lin((0, 0)), dom.lin((3, 3))] == 3
 
 
 def test_validate_metric_reports_first_violation():
@@ -257,12 +231,13 @@ class TestDiagDistance:
     def test_matches_word_metric_on_reachable_pairs(self):
         # with even m, each diagonal step is one word-metric step and the
         # circular coordinate gaps share a parity, so the two agree
+        word = torus_space(self.dom).dist
         rng = np.random.default_rng(3)
         for _ in range(40):
             x = rng.integers(0, 8, size=2)
             y = x + 2 * rng.integers(-3, 4, size=2)
             assert diag_distance(self.dom, x, y) == \
-                torus_distance(x % 8, y % 8, 8)
+                word[self.dom.lin(x), self.dom.lin(y)]
 
     def test_mixed_parity_is_unreachable(self):
         with pytest.raises(UnreachableError):

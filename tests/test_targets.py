@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from cotypelab import (
-    AlphaOutOfRangeError,
     DimensionMismatchError,
     MetricTarget,
     NormTarget,
     SchemaViolationError,
-    SnowflakeTarget,
     TorusDomain,
     as_target,
     torus_space,
@@ -21,7 +19,6 @@ def test_metric_target_pairwise():
     t = MetricTarget(two_point_space(3.0))
     got = t.pairwise(np.array([0, 0, 1]), np.array([0, 1, 1]))
     np.testing.assert_array_equal(got, [0.0, 3.0, 0.0])
-    assert t.kind == "metric"
 
 
 @pytest.mark.parametrize("p,want", [
@@ -50,15 +47,6 @@ def test_norm_target_dim_enforcement():
         t.norm(np.zeros((5, 2)))
     with pytest.raises(SchemaViolationError):
         NormTarget(p=0.5)
-
-
-def test_snowflake_target():
-    base = NormTarget(p=1.0)
-    t = SnowflakeTarget(base=base, alpha=0.5)
-    got = t.pairwise(np.array([[4.0]]), np.array([[0.0]]))
-    np.testing.assert_allclose(got, [2.0])
-    with pytest.raises(AlphaOutOfRangeError):
-        SnowflakeTarget(base=base, alpha=2.0)
 
 
 def test_as_target_coercion():
