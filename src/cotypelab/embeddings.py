@@ -261,10 +261,10 @@ def _edge_table(f: GridFunction, target) -> np.ndarray:
                            f.values[None])
 
 
-def _edge_activity(f: GridFunction, target) -> np.ndarray:
-    """E over full sign patterns of d(f(x+eps), f(x))^2, per point."""
-    edge = _edge_table(f, target)
-    acc = np.zeros(f.domain.points)
+def _edge_activity(edge: np.ndarray) -> np.ndarray:
+    """E over full sign patterns of d(f(x+eps), f(x))^2, per point, from
+    the edge table of _edge_table."""
+    acc = np.zeros(edge.shape[1])
     for d in edge:
         acc += d ** 2
     return acc / len(edge)
@@ -317,7 +317,8 @@ def require_defect_budget(domain: TorusDomain, s: int) -> int:
     return work
 
 
-def _geodesic_defects(f: GridFunction, target, s: int) -> np.ndarray:
+def _geodesic_defects(f: GridFunction, target, s: int,
+                      edge: np.ndarray) -> np.ndarray:
     """Per-point sum over j, both signs, and every diagonal geodesic of
     the squared deviation of step distances from their path average.
 
@@ -331,14 +332,14 @@ def _geodesic_defects(f: GridFunction, target, s: int) -> np.ndarray:
         W = prod_{a != j} walks(ell-1, o_a) * walks(s-ell, -(o_a+delta_a)),
 
     with walks(k, v) = C(k, (k+v)/2) (0 for the wrong parity or |v| > k).
-    Every term reads the edge table d(f(y+delta), f(y)), gathered once.
+    Every term reads the edge table d(f(y+delta), f(y)) of _edge_table.
     Raises BudgetExceededError when require_defect_budget does.
     """
     dom = f.domain
     n, m = dom.n, dom.m
     require_defect_budget(dom, s)
     # roll(edge[delta], o) is a window of the table padded cyclically by s
-    edge = _edge_table(f, target).astype(np.float64)
+    edge = edge.astype(np.float64)
     pad = np.pad(edge.reshape((len(edge),) + dom.shape),
                  [(0, 0)] + [(s, s)] * n, mode="wrap")
     defect = np.zeros(dom.shape)
@@ -386,7 +387,8 @@ def extract_grid(f: GridFunction, space, s: int,
     lhs_s = 0.0
     for v in shift_energy(f.values, target, family_table(dom, "axes", s), 2.0):
         lhs_s += float(v)
-    activity = _edge_activity(f, target)
+    edge = _edge_table(f, target)
+    activity = _edge_activity(edge)
     rhs_full = float(activity.mean())
     if rhs_full <= 0.0:
         raise HypothesisFailedError(
@@ -398,7 +400,7 @@ def extract_grid(f: GridFunction, space, s: int,
             "witness has no long-shift energy", eta=eta
         )
 
-    defect = _geodesic_defects(f, target, s)
+    defect = _geodesic_defects(f, target, s, edge)
     psi = 2.0 * eta * s * n * 2.0 ** (s * n) * activity - defect
     radius = s - 1
     psi_ball = _ball_sum(dom, psi, radius)
@@ -541,6 +543,10 @@ def grid_lower_bound_check(n: int, m: int, d: int, trials: int, seed: int,
     """
     if target not in ("l2", "l1-sqrt"):
         raise PreconditionViolationError(f"unknown target {target!r}")
+    if trials < 1:
+        raise PreconditionViolationError(
+            f"need at least one sampled injection, got trials={trials}"
+        )
     dom = TorusDomain(n=n, m=m)
     gam, _ = gamma_hilbert_exact(n, m)
     bound = math.sqrt(n) / (2.0 * gam)

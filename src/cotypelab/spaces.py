@@ -32,6 +32,11 @@ from .errors import (
 )
 
 TRIANGLE_SLACK_REL = 1e-12  # additive slack is this times the largest distance
+TABLE_BUDGET_BYTES = 1 << 30  # largest (N, N) float64 distance table built
+# rows per block of points_space and distortion: 32 rows of an N = 3125
+# table are 0.8 MB, so a block's buffers stay in a 2 MB L2 cache (256 rows
+# ran distortion 4x slower on a 2-core x86 desk machine, numpy 2.4)
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -232,24 +237,40 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=space.labels, dist=out)
 
 
+def _require_table(points: int) -> None:
+    """Raise BudgetExceededError before an (N, N) float64 table larger
+    than TABLE_BUDGET_BYTES is allocated."""
+    size = 8 * points * points
+    if size > TABLE_BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"a {points}-point distance table needs {size} bytes, "
+            f"budget is {TABLE_BUDGET_BYTES}"
+        )
+
+
 def torus_space(domain: TorusDomain, budget: int = 1 << 16) -> FiniteMetricSpace:
-    """Materialize Z_m^n with its word metric as a FiniteMetricSpace."""
+    """Materialize Z_m^n with its word metric as a FiniteMetricSpace.
+
+    The table is the max of the per-axis circular gaps, built from its
+    product structure: each further axis writes one fresh table.
+    """
     domain.require_points(budget)
-    pts = domain.coords()
-    half = domain.m / 2
-    dist = np.zeros((domain.points, domain.points))
-    gap = np.empty_like(dist)
-    for c in pts.T.astype(np.float64):
-        # max over axes of the circular gap min(d, m - d) = m/2 - |d - m/2|
-        # for d = |x_a - y_a|, built in place: two (N, N) tables in all
-        np.subtract(c[:, None], c[None, :], out=gap)
-        np.abs(gap, out=gap)
-        gap -= half
-        np.abs(gap, out=gap)
-        np.subtract(half, gap, out=gap)
-        np.maximum(dist, gap, out=dist)
+    _require_table(domain.points)
+    m = domain.m
+    half = m / 2
+    # circular gap min(d, m - d) = m/2 - |d - m/2| for d = |x - y|
+    c = np.arange(m, dtype=np.float64)
+    gap = half - np.abs(np.abs(c[:, None] - c[None, :]) - half)
+    dist = gap
+    for _ in range(domain.n - 1):
+        size = dist.shape[0]
+        # D_{k+1}[(a, b), (c, d)] = max(D_k[a, c], gap[b, d]), row-major
+        nxt = np.empty((size * m, size * m))
+        np.maximum(dist[:, None, :, None], gap[None, :, None, :],
+                   out=nxt.reshape(size, m, size, m))
+        dist = nxt
     dist.flags.writeable = False
-    labels = tuple(",".join(map(str, p)) for p in pts)
+    labels = tuple(",".join(map(str, p)) for p in domain.coords())
     return FiniteMetricSpace(labels=labels, dist=dist)
 
 
@@ -262,7 +283,8 @@ def grid_points(n: int, m: int) -> np.ndarray:
 def points_space(points: np.ndarray, p: float,
                  labels=None) -> FiniteMetricSpace:
     """Finite metric space of vectors under the l_p norm, built one
-    coordinate at a time into one (N, N) table.
+    coordinate at a time into one (N, N) table, ROW_BLOCK rows at a time
+    through one (ROW_BLOCK, N) gap buffer.
 
     Complex coordinates are allowed; differences are measured by modulus.
     """
@@ -270,21 +292,25 @@ def points_space(points: np.ndarray, p: float,
     if not np.iscomplexobj(pts):
         pts = pts.astype(np.float64)
     n = pts.shape[0]
+    _require_table(n)
     dist = np.zeros((n, n))
-    gap = np.empty_like(dist)
-    for c in pts.T:
-        if np.iscomplexobj(pts):
-            np.abs(c[:, None] - c[None, :], out=gap)
-        else:
-            np.subtract(c[:, None], c[None, :], out=gap)
-            np.abs(gap, out=gap)
-        if math.isinf(p):
-            np.maximum(dist, gap, out=dist)
-        else:
-            np.power(gap, p, out=gap)
-            dist += gap
-    if not math.isinf(p):
-        np.power(dist, 1.0 / p, out=dist)
+    buf = np.empty((min(ROW_BLOCK, n), n))
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        rows, gap = dist[lo:hi], buf[:hi - lo]
+        for c in pts.T:
+            if np.iscomplexobj(pts):
+                np.abs(c[lo:hi, None] - c[None, :], out=gap)
+            else:
+                np.subtract(c[lo:hi, None], c[None, :], out=gap)
+                np.abs(gap, out=gap)
+            if math.isinf(p):
+                np.maximum(rows, gap, out=rows)
+            else:
+                np.power(gap, p, out=gap)
+                rows += gap
+        if not math.isinf(p):
+            np.power(rows, 1.0 / p, out=rows)
     dist[np.diag_indices(n)] = 0.0
     dist.flags.writeable = False
     if labels is None:
@@ -372,12 +398,28 @@ class EmbeddingRecord:
         }
 
 
+def _block_max(ratios: np.ndarray, lo: int) -> tuple:
+    """Largest ratio of the row block from row lo and column lo + 1, and
+    the first pair (i, j) reaching it in row-major order. NaN ratios
+    (pairs at distance 0 in both spaces) are skipped."""
+    k = int(np.argmax(ratios))
+    if np.isnan(ratios.flat[k]):  # argmax stops at the first NaN
+        np.copyto(ratios, -np.inf, where=np.isnan(ratios))
+        k = int(np.argmax(ratios))
+    i, j = np.unravel_index(k, ratios.shape)
+    return float(ratios.flat[k]), (int(i) + lo, int(j) + lo + 1)
+
+
 def distortion(mapping, source: FiniteMetricSpace,
-               target: FiniteMetricSpace, block: int = 256) -> EmbeddingRecord:
+               target: FiniteMetricSpace,
+               block: int = ROW_BLOCK) -> EmbeddingRecord:
     """Measure lip, colip, and distortion of an injective map.
 
-    mapping[i] is the target index of source point i. Raises
-    NotInjectiveError on a collision, witnessed by the colliding pair.
+    mapping[i] is the target index of source point i. Each ratio is the
+    max over pairs i < j, skipping 0/0 pairs; lip_pair and colip_pair
+    are the first pair in row-major order to reach it, whatever the
+    block. Raises NotInjectiveError on a collision, witnessed by the
+    colliding pair.
     """
     f = np.asarray(mapping, dtype=np.int64)
     ns = source.size
@@ -401,27 +443,25 @@ def distortion(mapping, source: FiniteMetricSpace,
     if ns < 2:
         return EmbeddingRecord(ns, target.size, f, 1.0, 1.0, 1.0)
 
-    cols = np.arange(ns)
     lip, colip = -np.inf, -np.inf
     lip_pair = colip_pair = (0, 0)
-    for lo in range(0, ns, block):
+    # each row block scans only columns j > lo; the j <= i corner reads -inf
+    for lo in range(0, ns - 1, block):
         hi = min(lo + block, ns)
-        ds = source.dist[lo:hi, :].copy()
-        dt = target.dist[f[lo:hi], :][:, f]
-        keep = cols[None, :] > np.arange(lo, hi)[:, None]  # j > i only
+        ds = source.dist[lo:hi, lo + 1:]
+        dt = target.dist[f[lo:hi], :][:, f[lo + 1:]]
         with np.errstate(invalid="ignore", divide="ignore"):
-            up = np.where(keep, dt / ds, -np.inf)
-            down = np.where(keep, ds / dt, -np.inf)
-        k = int(np.argmax(up))
-        if up.reshape(-1)[k] > lip:
-            lip = float(up.reshape(-1)[k])
-            i, j = np.unravel_index(k, up.shape)
-            lip_pair = (int(i) + lo, int(j))
-        k = int(np.argmax(down))
-        if down.reshape(-1)[k] > colip:
-            colip = float(down.reshape(-1)[k])
-            i, j = np.unravel_index(k, down.shape)
-            colip_pair = (int(i) + lo, int(j))
+            up = dt / ds
+            down = np.divide(ds, dt, out=dt)
+        corner = np.tri(hi - lo, min(hi - lo, ns - lo - 1), -1, dtype=bool)
+        up[:, :corner.shape[1]][corner] = -np.inf
+        down[:, :corner.shape[1]][corner] = -np.inf
+        val, pair = _block_max(up, lo)
+        if val > lip:
+            lip, lip_pair = val, pair
+        val, pair = _block_max(down, lo)
+        if val > colip:
+            colip, colip_pair = val, pair
     return EmbeddingRecord(
         source_size=ns,
         target_size=target.size,

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import math
+import resource
 
 import pytest
 
@@ -135,6 +136,31 @@ def test_extract_grid_over_the_defect_budget(capsys, monkeypatch):
     assert code == 2
     assert doc is None
     assert "error:" in err and "budget is 1000" in err
+
+
+def test_extract_grid_over_the_table_budget(capsys):
+    from cotypelab import TorusDomain, embeddings
+
+    # within the defect budget, but the 65,536-point torus table is 32 GiB
+    work = embeddings.require_defect_budget(TorusDomain(n=4, m=16), 4)
+    assert work == 75_497_472 <= embeddings.DEFECT_BUDGET
+    # cap the address space 4 GiB above its present size, so a table built
+    # past the guard fails with MemoryError rather than filling the machine
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = mapped + (4 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code, doc, err = run_main(capsys, ["extract-grid", "--n", "4",
+                                           "--m", "16", "--s", "4"])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert code == 2
+    assert doc is None
+    assert "error:" in err and "65536-point distance table" in err
 
 
 def test_moduli_check_command(capsys):

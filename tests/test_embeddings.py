@@ -288,7 +288,8 @@ class TestGeodesicDefects:
                                                   monkeypatch):
         f, space = _defect_case(n, m, s, kind)
         target = as_target(space)
-        got = embeddings._geodesic_defects(f, target, s)
+        got = embeddings._geodesic_defects(f, target, s,
+                                           embeddings._edge_table(f, target))
         want = path_walk_defects(f, target, s)
         if kind in ("identity", "isometry"):
             assert not want.any() and not got.any()  # exact zeros
@@ -312,21 +313,23 @@ class TestGeodesicDefects:
         rng = np.random.default_rng(s)
         for kind in ("identity", "isometry"):
             f = _point_witness(kind, dom, rng)
-            assert not embeddings._geodesic_defects(f, target, s).any()
+            edge = embeddings._edge_table(f, target)
+            assert not embeddings._geodesic_defects(f, target, s, edge).any()
 
     def test_budget_boundary(self, monkeypatch):
         dom = TorusDomain(n=3, m=8)
         f = GridFunction.points(dom, np.arange(dom.points))
         target = as_target(torus_space(dom))
+        edge = embeddings._edge_table(f, target)
         work = embeddings.require_defect_budget(dom, 4)
         # transitions per step at s=4: 2, 4, 4, 2 per free axis, squared
         assert work == 2 * 3 * dom.points * (4 + 16 + 16 + 4)
         for budget in (work + 1, work):
             monkeypatch.setattr(embeddings, "DEFECT_BUDGET", budget)
-            embeddings._geodesic_defects(f, target, 4)
+            embeddings._geodesic_defects(f, target, 4, edge)
         monkeypatch.setattr(embeddings, "DEFECT_BUDGET", work - 1)
         with pytest.raises(BudgetExceededError):
-            embeddings._geodesic_defects(f, target, 4)
+            embeddings._geodesic_defects(f, target, 4, edge)
 
 
 class TestCoarseObstruction:
@@ -386,6 +389,13 @@ class TestGridLowerBound:
     def test_unknown_target(self):
         with pytest.raises(PreconditionViolationError):
             grid_lower_bound_check(2, 4, 3, trials=1, seed=0, target="linf")
+
+    @pytest.mark.parametrize("trials,steps", [(0, 0), (0, 5), (-1, 0)])
+    def test_needs_at_least_one_trial(self, trials, steps):
+        # no sampled injection leaves no floor to check, nor one to descend
+        with pytest.raises(PreconditionViolationError):
+            grid_lower_bound_check(2, 4, 3, trials=trials, seed=0,
+                                   adversarial_steps=steps)
 
     def test_deterministic(self):
         a = grid_lower_bound_check(2, 4, 2, trials=3, seed=4)

@@ -32,7 +32,7 @@ from cotypelab import (
 )
 from cotypelab import gridops
 from cotypelab.cotype import _exhaustive_b_space
-from cotypelab.embeddings import _edge_activity
+from cotypelab.embeddings import _edge_activity, _edge_table
 from cotypelab.gridops import (
     axis_shift,
     family_table,
@@ -199,7 +199,7 @@ def test_edge_energy_and_activity_bit_exact(wit, p):
         shifted = roll_values(f.domain, f.values, eps)
         total += float(np.mean(target.pairwise(shifted, f.values) ** p))
     assert _edge_energy(f, target, p) == total / len(pats)
-    np.testing.assert_array_equal(_edge_activity(f, target),
+    np.testing.assert_array_equal(_edge_activity(_edge_table(f, target)),
                                   ref_edge_activity(f, target))
 
 

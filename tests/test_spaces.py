@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from cotypelab import (
     two_point_space,
     validate_metric,
 )
+from cotypelab import spaces
+from cotypelab.spaces import EmbeddingRecord, FiniteMetricSpace
 
 
 def test_torus_domain_roundtrip():
@@ -333,3 +336,275 @@ def test_moduli_sandwich_every_pair():
             ds = src.dist[i, j]
             dt = tgt.dist[f[i], f[j]]
             assert tab.compression_at(ds) <= dt <= tab.expansion_at(ds)
+
+
+# ------------------------------------------------------------------ oracles
+# Reference builders and scan with no product structure and no row blocks:
+# two (N, N) torus tables, one full (N, N) gap buffer, and a distortion scan
+# over full-width rows masked by np.where. The package must match them byte
+# for byte, pairs included.
+
+def two_table_torus_space(domain: TorusDomain,
+                          budget: int = 1 << 16) -> FiniteMetricSpace:
+    """Materialize Z_m^n with its word metric as a FiniteMetricSpace."""
+    domain.require_points(budget)
+    pts = domain.coords()
+    half = domain.m / 2
+    dist = np.zeros((domain.points, domain.points))
+    gap = np.empty_like(dist)
+    for c in pts.T.astype(np.float64):
+        # max over axes of the circular gap min(d, m - d) = m/2 - |d - m/2|
+        # for d = |x_a - y_a|, built in place: two (N, N) tables in all
+        np.subtract(c[:, None], c[None, :], out=gap)
+        np.abs(gap, out=gap)
+        gap -= half
+        np.abs(gap, out=gap)
+        np.subtract(half, gap, out=gap)
+        np.maximum(dist, gap, out=dist)
+    dist.flags.writeable = False
+    labels = tuple(",".join(map(str, p)) for p in pts)
+    return FiniteMetricSpace(labels=labels, dist=dist)
+
+
+def full_gap_points_space(points: np.ndarray, p: float,
+                          labels=None) -> FiniteMetricSpace:
+    """Finite metric space of vectors under the l_p norm, built one
+    coordinate at a time into one (N, N) table.
+
+    Complex coordinates are allowed; differences are measured by modulus.
+    """
+    pts = np.asarray(points)
+    if not np.iscomplexobj(pts):
+        pts = pts.astype(np.float64)
+    n = pts.shape[0]
+    dist = np.zeros((n, n))
+    gap = np.empty_like(dist)
+    for c in pts.T:
+        if np.iscomplexobj(pts):
+            np.abs(c[:, None] - c[None, :], out=gap)
+        else:
+            np.subtract(c[:, None], c[None, :], out=gap)
+            np.abs(gap, out=gap)
+        if math.isinf(p):
+            np.maximum(dist, gap, out=dist)
+        else:
+            np.power(gap, p, out=gap)
+            dist += gap
+    if not math.isinf(p):
+        np.power(dist, 1.0 / p, out=dist)
+    dist[np.diag_indices(n)] = 0.0
+    dist.flags.writeable = False
+    if labels is None:
+        labels = tuple(str(i) for i in range(n))
+    return FiniteMetricSpace(labels=tuple(labels), dist=dist)
+
+
+def full_row_distortion(mapping, source: FiniteMetricSpace,
+                        target: FiniteMetricSpace,
+                        block: int = 256) -> EmbeddingRecord:
+    """Measure lip, colip, and distortion of an injective map.
+
+    mapping[i] is the target index of source point i. Raises
+    NotInjectiveError on a collision, witnessed by the colliding pair.
+    """
+    f = np.asarray(mapping, dtype=np.int64)
+    ns = source.size
+    if f.shape != (ns,):
+        raise DimensionMismatchError(
+            f"mapping must have shape ({ns},), got {f.shape}"
+        )
+    if ns and (f.min() < 0 or f.max() >= target.size):
+        raise PreconditionViolationError(
+            "mapping contains an out-of-range target index"
+        )
+    order = np.argsort(f, kind="stable")
+    fs = f[order]
+    dup = np.flatnonzero(fs[1:] == fs[:-1])
+    if dup.size:
+        a, b = int(order[dup[0]]), int(order[dup[0] + 1])
+        raise NotInjectiveError(
+            f"source points {a} and {b} share target index {int(f[a])}",
+            pair=(a, b),
+        )
+    if ns < 2:
+        return EmbeddingRecord(ns, target.size, f, 1.0, 1.0, 1.0)
+
+    cols = np.arange(ns)
+    lip, colip = -np.inf, -np.inf
+    lip_pair = colip_pair = (0, 0)
+    for lo in range(0, ns, block):
+        hi = min(lo + block, ns)
+        ds = source.dist[lo:hi, :].copy()
+        dt = target.dist[f[lo:hi], :][:, f]
+        keep = cols[None, :] > np.arange(lo, hi)[:, None]  # j > i only
+        with np.errstate(invalid="ignore", divide="ignore"):
+            up = np.where(keep, dt / ds, -np.inf)
+            down = np.where(keep, ds / dt, -np.inf)
+        k = int(np.argmax(up))
+        if up.reshape(-1)[k] > lip:
+            lip = float(up.reshape(-1)[k])
+            i, j = np.unravel_index(k, up.shape)
+            lip_pair = (int(i) + lo, int(j))
+        k = int(np.argmax(down))
+        if down.reshape(-1)[k] > colip:
+            colip = float(down.reshape(-1)[k])
+            i, j = np.unravel_index(k, down.shape)
+            colip_pair = (int(i) + lo, int(j))
+    return EmbeddingRecord(
+        source_size=ns,
+        target_size=target.size,
+        mapping=f,
+        lip=lip,
+        colip=colip,
+        distortion=lip * colip,
+        lip_pair=lip_pair,
+        colip_pair=colip_pair,
+    )
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 7), (1, 64), (2, 5),
+                                 (3, 5), (2, 24), (4, 3), (4, 8)])
+def test_torus_space_matches_the_two_table_oracle(n, m):
+    dom = TorusDomain(n=n, m=m)
+    got, want = torus_space(dom), two_table_torus_space(dom)
+    assert got.dist.shape == want.dist.shape
+    assert got.dist.tobytes() == want.dist.tobytes()
+    assert got.labels == want.labels
+    assert not got.dist.flags.writeable
+
+
+# N straddles row-block edges: 256 is a whole number of ROW_BLOCK rows
+@pytest.mark.parametrize("N", [255, 256, 257, 600])
+@pytest.mark.parametrize("p", [math.inf, 1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("complex_points", [False, True])
+def test_points_space_matches_the_full_gap_oracle(N, p, complex_points):
+    assert 256 % spaces.ROW_BLOCK == 0
+    rng = np.random.default_rng(N)
+    pts = rng.standard_normal((N, 3))
+    if complex_points:
+        pts = pts + 1j * rng.standard_normal((N, 3))
+    got, want = points_space(pts, p), full_gap_points_space(pts, p)
+    assert got.dist.tobytes() == want.dist.tobytes()
+    assert got.labels == want.labels
+
+
+def _same_record(got, want):
+    assert got.lip == want.lip
+    assert got.colip == want.colip
+    assert got.distortion == want.distortion
+    assert got.lip_pair == want.lip_pair
+    assert got.colip_pair == want.colip_pair
+
+
+@pytest.mark.parametrize("ns", [2, 3, 31, 32, 33, 255, 256, 257, 600])
+def test_distortion_matches_the_full_row_oracle_on_injections(ns):
+    rng = np.random.default_rng(ns)
+    source = points_space(rng.standard_normal((ns, 2)), 2.0)
+    target = points_space(rng.standard_normal((ns + 7, 3)), 1.0)
+    f = rng.permutation(ns + 7)[:ns]
+    _same_record(distortion(f, source, target),
+                 full_row_distortion(f, source, target))
+    for block in (1, 7, 1000):  # the pair rule does not depend on blocking
+        _same_record(distortion(f, source, target, block=block),
+                     full_row_distortion(f, source, target))
+
+
+@pytest.mark.parametrize("n,m,q", [(2, 4, 2.0), (3, 4, 4.0), (2, 16, 2.0),
+                                   (4, 3, 1.0)])
+def test_distortion_matches_the_full_row_oracle_on_grid_identities(n, m, q):
+    # many pairs tie for both maxima; the first in row-major order wins
+    pts = grid_points(n, m)
+    source, target = points_space(pts, math.inf), points_space(pts, q)
+    f = np.arange(len(pts))
+    _same_record(distortion(f, source, target),
+                 full_row_distortion(f, source, target))
+
+
+@pytest.mark.parametrize("ns", [2, 33, 257])
+@pytest.mark.parametrize("below", [0.01, 100.0])
+def test_distortion_reads_only_pairs_i_below_j(ns, below):
+    # unvalidated asymmetric tables: the source's entries below the
+    # diagonal are scaled so that reading them would win lip or colip
+    rng = np.random.default_rng(ns)
+
+    def table(size, scale):
+        dist = rng.uniform(1.0, 2.0, (size, size))
+        dist[np.tril_indices(size, -1)] *= scale
+        np.fill_diagonal(dist, 0.0)
+        return FiniteMetricSpace(labels=tuple(range(size)), dist=dist)
+
+    source, target = table(ns, below), table(ns + 3, 1.0)
+    f = rng.permutation(ns + 3)[:ns]
+    for block in (1, 7, spaces.ROW_BLOCK):
+        _same_record(distortion(f, source, target, block=block),
+                     full_row_distortion(f, source, target))
+
+
+def _pairwise_first_max(ratio, ns):
+    """Largest ratio(i, j) over pairs i < j in row-major order, the first
+    pair reaching it, and NaN ratios skipped."""
+    best, pair = -math.inf, (0, 0)
+    for i in range(ns):
+        for j in range(i + 1, ns):
+            r = ratio(i, j)
+            if r > best:
+                best, pair = r, (i, j)
+    return best, pair
+
+
+def test_distortion_skips_pairs_coincident_in_both_spaces():
+    # unvalidated tables with zero off-diagonal entries give 0/0 and x/0;
+    # a 0/0 pair is skipped, so the answer does not depend on the blocking
+    rng = np.random.default_rng(5)
+    for ns in (5, 40, 70):
+        source = points_space(rng.integers(0, 3, (ns, 2)), 2.0)
+        target = points_space(rng.integers(0, 3, (ns, 2)), 1.0)
+        f = rng.permutation(ns)
+        ds, dt = source.dist, target.dist[f][:, f]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lip = _pairwise_first_max(lambda i, j: dt[i, j] / ds[i, j], ns)
+            colip = _pairwise_first_max(lambda i, j: ds[i, j] / dt[i, j], ns)
+            assert np.isnan(ds / dt).any()
+        for block in (1, 7, spaces.ROW_BLOCK, 1000):
+            rec = distortion(f, source, target, block=block)
+            assert (rec.lip, rec.lip_pair) == lip
+            assert (rec.colip, rec.colip_pair) == colip
+
+
+@pytest.mark.parametrize("build,points", [
+    (lambda N: torus_space(TorusDomain(n=1, m=N)), 12),
+    (lambda N: points_space(np.arange(N)[:, None], 2.0), 12),
+])
+def test_table_budget_boundary(build, points, monkeypatch):
+    table = 8 * points * points
+    for budget in (table + 1, table):
+        monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", budget)
+        assert build(points).dist.nbytes == table
+    monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", table - 1)
+    with pytest.raises(BudgetExceededError):
+        build(points)
+
+
+def _peak_bytes(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_table_per_space():
+    # beyond the (N, N) table: labels, coordinates and numpy's ufunc
+    # buffers, about 0.15 MB here, whatever N is
+    slack = 1 << 18
+    table = 8 * 1024**2
+    peak = _peak_bytes(lambda: torus_space(TorusDomain(n=2, m=32)))
+    assert table <= peak <= table + slack
+    # points_space adds one (ROW_BLOCK, N) gap buffer
+    N = 600
+    pts = np.random.default_rng(0).standard_normal((N, 3))
+    table, row_block = 8 * N * N, 8 * spaces.ROW_BLOCK * N
+    for p in (math.inf, 2.0):
+        peak = _peak_bytes(lambda: points_space(pts, p))
+        assert table <= peak <= table + row_block + slack
