@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """How large must the modulus be before the constant drops to a target?
 
-Scans even m upward, evaluating the chosen functional at each step, and
-stops at the first modulus meeting the target. With Hilbert targets the
-scan is exact; with searched targets it reports a lower-bound caveat.
+Scans even m upward, evaluating the functional that the codomain picks
+at each step, and stops at the first modulus meeting the target. With
+the Hilbert target (None) the scan is exact; a small two-point space is
+enumerated exactly; any other space is searched, with a lower-bound
+caveat.
 """
 
 import argparse
@@ -21,7 +23,7 @@ def main() -> None:
     print(f"hilbert scan, n={args.n}, target gamma <= {args.target}")
     try:
         res = m_parameter_experiment(None, args.n, 2.0, 2.0,
-                                     args.target, args.m_max, mode="hilbert")
+                                     args.target, args.m_max)
         for m, g in res.profile:
             mark = " <-- first hit" if m == res.found_m else ""
             print(f"  m={m:2d}  gamma = {g:.9f}{mark}")
@@ -31,11 +33,10 @@ def main() -> None:
             print(f"  m={m:2d}  gamma = {g:.9f}")
         return
 
-    # enumeration caps m^n, so the two-point scan runs on the cycle
+    # enumeration caps m^n at 20, so the two-point scan runs on the cycle
     print("\nsame scan against enumerated two-point witnesses, n=1")
     res = m_parameter_experiment(two_point_space(), 1, 2.0, 2.0,
-                                 args.target, min(args.m_max, 20),
-                                 mode="two-point")
+                                 args.target, min(args.m_max, 20))
     for m, g in res.profile:
         mark = " <-- first hit" if m == res.found_m else ""
         print(f"  m={m:2d}  gamma = {g:.9f}{mark}")

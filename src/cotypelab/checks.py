@@ -50,6 +50,11 @@ class InequalityCheck:
                 repr(self.slack), str(self.passed).lower()]
 
 
+def check_order(check: InequalityCheck) -> tuple:
+    """Sort key of every check list: by name, then by sorted params."""
+    return (check.name, str(sorted(check.params.items())))
+
+
 def make_check(name: str, params: dict, lhs: float, rhs: float,
                rel_tol: float = INEQ_REL_TOL) -> InequalityCheck:
     tol = rel_tol * max(abs(lhs), abs(rhs))

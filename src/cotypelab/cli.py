@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .checks import CSV_COLUMNS, InequalityCheck
+from .checks import CSV_COLUMNS, InequalityCheck, check_order
 from .cotype import (
     b_quantity_search,
     exhaustive_b_two_point,
@@ -157,10 +157,6 @@ def _load_space(params: dict):
     return load_metric_space(path)
 
 
-def _sorted_checks(checks: list[InequalityCheck]) -> list[InequalityCheck]:
-    return sorted(checks, key=lambda c: (c.name, str(sorted(c.params.items()))))
-
-
 # ---------------------------------------------------------------- commands
 
 def _cmd_gamma_hilbert(cfg: ExperimentConfig):
@@ -218,7 +214,7 @@ def _cmd_mod_check(cfg: ExperimentConfig):
         checks.append(InequalityCheck(
             name=chk.name, params={**chk.params, "trial": t},
             lhs=chk.lhs, rhs=chk.rhs, tolerance=chk.tolerance))
-    checks = _sorted_checks(checks)
+    checks.sort(key=check_order)
     worst = min(c.slack for c in checks) if checks else 0.0
     return {"trials": trials, "worst_slack": worst}, checks, "sampled"
 
@@ -283,7 +279,7 @@ def _cmd_moduli_check(cfg: ExperimentConfig):
         checks.append(InequalityCheck(
             name=chk.name, params={**chk.params, "trial": t},
             lhs=chk.lhs, rhs=chk.rhs, tolerance=chk.tolerance))
-    checks = _sorted_checks(checks)
+    checks.sort(key=check_order)
     return {"trials": trials}, checks, "sampled"
 
 

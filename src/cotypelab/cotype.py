@@ -322,14 +322,19 @@ def expected_random_gamma(n: int, m: int, p: float, q: float) -> float:
 
 
 def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
-                        seed: int, chunk: int = 4096) -> dict:
+                        seed: int) -> dict:
     """Monte-Carlo comparison of random two-point witnesses with the formula.
 
-    Estimates E[lhs] and E[rhs_raw] over uniformly random witnesses, plugs
-    the means into the gamma formula (delta-method standard error), and
-    also reports the mean of the per-witness gamma_hat values for contrast.
+    Estimates E[lhs] and E[rhs_raw] over uniformly random witnesses,
+    WITNESS_CHUNK at a time, plugs the means into the gamma formula
+    (delta-method standard error), and also reports the mean of the
+    per-witness gamma_hat values for contrast. A standard error needs at
+    least two trials.
     """
     _check_pq(p, q)
+    if trials < 2:
+        raise PreconditionViolationError(
+            f"a standard error needs trials >= 2, got {trials}")
     dom = TorusDomain(n=n, m=m)
     if m % 2 != 0:
         raise OddMError(f"even m required, got {m}")
@@ -337,8 +342,8 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
     rng = np.random.default_rng(seed)
     table = family_table(dom, "edges", m // 2)
     L, R = np.empty(trials), np.empty(trials)
-    for done in range(0, trials, chunk):
-        k = min(chunk, trials - done)
+    for done in range(0, trials, WITNESS_CHUNK):
+        k = min(WITNESS_CHUNK, trials - done)
         bits = rng.integers(0, 2, size=(k, N), dtype=np.int64).astype(np.uint8)
         L[done:done + k], R[done:done + k] = _side_sums(
             bits, _UnitTwoPoint, table, n, 1.0)
@@ -650,16 +655,13 @@ def _exhaustive_b_space(space: FiniteMetricSpace, n: int, ell: int, m: int,
 
 
 def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
-                                     k: int, s: int, t: int, m: int,
-                                     mode: str = "exhaustive",
-                                     trials: int = 200, seed: int = 0,
-                                     budget: int = TWO_POINT_BUDGET) -> InequalityCheck:
+                                     k: int, s: int, t: int,
+                                     m: int) -> InequalityCheck:
     """Product rule across tensored dimensions for the diagonal-shift maximum.
 
-    Exhaustive mode compares the exact maximum on Z_m^(ell k) at shift
-    s t against the product of exact component maxima at (ell, s) and
-    (k, t). Sampled mode checks that no random witness on the product
-    beats that product.
+    Compares the exact maximum on Z_m^(ell k) at shift s t against the
+    product of exact component maxima at (ell, s) and (k, t), each
+    enumeration within TWO_POINT_BUDGET witnesses.
     """
     for name, v in (("ell", ell), ("k", k)):
         if v < 1:
@@ -667,26 +669,12 @@ def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
     for name, v in (("s", s), ("t", t)):
         if v % 2 != 0:
             raise OddEllError(f"even {name} required, got {v}")
-    comp1 = _exhaustive_b_space(space, ell, s, m, budget)
-    comp2 = _exhaustive_b_space(space, k, t, m, budget)
-    rhs = comp1.b_hat * comp2.b_hat
-    params = {"ell": ell, "k": k, "s": s, "t": t, "m": m, "mode": mode}
-    if mode == "exhaustive":
-        full = _exhaustive_b_space(space, ell * k, s * t, m, budget)
-        return make_check("b-tensor-submultiplicative", params, full.b_hat, rhs)
-    if mode == "sampled":
-        dom = TorusDomain(n=ell * k, m=m)
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(trials):
-            vals = random_point_values(dom, space.size, rng)
-            rep = b_functionals(GridFunction.points(dom, vals), space, s * t)
-            if not rep.degenerate:
-                worst = max(worst, rep.b_hat)
-        params["trials"] = trials
-        params["seed"] = seed
-        return make_check("b-tensor-submultiplicative", params, worst, rhs)
-    raise PreconditionViolationError(f"unknown mode {mode!r}")
+    comp1 = _exhaustive_b_space(space, ell, s, m, TWO_POINT_BUDGET)
+    comp2 = _exhaustive_b_space(space, k, t, m, TWO_POINT_BUDGET)
+    full = _exhaustive_b_space(space, ell * k, s * t, m, TWO_POINT_BUDGET)
+    params = {"ell": ell, "k": k, "s": s, "t": t, "m": m, "mode": "exhaustive"}
+    return make_check("b-tensor-submultiplicative", params, full.b_hat,
+                      comp1.b_hat * comp2.b_hat)
 
 
 def linear_exponential_witness(vectors, m: int) -> GridFunction:
@@ -733,25 +721,20 @@ class ScanResult:
 
 def m_parameter_experiment(space_or_norm, n: int, p: float, q: float,
                            gamma_target: float, m_max: int,
-                           mode: str = "auto",
                            budget: int = 2000, seed: int = 0) -> ScanResult:
     """Scan even m for the first value whose measured gamma meets the target.
 
-    hilbert mode is exact (p = q = 2 against an l2 target); two-point
-    mode is exact by enumeration; search mode only produces lower
-    bounds, so its verdict is flagged as such. auto picks the strongest
-    applicable mode. Raises NotFoundError with the profile when no even
-    m <= m_max qualifies.
+    The codomain picks the evaluation. A norm target (None for l2) gets
+    the exact Hilbert constant, which needs p = q = 2 and l2. A 2-point
+    space whose largest scan has m_max^n <= 20 points is enumerated
+    exactly. Any other finite space is searched, which only produces
+    lower bounds, so its verdict is flagged as such. Raises
+    NotFoundError with the profile when no even m <= m_max qualifies.
     """
-    space = space_or_norm if isinstance(space_or_norm, FiniteMetricSpace) else None
-    if mode == "auto":
-        if space is None:
-            mode = "hilbert"
-        elif space.size == 2 and m_max**n <= 20:
-            mode = "two-point"
-        else:
-            mode = "search"
-    if mode == "hilbert":
+    if isinstance(space_or_norm, FiniteMetricSpace):
+        space = space_or_norm
+        mode = "two-point" if space.size == 2 and m_max**n <= 20 else "search"
+    else:
         hilbertian = space_or_norm is None or (
             isinstance(space_or_norm, NormTarget) and space_or_norm.p == 2.0
         )
@@ -759,17 +742,7 @@ def m_parameter_experiment(space_or_norm, n: int, p: float, q: float,
             raise PreconditionViolationError(
                 "hilbert mode computes the exact p = q = 2 constant of l2"
             )
-    elif mode in ("two-point", "search"):
-        if space is None:
-            raise PreconditionViolationError(
-                f"{mode} mode scans a finite metric space, got a norm target"
-            )
-        if mode == "two-point" and space.size != 2:
-            raise PreconditionViolationError(
-                f"two-point mode needs a 2-point space, got size {space.size}"
-            )
-    else:
-        raise PreconditionViolationError(f"unknown mode {mode!r}")
+        mode = "hilbert"
     profile = []
     for m in range(2, m_max + 1, 2):
         if mode == "hilbert":

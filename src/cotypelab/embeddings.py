@@ -21,7 +21,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .gridops import axis_shift, climb, family_table, roll_values, shift_energy
-from .harmonic import GridFunction
+from .harmonic import GridFunction, _axis_window_sum
 from .spaces import (
     EmbeddingRecord,
     FiniteMetricSpace,
@@ -52,14 +52,6 @@ class GeodesicPath:
     @property
     def length(self) -> int:
         return self.steps.shape[0] - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "sign": self.sign,
-            "through_index": self.through_index,
-            "steps": [[int(c) for c in row] for row in self.steps],
-        }
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,9 @@ def grid_to_torus(m: int, n: int, budget: int = 1 << 16) -> EmbeddingRecord:
             f"grid with {source_pts.shape[0]} points is beyond desk scale"
         )
     source = points_space(source_pts, math.inf)
-    target = torus_space(dom, budget=budget)
-    mapping = np.array([dom.lin(p) for p in source_pts], dtype=np.int64)
+    dom.require_points(budget)
+    target = torus_space(dom)
+    mapping = np.ravel_multi_index(tuple(source_pts.T), dom.shape)
     return distortion(mapping, source, target)
 
 
@@ -161,19 +154,18 @@ def sparse_frechet_cycle(m: int, eps: float) -> EmbeddingRecord:
     return distortion(mapping, source, target)
 
 
-def torus_to_grid_full(m: int, n: int, budget: int = 1 << 16) -> EmbeddingRecord:
+def torus_to_grid_full(m: int, n: int) -> EmbeddingRecord:
     """Concatenated per-coordinate distance profiles: an isometry.
 
     Z_{2m}^n lands in the sup-norm grid of dimension 2mn; the sup over
     the n blocks recovers the torus metric coordinate by coordinate.
     """
     dom = TorusDomain(n=n, m=2 * m)
-    dom.require_points(budget)
     coords = dom.coords()  # (N, n)
     table = _frechet_vectors(m, np.arange(2 * m))  # (2m, 2m)
     blocks = [table[coords[:, j]] for j in range(n)]
     vectors = np.concatenate(blocks, axis=1)  # (N, 2mn)
-    source = torus_space(dom, budget=budget)
+    source = torus_space(dom)
     target = points_space(vectors, math.inf)
     mapping = np.arange(dom.points, dtype=np.int64)
     return distortion(mapping, source, target)
@@ -272,14 +264,12 @@ def _edge_activity(edge: np.ndarray) -> np.ndarray:
 
 def _ball_sum(domain: TorusDomain, values: np.ndarray,
               radius: int) -> np.ndarray:
-    """Per-point sum of values over the sup-norm ball of the given radius."""
-    acc = values
+    """Per-point sum of values over the sup-norm ball of the given radius,
+    one axis at a time, offsets from -radius to radius in order."""
+    grid = values.reshape(domain.shape)
     for ax in range(domain.n):
-        acc = sum(
-            roll_values(domain, acc, axis_shift(domain, ax, r))
-            for r in range(-radius, radius + 1)
-        )
-    return acc
+        grid = _axis_window_sum(grid, ax, range(-radius, radius + 1))
+    return grid.ravel()
 
 
 def _walks(k: int, v: int) -> int:
@@ -369,8 +359,7 @@ def _geodesic_defects(f: GridFunction, target, s: int,
     return defect.ravel()
 
 
-def extract_grid(f: GridFunction, space, s: int,
-                 domain: TorusDomain | None = None):
+def extract_grid(f: GridFunction, space, s: int):
     """Recover a sup-norm grid copy from a witness with near-maximal
     long-shift energy; returns (EmbeddingRecord, report dict).
 
@@ -379,7 +368,7 @@ def extract_grid(f: GridFunction, space, s: int,
     reflects the coordinates, and maps x -> f(2x) on the even sub-box.
     When eta = 0 the returned map has distortion 1 (within 1e-9).
     """
-    dom = domain if domain is not None else f.domain
+    dom = f.domain
     n, m = dom.n, dom.m
     _require_extraction_scale(s, m)
     target = as_target(space)
@@ -419,11 +408,9 @@ def extract_grid(f: GridFunction, space, s: int,
     x0c = np.asarray(dom.coord_of(x0), dtype=np.int64)
     masked = np.full(dom.points, -np.inf)
     offs = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([offs] * n), indexing="ij")
-    ball_offsets = np.stack([g.ravel() for g in grids], axis=-1)
-    for off in ball_offsets:
-        idx = dom.lin((x0c + off) % m)
-        masked[idx] = activity[idx]
+    ball = np.ix_(*[(c + offs) % m for c in x0c])
+    idx = np.ravel_multi_index(ball, dom.shape)
+    masked[idx] = activity[idx]
     y0 = int(np.argmax(masked))
     y0c = np.asarray(dom.coord_of(y0), dtype=np.int64)
 
@@ -434,8 +421,7 @@ def extract_grid(f: GridFunction, space, s: int,
     src_pts = vset.members // 2  # the sup-norm box {0..s/4}^n
     src = points_space(src_pts, math.inf)
     mapped_points = (y0c[None, :] + sigma[None, :] * vset.members) % m
-    mapped_idx = np.array([dom.lin(pt) for pt in mapped_points],
-                          dtype=np.int64)
+    mapped_idx = np.ravel_multi_index(tuple(mapped_points.T), dom.shape)
 
     if hasattr(target, "space") and isinstance(getattr(target, "space", None),
                                                FiniteMetricSpace):

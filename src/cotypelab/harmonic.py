@@ -11,7 +11,8 @@ harmonic suite's `transform-two-path` check compare the FFT against.
 
 Window averages (the sign average of `avg_others` and the smoothing
 operators) average over a Cartesian product of per-axis offsets, so
-`_window_average` applies them one axis at a time.
+`_window_average` applies them one axis at a time through
+`_axis_window_sum`, which the grid extraction's ball sums share.
 """
 from __future__ import annotations
 
@@ -91,20 +92,14 @@ class SpectralCoefficients:
     domain: TorusDomain
     coeffs: np.ndarray  # (m^n, d) complex
 
-    def coeff(self, k) -> np.ndarray:
-        return self.coeffs[self.domain.lin(k)]
 
-
-def walsh_char(domain: TorusDomain, k, x=None) -> np.ndarray | complex:
-    """W_k evaluated at a single point x, or at every point when x is None."""
+def walsh_char(domain: TorusDomain, k) -> np.ndarray:
+    """W_k evaluated at every point, in linear-index order."""
     kv = np.mod(np.asarray(k, dtype=np.int64), domain.m)
     if kv.shape != (domain.n,):
         raise DimensionMismatchError(
             f"frequency must have shape ({domain.n},), got {kv.shape}"
         )
-    if x is not None:
-        xv = np.asarray(x, dtype=np.int64)
-        return complex(np.exp(2j * np.pi * float(np.dot(kv, xv)) / domain.m))
     pts = domain.coords()
     return np.exp(2j * np.pi * (pts @ kv) / domain.m)
 
@@ -143,26 +138,32 @@ def fourier_inverse(coeffs: SpectralCoefficients) -> GridFunction:
     return GridFunction(dom, vals.reshape(dom.points, d))
 
 
+def _axis_window_sum(grid: np.ndarray, axis: int, offsets) -> np.ndarray:
+    """Sum of x -> grid(x + off e_axis) over the offset list, added in list
+    order. The axis is padded cyclically once, so that every offset is a
+    slice of the padded grid."""
+    m = grid.shape[axis]
+    r = max(abs(off) for off in offsets)
+    padded = np.take(grid, np.arange(-r, m + r) % m, axis=axis)
+    lead = (slice(None),) * axis
+    acc = padded[lead + (slice(r + offsets[0], r + offsets[0] + m),)].copy()
+    for off in offsets[1:]:
+        acc += padded[lead + (slice(r + off, r + off + m),)]
+    return acc
+
+
 def _window_average(domain: TorusDomain, values: np.ndarray,
                     axis_offsets: dict) -> np.ndarray:
     """Average of x -> values(x + y) over y in the product of the per-axis
     offset lists axis_offsets[axis]; axes not in the mapping stay put.
 
-    Each axis is padded cyclically once, so that every offset is a slice
-    of the padded grid. The slices are summed in list order and scaled by
-    the reciprocal of their count (a product, not a quotient, so that the
-    sign average of avg_others keeps the bits of 0.5 * (f(x+e) + f(x-e))).
+    Each axis sum is scaled by the reciprocal of its count (a product, not
+    a quotient, so that the sign average of avg_others keeps the bits of
+    0.5 * (f(x+e) + f(x-e))).
     """
-    m = domain.m
     grid = values.reshape(domain.shape + values.shape[1:])
     for axis, offsets in axis_offsets.items():
-        r = max(abs(off) for off in offsets)
-        padded = np.take(grid, np.arange(-r, m + r) % m, axis=axis)
-        lead = (slice(None),) * axis
-        acc = padded[lead + (slice(r + offsets[0], r + offsets[0] + m),)].copy()
-        for off in offsets[1:]:
-            acc += padded[lead + (slice(r + off, r + off + m),)]
-        grid = acc * (1.0 / len(offsets))
+        grid = _axis_window_sum(grid, axis, offsets) * (1.0 / len(offsets))
     return grid.reshape(values.shape)
 
 

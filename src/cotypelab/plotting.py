@@ -31,12 +31,7 @@ def _label(v: float) -> str:
 
 def _normalize_series(series) -> list[tuple[str, list[tuple[float, float]]]]:
     out = []
-    for entry in series:
-        if isinstance(entry, dict):
-            label = str(entry.get("label", ""))
-            pts = entry.get("points", [])
-        else:
-            label, pts = entry
+    for label, pts in series:
         pts = [(float(x), float(y)) for x, y in pts]
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
@@ -71,8 +66,7 @@ def emit_plot(series, path, *, title: str = "", xlabel: str = "",
               ylabel: str = "", reference: tuple[str, float] | None = None) -> str:
     """Write an SVG line plot and return the path.
 
-    series: iterable of (label, [(x, y), ...]) pairs or dicts with
-    "label"/"points" keys. reference: optional (label, y) horizontal
+    series: iterable of (label, [(x, y), ...]) pairs. reference: optional (label, y) horizontal
     guide line. Raises EmptySeriesError when no points exist at all.
     """
     named = _normalize_series(series)

@@ -34,6 +34,8 @@ from .harmonic import GridFunction, _window_average, central_diff
 from .spaces import TorusDomain
 from .targets import as_target
 
+ADVERSARIAL_DIM = 2  # the adversarial climbs' witnesses take values in C^2
+
 
 @dataclass(frozen=True)
 class SmoothingIndexSet:
@@ -217,13 +219,13 @@ def check_lemma_cancellation_all(f: GridFunction, space, k: int,
     ]
 
 
-def _adversarial(dom: TorusDomain, dim: int, check_of, steps: int,
+def _adversarial(dom: TorusDomain, check_of, steps: int,
                  seed: int) -> InequalityCheck:
     """Maximize lhs - rhs of check_of(f) by random single-point nudges of a
     Gaussian witness; returns the check of the best witness. A positive
     margin would falsify the lemma."""
     rng = np.random.default_rng(seed)
-    values = random_vector_values(dom, dim, rng)
+    values = random_vector_values(dom, ADVERSARIAL_DIM, rng)
     f = GridFunction(dom, values)  # climb edits values, so f follows every step
 
     def margin(_):
@@ -231,28 +233,28 @@ def _adversarial(dom: TorusDomain, dim: int, check_of, steps: int,
         return chk.lhs - chk.rhs
 
     def nudge(rng, old):
-        return old + 0.7 * (rng.standard_normal(dim)
-                             + 1j * rng.standard_normal(dim))
+        return old + 0.7 * (rng.standard_normal(ADVERSARIAL_DIM)
+                             + 1j * rng.standard_normal(ADVERSARIAL_DIM))
 
     climb(values, margin, nudge, steps, rng)
     return check_of(f)
 
 
 def adversarial_approx_search(n: int, m: int, j: int, k: int, p: float,
-                              norm, dim: int = 2, steps: int = 60,
+                              norm, steps: int = 60,
                               seed: int = 0) -> InequalityCheck:
     """Hill-climb the approximation margin (strict improvement only); the
     result should never pass 0."""
-    return _adversarial(TorusDomain(n=n, m=m), dim,
+    return _adversarial(TorusDomain(n=n, m=m),
                         lambda f: check_lemma_approx(f, norm, j, k, p),
                         steps, seed)
 
 
 def adversarial_cancellation_search(n: int, m: int, k: int, p: float, eps,
-                                    norm, dim: int = 2, steps: int = 60,
+                                    norm, steps: int = 60,
                                     seed: int = 0) -> InequalityCheck:
     """Hill-climb the cancellation margin (strict improvement only); the
     result should never pass 0."""
-    return _adversarial(TorusDomain(n=n, m=m), dim,
+    return _adversarial(TorusDomain(n=n, m=m),
                         lambda f: check_lemma_cancellation(f, norm, k, p, eps),
                         steps, seed)

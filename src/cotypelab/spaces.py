@@ -50,18 +50,6 @@ class FiniteMetricSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def diameter(self) -> float:
-        return float(self.dist.max()) if self.size else 0.0
-
-    def to_json_dict(self) -> dict:
-        return {"labels": list(self.labels), "dist": self.dist.tolist()}
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class TorusDomain:
@@ -115,27 +103,26 @@ def _first_true(mask: np.ndarray):
     return np.unravel_index(flat[0], mask.shape)
 
 
-def validate_metric(table, labels: Iterable | None = None,
-                    json_path: str = "$.dist") -> FiniteMetricSpace:
+def validate_metric(table, labels: Iterable | None = None) -> FiniteMetricSpace:
     """Validate a distance table and wrap it as a FiniteMetricSpace.
 
     Reports the first violated axiom (scanning row-major) with witness
-    indices and, for tables loaded from JSON, the path of the offending
-    entry. Triangle checks allow additive slack of 1e-12 times the
-    largest distance.
+    indices and the JSON path of the offending entry under $.dist.
+    Triangle checks allow additive slack of 1e-12 times the largest
+    distance.
     """
     arr = np.asarray(table, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemaViolationError(
-            f"distance table must be square, got shape {arr.shape}", json_path
+            f"distance table must be square, got shape {arr.shape}", "$.dist"
         )
     n = arr.shape[0]
     if n == 0:
-        raise SchemaViolationError("distance table is empty", json_path)
+        raise SchemaViolationError("distance table is empty", "$.dist")
     if not np.all(np.isfinite(arr)):
         i, j = _first_true(~np.isfinite(arr))
         raise SchemaViolationError(
-            f"non-finite entry at ({i},{j})", f"{json_path}[{i}][{j}]"
+            f"non-finite entry at ({i},{j})", f"$.dist[{i}][{j}]"
         )
 
     loc = _first_true(arr < 0)
@@ -144,7 +131,7 @@ def validate_metric(table, labels: Iterable | None = None,
         raise NegativeDistanceError(
             f"dist[{i}][{j}] = {arr[i, j]} is negative",
             indices=(int(i), int(j)),
-            json_path=f"{json_path}[{i}][{j}]",
+            json_path=f"$.dist[{i}][{j}]",
         )
     diag = np.diagonal(arr)
     bad = np.flatnonzero(diag != 0)
@@ -153,7 +140,7 @@ def validate_metric(table, labels: Iterable | None = None,
         raise NonzeroDiagonalError(
             f"dist[{i}][{i}] = {diag[i]} must be 0",
             indices=(i, i),
-            json_path=f"{json_path}[{i}][{i}]",
+            json_path=f"$.dist[{i}][{i}]",
         )
     loc = _first_true(arr != arr.T)
     if loc is not None:
@@ -161,7 +148,7 @@ def validate_metric(table, labels: Iterable | None = None,
         raise AsymmetryError(
             f"dist[{i}][{j}] = {arr[i, j]} but dist[{j}][{i}] = {arr[j, i]}",
             indices=(int(i), int(j)),
-            json_path=f"{json_path}[{i}][{j}]",
+            json_path=f"$.dist[{i}][{j}]",
         )
     off = arr == 0
     np.fill_diagonal(off, False)
@@ -171,7 +158,7 @@ def validate_metric(table, labels: Iterable | None = None,
         raise ZeroOffDiagonalError(
             f"distinct points {i} and {j} are at distance 0",
             indices=(int(i), int(j)),
-            json_path=f"{json_path}[{i}][{j}]",
+            json_path=f"$.dist[{i}][{j}]",
         )
     slack = TRIANGLE_SLACK_REL * float(arr.max())
     # viol[i,k,j]: going through k beats the direct entry by more than slack
@@ -184,7 +171,7 @@ def validate_metric(table, labels: Iterable | None = None,
             f"dist[{i}][{j}] = {arr[i, j]} exceeds "
             f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}",
             indices=(int(i), int(j), int(k)),
-            json_path=f"{json_path}[{i}][{j}]",
+            json_path=f"$.dist[{i}][{j}]",
         )
 
     if labels is None:
@@ -248,13 +235,13 @@ def _require_table(points: int) -> None:
         )
 
 
-def torus_space(domain: TorusDomain, budget: int = 1 << 16) -> FiniteMetricSpace:
+def torus_space(domain: TorusDomain) -> FiniteMetricSpace:
     """Materialize Z_m^n with its word metric as a FiniteMetricSpace.
 
     The table is the max of the per-axis circular gaps, built from its
-    product structure: each further axis writes one fresh table.
+    product structure: each further axis writes one fresh table. Raises
+    BudgetExceededError above TABLE_BUDGET_BYTES (N = 11,585 points).
     """
-    domain.require_points(budget)
     _require_table(domain.points)
     m = domain.m
     half = m / 2
@@ -280,8 +267,7 @@ def grid_points(n: int, m: int) -> np.ndarray:
     return grids.T.copy()
 
 
-def points_space(points: np.ndarray, p: float,
-                 labels=None) -> FiniteMetricSpace:
+def points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
     """Finite metric space of vectors under the l_p norm, built one
     coordinate at a time into one (N, N) table, ROW_BLOCK rows at a time
     through one (ROW_BLOCK, N) gap buffer.
@@ -313,24 +299,22 @@ def points_space(points: np.ndarray, p: float,
             np.power(rows, 1.0 / p, out=rows)
     dist[np.diag_indices(n)] = 0.0
     dist.flags.writeable = False
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    return FiniteMetricSpace(labels=tuple(labels), dist=dist)
+    return FiniteMetricSpace(labels=tuple(str(i) for i in range(n)), dist=dist)
 
 
 DIAG_BFS_BUDGET = 10**6
 
 
-def diag_distance(domain: TorusDomain, x, y,
-                  budget: int = DIAG_BFS_BUDGET) -> int:
+def diag_distance(domain: TorusDomain, x, y) -> int:
     """Graph distance on Z_m^n where a step moves every coordinate by +/-1.
 
-    Breadth-first search; requires even m. Points whose coordinate
-    differences have mixed parity are unreachable.
+    Breadth-first search over at most DIAG_BFS_BUDGET points; requires
+    even m. Points whose coordinate differences have mixed parity are
+    unreachable.
     """
     if domain.m % 2 != 0:
         raise OddMError(f"even side length required, got m={domain.m}")
-    domain.require_points(budget)
+    domain.require_points(DIAG_BFS_BUDGET)
     xs = np.mod(np.asarray(x, dtype=np.int64), domain.m)
     ys = np.mod(np.asarray(y, dtype=np.int64), domain.m)
     if xs.shape != (domain.n,) or ys.shape != (domain.n,):
@@ -411,15 +395,14 @@ def _block_max(ratios: np.ndarray, lo: int) -> tuple:
 
 
 def distortion(mapping, source: FiniteMetricSpace,
-               target: FiniteMetricSpace,
-               block: int = ROW_BLOCK) -> EmbeddingRecord:
+               target: FiniteMetricSpace) -> EmbeddingRecord:
     """Measure lip, colip, and distortion of an injective map.
 
     mapping[i] is the target index of source point i. Each ratio is the
-    max over pairs i < j, skipping 0/0 pairs; lip_pair and colip_pair
-    are the first pair in row-major order to reach it, whatever the
-    block. Raises NotInjectiveError on a collision, witnessed by the
-    colliding pair.
+    max over pairs i < j, skipping 0/0 pairs, scanned ROW_BLOCK rows at a
+    time; lip_pair and colip_pair are the first pair in row-major order to
+    reach it, whatever the block. Raises NotInjectiveError on a
+    collision, witnessed by the colliding pair.
     """
     f = np.asarray(mapping, dtype=np.int64)
     ns = source.size
@@ -446,8 +429,8 @@ def distortion(mapping, source: FiniteMetricSpace,
     lip, colip = -np.inf, -np.inf
     lip_pair = colip_pair = (0, 0)
     # each row block scans only columns j > lo; the j <= i corner reads -inf
-    for lo in range(0, ns - 1, block):
-        hi = min(lo + block, ns)
+    for lo in range(0, ns - 1, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, ns)
         ds = source.dist[lo:hi, lo + 1:]
         dt = target.dist[f[lo:hi], :][:, f[lo + 1:]]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -501,13 +484,6 @@ class ModuliTables:
         if i >= len(self.thresholds):
             return math.inf
         return float(self.compression[i])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "thresholds": self.thresholds.tolist(),
-            "expansion": self.expansion.tolist(),
-            "compression": self.compression.tolist(),
-        }
 
 
 def moduli(mapping, source: FiniteMetricSpace,

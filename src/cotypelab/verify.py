@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .checks import InequalityCheck, make_check
+from .checks import InequalityCheck, check_order, make_check
 from .cotype import (
     b_functionals,
     contraction_principle_check,
@@ -447,4 +447,4 @@ def run_suite(name: str, seed: int | None = None,
     if trials is not None:
         kwargs["trials"] = trials
     checks = SUITES[name](**kwargs)
-    return sorted(checks, key=lambda c: (c.name, str(sorted(c.params.items()))))
+    return sorted(checks, key=check_order)

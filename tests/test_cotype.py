@@ -200,6 +200,14 @@ class TestRandomWitnesses:
         again = random_two_point_mc(2, 4, 2.0, 2.0, trials=4000, seed=3)
         assert out["gamma_mc"] == again["gamma_mc"]
 
+    @pytest.mark.parametrize("trials", [-1, 0, 1])
+    def test_mc_needs_two_trials(self, trials):
+        # one trial has no sample variance, none has no mean
+        with pytest.raises(PreconditionViolationError, match="trials >= 2"):
+            random_two_point_mc(2, 4, 2.0, 2.0, trials=trials, seed=0)
+        out = random_two_point_mc(2, 4, 2.0, 2.0, trials=2, seed=0)
+        assert math.isfinite(out["stderr"])
+
 
 class TestBQuantity:
     def test_identity_witness_achieves_one(self):
@@ -424,22 +432,12 @@ class TestTensorSubmultiplicativity:
                                                4)
         assert chk.passed and chk.lhs == 0.0
 
-    def test_sampled_mode_three_point_space(self):
-        sp = torus_space(TorusDomain(n=1, m=3))
-        chk = tensor_submultiplicativity_check(sp, 1, 1, 2, 2, 6,
-                                               mode="sampled", trials=40,
-                                               seed=9)
-        assert chk.passed
-        assert chk.params["trials"] == 40
-
     def test_guards(self):
         sp = two_point_space()
         with pytest.raises(OddEllError):
             tensor_submultiplicativity_check(sp, 1, 1, 3, 2, 4)
         with pytest.raises(PreconditionViolationError):
             tensor_submultiplicativity_check(sp, 0, 1, 2, 2, 4)
-        with pytest.raises(PreconditionViolationError):
-            tensor_submultiplicativity_check(sp, 1, 1, 2, 2, 4, mode="wild")
 
 
 class TestMParameterExperiment:
@@ -471,9 +469,13 @@ class TestMParameterExperiment:
 
     def test_search_mode_flags_lower_bound(self):
         sp = torus_space(TorusDomain(n=1, m=3))
-        res = m_parameter_experiment(sp, 1, 2.0, 2.0, 10.0, 4, mode="search",
+        res = m_parameter_experiment(sp, 1, 2.0, 2.0, 10.0, 4,
                                      budget=100, seed=0)
         assert res.found_m == 2
+        assert res.mode == "lower-bound"
+        # a 2-point space past the enumeration cap m_max^n <= 20 is searched
+        res = m_parameter_experiment(two_point_space(), 2, 2.0, 2.0, 10.0, 6,
+                                     budget=100, seed=0)
         assert res.mode == "lower-bound"
 
     def test_not_found_carries_profile(self):
@@ -482,18 +484,13 @@ class TestMParameterExperiment:
         assert [m for m, _ in ei.value.profile] == [2, 4, 6]
 
     def test_mode_preconditions(self):
-        sp = torus_space(TorusDomain(n=1, m=3))
+        # a norm target gets the exact Hilbert constant: p = q = 2 into l2
         with pytest.raises(PreconditionViolationError):
-            m_parameter_experiment(sp, 1, 2.0, 2.0, 0.5, 4, mode="hilbert")
+            m_parameter_experiment(None, 1, 2.0, 4.0, 0.5, 4)
         with pytest.raises(PreconditionViolationError):
-            m_parameter_experiment(None, 1, 2.0, 4.0, 0.5, 4, mode="hilbert")
-        with pytest.raises(PreconditionViolationError):
-            m_parameter_experiment(sp, 1, 2.0, 2.0, 0.5, 4, mode="two-point")
-        with pytest.raises(PreconditionViolationError):
-            m_parameter_experiment(None, 1, 2.0, 2.0, 0.5, 4, mode="guess")
-        with pytest.raises(PreconditionViolationError):
-            m_parameter_experiment(NormTarget(p=1.0), 1, 2.0, 2.0, 0.5, 4,
-                                   mode="hilbert")
+            m_parameter_experiment(NormTarget(p=1.0), 1, 2.0, 2.0, 0.5, 4)
+        res = m_parameter_experiment(NormTarget(p=2.0), 2, 2.0, 2.0, 0.45, 10)
+        assert (res.found_m, res.mode) == (6, "exact")
 
 
 def test_growth_and_distortion_bounds():

@@ -137,12 +137,6 @@ class TestDiagGeodesic:
                                                        np.array(x),
                                                        np.array(y))
 
-    def test_serialization(self):
-        path = diag_geodesic_through((0, 0), (2, 2), 4, self.dom)
-        d = path.to_json_dict()
-        assert d["through_index"] == 2
-        assert len(d["steps"]) == 5
-
     def test_validation(self):
         with pytest.raises(PreconditionViolationError):
             diag_geodesic_through((0, 0), (2, 2), 6, self.dom)
@@ -330,6 +324,34 @@ class TestGeodesicDefects:
         monkeypatch.setattr(embeddings, "DEFECT_BUDGET", work - 1)
         with pytest.raises(BudgetExceededError):
             embeddings._geodesic_defects(f, target, 4, edge)
+
+
+def roll_ball_sum(domain, values, radius):
+    """Reference for embeddings._ball_sum: rolls the whole table once per
+    offset and axis, adding the rolls with Python's sum."""
+    acc = values
+    for ax in range(domain.n):
+        acc = sum(
+            roll_values(domain, acc, axis_shift(domain, ax, r))
+            for r in range(-radius, radius + 1)
+        )
+    return acc
+
+
+@pytest.mark.parametrize("n,m,s", [(2, 24, 12), (4, 8, 4), (3, 16, 8),
+                                   (2, 16, 8)])
+@pytest.mark.parametrize("kind", ["random", "squared", "zero"])
+def test_ball_sum_matches_the_roll_sum_bit_for_bit(n, m, s, kind):
+    dom = TorusDomain(n=n, m=m)
+    values = np.random.default_rng([n, m, s]).standard_normal(dom.points)
+    if kind == "squared":
+        values = values**2
+    elif kind == "zero":
+        values = np.zeros(dom.points)
+    got = embeddings._ball_sum(dom, values, s - 1)
+    want = roll_ball_sum(dom, values, s - 1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCoarseObstruction:

@@ -4,7 +4,10 @@ against frozen stdout.
 Each file under tests/golden/ holds the stdout of one command as it was
 before a refactor of the code it runs: the four search and enumeration
 reports from before the shift kernel replaced the per-shift loops, the
-two verify suites from before one climber replaced three climb loops.
+two verify suites from before one climber replaced three climb loops,
+and the two grid extractions and the grid-torus inclusion from before
+their point indices were vectorised and the extraction's ball sums moved
+onto the window-average slices.
 Runtime goes to stderr, so stdout is byte-stable. A difference here is a
 behaviour change: argue for it in CHANGES.md instead of re-freezing the
 file.
@@ -34,6 +37,13 @@ CASES = {
         ["verify", "--suite", "smoothing", "--trials", "5"],
     "verify_embeddings_trials5.json":
         ["verify", "--suite", "embeddings", "--trials", "5"],
+    # the torus table, the y0 ball mask, the mapped indices, the ball sums
+    "extract_grid_n3_m16_s8.json":
+        ["extract-grid", "--n", "3", "--m", "16", "--s", "8"],
+    "extract_grid_n4_m8_s4.json":
+        ["extract-grid", "--n", "4", "--m", "8", "--s", "4"],
+    "embed_grid_torus_m2_n2.json":
+        ["embed", "grid-torus", "--m", "2", "--n", "2"],
 }
 
 

@@ -42,8 +42,8 @@ def random_vector(domain, d, seed):
 def test_walsh_char_values():
     dom = TorusDomain(n=1, m=4)
     np.testing.assert_allclose(walsh_char(dom, [0]), np.ones(4))
-    assert walsh_char(dom, [1], x=[1]) == pytest.approx(1j)
-    assert walsh_char(dom, [1], x=[2]) == pytest.approx(-1)
+    assert walsh_char(dom, [1])[1] == pytest.approx(1j)
+    assert walsh_char(dom, [1])[2] == pytest.approx(-1)
     # frequencies reduce mod m
     np.testing.assert_allclose(walsh_char(dom, [5]), walsh_char(dom, [1]))
     with pytest.raises(DimensionMismatchError):
@@ -61,12 +61,12 @@ def test_transform_of_constant_and_character():
     dom = TorusDomain(n=2, m=4)
     const = GridFunction.vector(dom, np.full((16, 1), 2.0 + 0j))
     co = fourier_forward(const)
-    assert co.coeff([0, 0])[0] == pytest.approx(2.0)
+    assert co.coeffs[dom.lin((0, 0))][0] == pytest.approx(2.0)
     assert np.abs(np.delete(co.coeffs, 0, axis=0)).max() < 1e-12
 
     f = character(dom, [1, 3])
     co = fourier_forward(f)
-    assert co.coeff([1, 3])[0] == pytest.approx(1.0)
+    assert co.coeffs[dom.lin((1, 3))][0] == pytest.approx(1.0)
     mask = np.ones(16, dtype=bool)
     mask[dom.lin((1, 3))] = False
     assert np.abs(co.coeffs[mask]).max() < 1e-12

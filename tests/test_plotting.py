@@ -49,12 +49,6 @@ def test_reference_line(tmp_path):
     assert "stroke-dasharray" in text
 
 
-def test_dict_series_form(tmp_path):
-    path = str(tmp_path / "dict.svg")
-    emit_plot([{"label": "d", "points": [(0.0, 1.0), (1.0, 0.0)]}], path)
-    assert "d" in open(path).read()
-
-
 def test_degenerate_ranges_padded(tmp_path):
     path = str(tmp_path / "flat.svg")
     emit_plot([("flat", [(1.0, 2.0), (2.0, 2.0)])], path)

@@ -30,7 +30,7 @@ from cotypelab import (
     torus_space,
     two_point_space,
 )
-from cotypelab import gridops
+from cotypelab import cotype, gridops
 from cotypelab.cotype import _exhaustive_b_space
 from cotypelab.embeddings import _edge_activity, _edge_table
 from cotypelab.gridops import (
@@ -303,7 +303,7 @@ def test_exhaustive_b_matches_reference():
             assert list(rep.witness.values) == at[2]
 
 
-def test_random_two_point_mc_matches_reference():
+def test_random_two_point_mc_matches_reference(monkeypatch):
     n, m, trials, seed = 2, 4, 300, 9
     dom = TorusDomain(n=n, m=m)
     target = as_target(two_point_space())
@@ -318,7 +318,8 @@ def test_random_two_point_mc_matches_reference():
             L.append(ref_axis_sum(f, target, m // 2, 1.0))
             R.append(ref_pattern_sum(f, target, three_patterns(n), 1.0) / 3**n)
         done += k
-    out = random_two_point_mc(n, m, 2.0, 2.0, trials, seed, chunk=128)
+    monkeypatch.setattr(cotype, "WITNESS_CHUNK", 128)
+    out = random_two_point_mc(n, m, 2.0, 2.0, trials, seed)
     weight = m**2.0 * n ** 0.0
     gamma_mc = (float(np.mean(L)) / (weight * float(np.mean(R)))) ** 0.5
     assert out["gamma_mc"] == gamma_mc

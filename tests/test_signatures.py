@@ -1,0 +1,53 @@
+"""The public calls take only the parameters some check, CLI command or
+demo sets; each decision that nothing varies is a module constant.
+
+A parameter or method added back here changes a pinned signature or
+member list, and this file fails until the pin is argued for.
+"""
+import inspect
+
+import pytest
+
+import cotypelab as cl
+
+SIGNATURES = {
+    "torus_space": "(domain)",
+    "torus_to_grid_full": "(m, n)",
+    "diag_distance": "(domain, x, y)",
+    "extract_grid": "(f, space, s)",
+    "tensor_submultiplicativity_check": "(space, ell, k, s, t, m)",
+    "m_parameter_experiment":
+        "(space_or_norm, n, p, q, gamma_target, m_max, budget=2000, seed=0)",
+    "walsh_char": "(domain, k)",
+    "points_space": "(points, p)",
+    "validate_metric": "(table, labels=None)",
+    "random_two_point_mc": "(n, m, p, q, trials, seed)",
+    "distortion": "(mapping, source, target)",
+    "adversarial_approx_search": "(n, m, j, k, p, norm, steps=60, seed=0)",
+    "adversarial_cancellation_search":
+        "(n, m, k, p, eps, norm, steps=60, seed=0)",
+}
+
+ABSENT_METHODS = {
+    "FiniteMetricSpace": ("save", "to_json_dict", "diameter"),
+    "ModuliTables": ("to_json_dict",),
+    "SpectralCoefficients": ("coeff",),
+    "GeodesicPath": ("to_json_dict",),
+}
+
+
+def _bare(fn) -> str:
+    sig = inspect.signature(fn)
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_signature_is_pinned(name):
+    assert _bare(getattr(cl, name)) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("cls", sorted(ABSENT_METHODS))
+def test_deleted_methods_stay_deleted(cls):
+    for attr in ABSENT_METHODS[cls]:
+        assert not hasattr(getattr(cl, cls), attr), f"{cls}.{attr}"
