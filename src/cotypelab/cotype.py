@@ -15,10 +15,10 @@ shift by an even shift ell and averages edges over full sign patterns:
 Every witness satisfies b_hat <= 1 (up to round-off); the code treats a
 violation as a defect, not as data.
 
-Every shift average runs through one kernel, gridops.shift_energy (batched
-over witnesses in the enumerators), on index tables that gridops.family_table
-caches per shift family. Per-shift means are added in shift order, so values
-match a shift-by-shift evaluation bit for bit.
+Every shift average runs on index tables that gridops.family_table caches
+per shift family, through gridops.shift_energy or, for two-point witnesses,
+as xor counts on bit planes. Per-shift means are added in shift order, so
+values match a shift-by-shift evaluation bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from math import comb
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .errors import (
     PreconditionViolationError,
 )
 from .gridops import (
+    SHIFT_BLOCK_ELEMENTS,
     climb,
     family_table,
     random_point_values,
@@ -242,12 +242,9 @@ def hilbert_gamma_power_iteration(n: int, m: int) -> float:
 
 
 def _bit_rows(start: int, stop: int, width: int) -> np.ndarray:
-    """Binary digits (least significant first) of start..stop-1 as uint8 rows."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(width)[None, :]) & 1).astype(np.uint8)
-
-
-_UnitTwoPoint = SimpleNamespace(pairwise=np.bitwise_xor)  # unit gap, 0/1 tables
+    """Binary digits (least significant first, width <= 32) of start..stop-1."""
+    idx = np.arange(start, stop, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(idx, axis=1, bitorder="little")[:, :width]
 
 
 def _side_sums(witnesses: np.ndarray, target, table: np.ndarray, n: int,
@@ -263,14 +260,35 @@ def _side_sums(witnesses: np.ndarray, target, table: np.ndarray, n: int,
     return lhs, rhs
 
 
+def _xor_sides(witnesses: np.ndarray, table: np.ndarray,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_side_sums of 0/1 witness rows into the unit two-point space. Each
+    block of rows is transposed to (N, W) bit planes, whose rows gathered by
+    each shift are xored with them and counted over the leading point axis.
+    A block gathers at most SHIFT_BLOCK_ELEMENTS entries (or one row)."""
+    N = witnesses.shape[1]
+    lhs, rhs = np.zeros(len(witnesses)), np.zeros(len(witnesses))
+    w_step = max(1, SHIFT_BLOCK_ELEMENTS // N)
+    for w0 in range(0, len(witnesses), w_step):
+        planes = witnesses[w0:w0 + w_step].T.copy()
+        s_step = max(1, SHIFT_BLOCK_ELEMENTS // planes.size)
+        for s0 in range(0, len(table), s_step):
+            xor = np.take(planes, table[s0:s0 + s_step], axis=0)
+            xor ^= planes
+            counts = xor.sum(axis=1, dtype=np.min_scalar_type(N))  # each <= N
+            for s, means in enumerate(counts / N, s0):
+                (lhs if s < n else rhs)[w0:w0 + w_step] += means
+    return lhs, rhs
+
+
 @functools.lru_cache(maxsize=4)
 def _two_point_sides(n: int, m: int, family: str,
                      amount: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only _side_sums of every two-point witness on Z_m^n, by index;
+    """Read-only _xor_sides of every two-point witness on Z_m^n, by index;
     they do not depend on the exponents, so one enumeration serves all."""
     dom = TorusDomain(n=n, m=m)
-    sides = _side_sums(_bit_rows(0, 2**dom.points, dom.points), _UnitTwoPoint,
-                       family_table(dom, family, amount), n, 1.0)
+    sides = _xor_sides(_bit_rows(0, 2**dom.points, dom.points),
+                       family_table(dom, family, amount), n)
     for side in sides:
         side.setflags(write=False)
     return sides
@@ -345,8 +363,7 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
     for done in range(0, trials, WITNESS_CHUNK):
         k = min(WITNESS_CHUNK, trials - done)
         bits = rng.integers(0, 2, size=(k, N), dtype=np.int64).astype(np.uint8)
-        L[done:done + k], R[done:done + k] = _side_sums(
-            bits, _UnitTwoPoint, table, n, 1.0)
+        L[done:done + k], R[done:done + k] = _xor_sides(bits, table, n)
     R /= 3**n
 
     weight = m**p * n ** (1.0 - p / q)

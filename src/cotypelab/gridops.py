@@ -133,7 +133,7 @@ def shift_energy_batch(values: np.ndarray, target, table: np.ndarray,
     for w0 in range(0, len(values), w_step):
         v = values[w0:w0 + w_step]
         for s0 in range(0, S, s_step):
-            d = target.pairwise(v[:, table[s0:s0 + s_step]], v[:, None])
+            d = target.pairwise(np.take(v, table[s0:s0 + s_step], axis=1), v[:, None])
             out[w0:w0 + w_step, s0:s0 + s_step] = \
                 (d if p == 1 else d ** p).mean(axis=-1)
     return out

@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteValuesError,
     PreconditionViolationError,
 )
-from .gridops import axis_shift, family_table, roll_values, sign_patterns
+from .gridops import family_table, roll_values, sign_patterns
 from .spaces import TorusDomain
 
 RESIDUAL_BUDGET = 1 << 24
@@ -169,9 +169,12 @@ def _window_average(domain: TorusDomain, values: np.ndarray,
 
 def central_diff(f: GridFunction, j: int) -> GridFunction:
     """x -> f(x + e_j) - f(x - e_j); diagonal with symbol 2i sin(2 pi k_j / m)."""
-    e = axis_shift(f.domain, j)
-    vals = roll_values(f.domain, f.values, e) - roll_values(f.domain, f.values, -e)
-    return GridFunction(f.domain, vals)
+    if not 0 <= j < f.domain.n:
+        raise IndexError(f"axis {j} out of range for n={f.domain.n}")
+    grid = f.values.reshape(f.domain.shape + f.values.shape[1:])
+    x = np.arange(f.domain.m)  # x - 1 wraps at 0 as a negative index
+    vals = np.take(grid, (x + 1) % f.domain.m, axis=j) - np.take(grid, x - 1, axis=j)
+    return GridFunction(f.domain, vals.reshape(f.values.shape))
 
 
 def avg_others(f: GridFunction, j: int) -> GridFunction:
@@ -232,7 +235,7 @@ def rad_identity_residual(f: GridFunction) -> float:
     if signs.shape[0] * dom.points * f.dim > RESIDUAL_BUDGET:
         raise BudgetExceededError("residual tensor exceeds the desk budget")
     # H[e] = f(. + eps_e) - f(.) as one (2^n, N, d) tensor
-    H = f.values[family_table(dom, "signs")] - f.values
+    H = np.take(f.values, family_table(dom, "signs"), axis=0) - f.values
     coeff = np.einsum("ej,end->jnd", signs.astype(np.float64), H) / signs.shape[0]
     lhs = np.einsum("ej,jnd->end", signs.astype(np.float64), coeff)
     T = np.stack([

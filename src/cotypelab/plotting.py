@@ -7,6 +7,7 @@ produce identical files.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sized
 
 from .errors import EmptySeriesError, PreconditionViolationError
 
@@ -29,10 +30,19 @@ def _label(v: float) -> str:
     return "0" if out == "-0" else out
 
 
+def _pair(entry, what: str) -> tuple:
+    """entry's two items; a mapping, a string or any other length is refused."""
+    if (isinstance(entry, (str, bytes, Mapping))
+            or not isinstance(entry, Sized) or len(entry) != 2):
+        raise PreconditionViolationError(f"{what} is not a pair: {entry!r}")
+    return tuple(entry)
+
+
 def _normalize_series(series) -> list[tuple[str, list[tuple[float, float]]]]:
     out = []
-    for label, pts in series:
-        pts = [(float(x), float(y)) for x, y in pts]
+    for entry in series:
+        label, pts = _pair(entry, "series entry (label, points)")
+        pts = [tuple(map(float, _pair(pt, f"point of {label!r}"))) for pt in pts]
         for x, y in pts:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise PreconditionViolationError(
@@ -67,7 +77,8 @@ def emit_plot(series, path, *, title: str = "", xlabel: str = "",
     """Write an SVG line plot and return the path.
 
     series: iterable of (label, [(x, y), ...]) pairs. reference: optional (label, y) horizontal
-    guide line. Raises EmptySeriesError when no points exist at all.
+    guide line. Raises EmptySeriesError when no points exist at all, and
+    PreconditionViolationError for an entry or point that is not a pair.
     """
     named = _normalize_series(series)
     all_pts = [p for _, pts in named for p in pts]

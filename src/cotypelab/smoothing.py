@@ -21,11 +21,9 @@ from .errors import (
     PreconditionViolationError,
 )
 from .gridops import (
-    axis_shift,
     climb,
     family_table,
     random_vector_values,
-    roll_values,
     shift_energy,
     shift_table,
     sign_patterns,
@@ -140,7 +138,7 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
         for v in shift_energy(f.values, target, shift_table(dom, sset.members), p):
             lhs += float(v)
         lhs /= sset.size
-    ej = roll_values(dom, f.values, axis_shift(dom, j, 1))
+    ej = np.take(f.values, family_table(dom, "axes", 1)[j], axis=0)
     ej_term = float(np.mean(target.pairwise(ej, f.values) ** p))
     rhs = 2.0**p * k**p * _edge_energy(f, target, p) + 2.0 ** (p - 1) * ej_term
     return make_check(
@@ -192,8 +190,9 @@ def _cancellation_check_from(f: GridFunction, space, k: int, p: float,
     signed = np.tensordot(ev.astype(np.complex128), diffs, axes=(0, 0))
     lhs = float(np.mean(norm(signed) ** p))
 
-    fwd = roll_values(dom, f.values, ev)
-    bwd = roll_values(dom, f.values, -ev)
+    row = np.ravel_multi_index(tuple((ev + 1) // 2), (2,) * n)  # -eps: 2^n - 1 - row
+    fwd, bwd = np.take(f.values, family_table(dom, "signs")[[row, 2**n - 1 - row]],
+                       axis=0)
     eps_term = float(np.mean(norm(fwd - bwd) ** p))
     edge_sum = 0.0
     for v in shift_energy(f.values, target, family_table(dom, "axes", 1), p):

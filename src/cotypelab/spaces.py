@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -86,10 +86,6 @@ class TorusDomain:
         """All points as an (m^n, n) int array in linear-index order."""
         grids = np.indices(self.shape).reshape(self.n, self.points)
         return grids.T.copy()
-
-    def lin(self, coord: Sequence[int]) -> int:
-        c = np.mod(np.asarray(coord, dtype=np.int64), self.m)
-        return int(np.ravel_multi_index(tuple(c), self.shape))
 
     def coord_of(self, index: int) -> tuple:
         return tuple(int(v) for v in np.unravel_index(index, self.shape))

@@ -6,7 +6,9 @@ same evaluation paths.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,8 @@ class NormTarget:
             raise SchemaViolationError(f"norm exponent must be >= 1, got {self.p}")
 
     def norm(self, v: np.ndarray) -> np.ndarray:
+        """l_p norm over the last axis, one coordinate slice at a time, added
+        left to right (numpy's own order below 8 coordinates)."""
         a = np.abs(np.asarray(v))
         if a.ndim == 0:
             return a
@@ -46,13 +50,15 @@ class NormTarget:
             raise DimensionMismatchError(
                 f"expected vectors of dimension {self.dim}, got {a.shape[-1]}"
             )
+        coords = [a[..., c] for c in range(a.shape[-1])] or [np.zeros(a.shape[:-1])]
         if math.isinf(self.p):
-            return a.max(axis=-1)
+            return functools.reduce(np.maximum, coords)
         if self.p == 1:
-            return a.sum(axis=-1)
+            return functools.reduce(operator.add, coords)
         if self.p == 2:
-            return np.sqrt((a * a).sum(axis=-1))
-        return np.power(np.power(a, self.p).sum(axis=-1), 1.0 / self.p)
+            return np.sqrt(functools.reduce(operator.add, (c * c for c in coords)))
+        total = functools.reduce(operator.add, (np.power(c, self.p) for c in coords))
+        return np.power(total, 1.0 / self.p)
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.norm(np.asarray(a) - np.asarray(b))

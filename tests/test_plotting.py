@@ -1,4 +1,5 @@
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -78,3 +79,14 @@ def test_labels_escaped(tmp_path):
               title="x < y & z")
     ET.parse(path)  # escaping keeps the document parseable
     assert "a&lt;b&gt;&amp;c" in open(path).read()
+
+
+@pytest.mark.parametrize("series,named", [
+    ([{"label": "a", "points": [(1.0, 2.0)]}], "series entry"),
+    ([("a", [(1.0, 2.0, 3.0)])], "(1.0, 2.0, 3.0)"),
+    ([("a", [(1.0, 2.0)], "extra")], "series entry"),
+    ([("a", [7.0])], "7.0"),
+])
+def test_malformed_series_is_a_precondition_error(tmp_path, series, named):
+    with pytest.raises(PreconditionViolationError, match=re.escape(named)):
+        emit_plot(series, str(tmp_path / "bad.svg"))

@@ -33,6 +33,7 @@ ABSENT_METHODS = {
     "ModuliTables": ("to_json_dict",),
     "SpectralCoefficients": ("coeff",),
     "GeodesicPath": ("to_json_dict",),
+    "TorusDomain": ("lin",),
 }
 
 

@@ -1,0 +1,254 @@
+"""The vector kernels against the code they replaced, bit for bit.
+
+Each oracle below keeps the evaluation that ran before the kernels worked
+along long axes: the l_p norm reduced over the trailing coordinate axis,
+np.roll for every shift, and the two-point sides through the general
+shift-energy kernel with an xor "distance". Every comparison is exact
+(tobytes() or ==), so reports keep their bytes.
+"""
+import math
+import tracemalloc
+from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from cotypelab import (
+    GridFunction,
+    NormTarget,
+    TorusDomain,
+    central_diff,
+    check_lemma_approx,
+    check_lemma_cancellation,
+    check_lemma_cancellation_all,
+    random_two_point_mc,
+    roll_values,
+    sign_patterns,
+    smoothing_apply,
+    smoothing_set,
+    torus_space,
+)
+from cotypelab import cotype
+from cotypelab.gridops import SHIFT_BLOCK_ELEMENTS, axis_shift, family_table
+from cotypelab.targets import MetricTarget
+
+# ------------------------------------------------------------- oracles
+
+
+@dataclass(frozen=True)
+class TrailingAxisNorm:
+    """NormTarget as it was: each norm reduces over the trailing axis."""
+
+    p: float
+
+    def norm(self, v):
+        a = np.abs(np.asarray(v))
+        if a.ndim == 0:
+            return a
+        if math.isinf(self.p):
+            return a.max(axis=-1)
+        if self.p == 1:
+            return a.sum(axis=-1)
+        if self.p == 2:
+            return np.sqrt((a * a).sum(axis=-1))
+        return np.power(np.power(a, self.p).sum(axis=-1), 1.0 / self.p)
+
+    def pairwise(self, a, b):
+        return self.norm(np.asarray(a) - np.asarray(b))
+
+
+def roll_central_diff(f, j):
+    e = axis_shift(f.domain, j)
+    return (roll_values(f.domain, f.values, e)
+            - roll_values(f.domain, f.values, -e))
+
+
+def roll_mean_dp(f, target, shift, p):
+    d = target.pairwise(roll_values(f.domain, f.values, shift), f.values)
+    return float(np.mean(d ** p)) if p != 1 else float(np.mean(d))
+
+
+def roll_approx(f, target, j, k, p):
+    """check_lemma_approx's (lhs, rhs) with one roll per shift."""
+    dom = f.domain
+    if f.is_vector:
+        lhs = float(np.mean(
+            target.norm(smoothing_apply(f, j, k).values - f.values) ** p))
+    else:
+        sset = smoothing_set(j, k, dom)
+        lhs = 0.0
+        for y in sset.members:
+            lhs += roll_mean_dp(f, target, y, p)
+        lhs /= sset.size
+    ej = roll_values(dom, f.values, axis_shift(dom, j, 1))
+    ej_term = float(np.mean(target.pairwise(ej, f.values) ** p))
+    edge = 0.0
+    for eps in sign_patterns(dom.n):
+        edge += roll_mean_dp(f, target, eps, p)
+    rhs = 2.0**p * k**p * (edge / 2**dom.n) + 2.0 ** (p - 1) * ej_term
+    return lhs, rhs
+
+
+def roll_cancellation(f, target, k, p, eps):
+    """check_lemma_cancellation's (lhs, rhs) with one roll per shift."""
+    dom = f.domain
+    n = dom.n
+    ev = np.asarray(eps, dtype=np.int64)
+    diffs = np.stack([roll_central_diff(smoothing_apply(f, j, k), j)
+                      for j in range(n)])
+    signed = np.tensordot(ev.astype(np.complex128), diffs, axes=(0, 0))
+    lhs = float(np.mean(target.norm(signed) ** p))
+    fwd = roll_values(dom, f.values, ev)
+    bwd = roll_values(dom, f.values, -ev)
+    eps_term = float(np.mean(target.norm(fwd - bwd) ** p))
+    edge_sum = 0.0
+    for j in range(n):
+        edge_sum += roll_mean_dp(f, target, axis_shift(dom, j, 1), p)
+    rhs = (3.0 ** (p - 1) * eps_term
+           + 24.0**p * n ** (2 * p - 1) / k**p * edge_sum)
+    return lhs, rhs
+
+
+UNIT_TWO_POINT = SimpleNamespace(pairwise=np.bitwise_xor)  # 0/1 tables
+
+
+def side_sums_sides(witnesses, table, n):
+    """The two-point sides through shift_energy_batch, an xor per entry."""
+    return cotype._side_sums(witnesses, UNIT_TWO_POINT, table, n, 1.0)
+
+
+def rand_vec(dom, d, rng):
+    return GridFunction.vector(dom, rng.standard_normal((dom.points, d))
+                               + 1j * rng.standard_normal((dom.points, d)))
+
+
+NORM_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+# --------------------------------------------------------------- norms
+
+
+@pytest.mark.parametrize("p", NORM_PS)
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("kind", ("real", "complex"))
+def test_norm_matches_the_trailing_axis_reduction(p, d, kind):
+    rng = np.random.default_rng(d)
+    v_shape = (3, 40, d)
+    # magnitudes spread over 1e-26..1e26, so a change of order shows
+    v = rng.standard_normal(v_shape) * np.exp(rng.uniform(-60, 60, v_shape))
+    if kind == "complex":
+        v = v + 1j * rng.standard_normal(v.shape)
+    got, want = NormTarget(p=p).norm(v), TrailingAxisNorm(p).norm(v)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert NormTarget(p=p).norm(v[0, 0]) == want[0, 0]  # one vector
+
+
+@pytest.mark.parametrize("p", NORM_PS)
+def test_norm_of_no_coordinates_is_zero(p):
+    assert NormTarget(p=p).norm(np.zeros((5, 0))).tobytes() == bytes(40)
+
+
+# ------------------------------------------------------------- rolls
+
+
+@pytest.mark.parametrize("n,m", [(1, 6), (2, 3), (3, 4)])
+@pytest.mark.parametrize("d", (1, 3))  # d = m: axis n is a valid value axis
+def test_central_diff_matches_the_roll_difference(n, m, d):
+    dom = TorusDomain(n=n, m=m)
+    f = rand_vec(dom, d, np.random.default_rng(n * m + d))
+    for j in range(n):
+        got = central_diff(f, j).values
+        assert got.shape == f.values.shape
+        assert got.tobytes() == roll_central_diff(f, j).tobytes()
+    for j in (n, -1):
+        with pytest.raises(IndexError):
+            central_diff(f, j)
+
+
+@pytest.mark.parametrize("n,m", [(1, 6), (2, 8), (3, 6)])
+def test_smoothing_checks_match_the_roll_bodies(n, m):
+    dom = TorusDomain(n=n, m=m)
+    rng = np.random.default_rng(10 * n + m)
+    for d, norm_p in ((1, 2.0), (2, 2.0), (2, 1.0), (3, math.inf), (2, 3.0)):
+        f = rand_vec(dom, d, rng)
+        new, old = NormTarget(p=norm_p), TrailingAxisNorm(norm_p)
+        for k in ((1, 3) if m > 6 else (1,)):
+            for p in (1.0, 1.5, 2.0):
+                for j in range(n):
+                    chk = check_lemma_approx(f, new, j, k, p)
+                    assert (chk.lhs, chk.rhs) == roll_approx(f, old, j, k, p)
+                for eps in sign_patterns(n):
+                    chk = check_lemma_cancellation(f, new, k, p, eps)
+                    assert (chk.lhs, chk.rhs) == \
+                        roll_cancellation(f, old, k, p, eps)
+                every = check_lemma_cancellation_all(f, new, k, p)
+                assert [(c.lhs, c.rhs) for c in every] == \
+                    [roll_cancellation(f, old, k, p, e)
+                     for e in sign_patterns(n)]
+
+
+def test_metric_approx_matches_the_roll_body():
+    dom = TorusDomain(n=2, m=8)
+    space = torus_space(TorusDomain(n=1, m=5))
+    rng = np.random.default_rng(5)
+    f = GridFunction.points(dom, rng.integers(0, 5, dom.points))
+    target = MetricTarget(space)
+    for j in range(2):
+        for k, p in ((1, 1.0), (3, 2.0)):
+            chk = check_lemma_approx(f, space, j, k, p)
+            assert (chk.lhs, chk.rhs) == roll_approx(f, target, j, k, p)
+
+
+# ------------------------------------------------------- bit planes
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (2, 4), (1, 20), (1, 18), (3, 2)])
+def test_bit_plane_sides_match_side_sums(n, m):
+    dom = TorusDomain(n=n, m=m)
+    rows = cotype._bit_rows(0, 2**dom.points, dom.points)
+    families = [("edges", m // 2)] + [("signs", 2)] * (dom.points <= 16)
+    for family, amount in families:
+        table = family_table(dom, family, amount)
+        got = cotype._two_point_sides(n, m, family, amount)
+        want = side_sums_sides(rows, table, n)
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+
+@pytest.mark.parametrize("cap", (1, 17, 48, 200, 1 << 12))
+def test_bit_plane_blocks_do_not_change_values(monkeypatch, cap):
+    # N = 36 is no power of two, so the order of the adds shows
+    dom = TorusDomain(n=2, m=6)
+    rows = np.random.default_rng(cap).integers(0, 2, (333, dom.points),
+                                               dtype=np.uint8)
+    table = family_table(dom, "edges", 3)
+    want = side_sums_sides(rows, table, 2)
+    monkeypatch.setattr(cotype, "SHIFT_BLOCK_ELEMENTS", cap)
+    got = cotype._xor_sides(rows, table, 2)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+
+@pytest.mark.parametrize("n,m,trials", [(2, 4, 5000), (2, 10, 5000), (1, 2, 7)])
+def test_random_two_point_mc_matches_side_sums(monkeypatch, n, m, trials):
+    got = random_two_point_mc(n, m, 2.0, 2.0, trials, 13)
+    monkeypatch.setattr(cotype, "_xor_sides", side_sums_sides)
+    assert got == random_two_point_mc(n, m, 2.0, 2.0, trials, 13)
+
+
+def test_bit_plane_temporaries_stay_within_a_block():
+    # at most three uint8 arrays of one block each are alive at once (the
+    # last block's planes and xor while the next planes are copied), with
+    # per-shift counts and means of 9/N of one block
+    dom = TorusDomain(n=4, m=2)
+    N = dom.points
+    rows = np.ascontiguousarray(cotype._bit_rows(0, 2**N, N))
+    table = family_table(dom, "edges", 1)
+    assert rows.nbytes >= 4 * SHIFT_BLOCK_ELEMENTS  # several blocks
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        lhs, rhs = cotype._xor_sides(rows, table, dom.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - base - lhs.nbytes - rhs.nbytes
+    assert held <= (3 + 9 / N) * SHIFT_BLOCK_ELEMENTS + (1 << 15)
