@@ -42,7 +42,9 @@ from .errors import (
 )
 from .gridops import (
     SHIFT_BLOCK_ELEMENTS,
+    ShiftSums,
     climb,
+    dist_power,
     family_table,
     random_point_values,
     shift_energy,
@@ -437,16 +439,38 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int,
     means = shift_energy(f.values, target, table, 2.0)
     lhs = _total(means[:n])
     rhs_raw = _total(means[n:]) / 2**n
+    b_hat, degenerate = _b_from(lhs, rhs_raw, n, m, ell, enforce)
+    return BReport(n=n, m=m, ell=ell, lhs=lhs,
+                   rhs_raw=0.0 if degenerate else rhs_raw, b_hat=b_hat,
+                   degenerate=degenerate)
+
+
+def _b_from(lhs: float, rhs_raw: float, n: int, m: int, ell: int,
+            enforce: bool = True) -> tuple[float, bool]:
     if rhs_raw <= 0.0:
-        return BReport(n=n, m=m, ell=ell, lhs=lhs, rhs_raw=0.0, b_hat=0.0,
-                       degenerate=True)
+        return 0.0, True
     b_hat = math.sqrt(lhs / (ell**2 * n * rhs_raw))
     if enforce and b_hat > 1.0 + B_INVARIANT_TOL:
         raise InvariantViolationError(
             f"b_hat = {b_hat} exceeds 1 beyond tolerance at n={n} m={m} ell={ell}"
         )
-    return BReport(n=n, m=m, ell=ell, lhs=lhs, rhs_raw=rhs_raw, b_hat=b_hat,
-                   degenerate=False)
+    return b_hat, False
+
+
+def _exact_shift_sums(space, p: float, table: np.ndarray) -> ShiftSums | None:
+    """An incremental gridops.ShiftSums over the codomain's distances to the
+    power p when its means are exact, else None: the codomain is a
+    FiniteMetricSpace, every distance powered as the kernel powers it is a
+    non-negative integer, the powered table is symmetric with a zero
+    diagonal, and m^n times its largest entry stays below 2^53."""
+    if not isinstance(space, FiniteMetricSpace):
+        return None
+    dist_p = dist_power(space.dist, p)
+    if (np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
+            and np.array_equal(dist_p, dist_p.T) and not np.diagonal(dist_p).any()
+            and table.shape[1] * dist_p.max() < 2**53):
+        return ShiftSums(dist_p, table)
+    return None
 
 
 def _hill_climb(dom: TorusDomain, codomain_size: int, score, budget: int,
@@ -477,7 +501,7 @@ def _hill_climb(dom: TorusDomain, codomain_size: int, score, budget: int,
             break
         rng = np.random.default_rng(seeds[ri])
         if ri < len(initial):
-            vals = np.asarray(initial[ri], dtype=np.int64).copy()
+            vals = GridFunction.points(dom, initial[ri]).values.copy()
         else:
             vals = random_point_values(dom, K, rng)
             while K > 1 and N > 1 and np.all(vals == vals[0]):
@@ -504,10 +528,18 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
     """
     _check_pq(p, q)
     dom = TorusDomain(n=n, m=m)
+    sums = None
+    if m % 2 == 0 and 3**n * dom.points <= EPS_ENUM_BUDGET:  # exact eps average
+        sums = _exact_shift_sums(space, p, family_table(dom, "edges", m // 2))
 
     def score(vals):
-        rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
-        return -math.inf if rep.degenerate else rep.gamma_hat
+        if sums is None:
+            rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
+            return -math.inf if rep.degenerate else rep.gamma_hat
+        means = sums(vals)  # the floats cotype_functionals computes
+        gamma_hat, degenerate = _gamma_from(
+            _total(means[:n]), _total(means[n:]) / 3**n, n, m, p, q)
+        return -math.inf if degenerate else gamma_hat
 
     witness = GridFunction.points(
         dom, _hill_climb(dom, space.size, score, budget, seed, initial_witnesses))
@@ -525,10 +557,18 @@ def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
     witness, flagged degenerate, when no witness met is nondegenerate.
     """
     dom = TorusDomain(n=n, m=m)
+    sums = None
+    if m % 2 == 0 and ell % 2 == 0:  # else b_functionals raises
+        sums = _exact_shift_sums(space, 2.0, family_table(dom, "signs", ell))
 
     def score(vals):
-        rep = b_functionals(GridFunction.points(dom, vals), space, ell)
-        return -math.inf if rep.degenerate else rep.b_hat
+        if sums is None:
+            rep = b_functionals(GridFunction.points(dom, vals), space, ell)
+            return -math.inf if rep.degenerate else rep.b_hat
+        means = sums(vals)  # the floats b_functionals computes
+        b_hat, degenerate = _b_from(
+            _total(means[:n]), _total(means[n:]) / 2**n, n, m, ell)
+        return -math.inf if degenerate else b_hat
 
     witness = GridFunction.points(
         dom, _hill_climb(dom, space.size, score, budget, seed, initial_witnesses))

@@ -91,13 +91,9 @@ def grid_to_torus(m: int, n: int, budget: int = 1 << 16) -> EmbeddingRecord:
     agrees with the grid metric: distortion exactly 1.
     """
     dom = TorusDomain(n=n, m=2 * m)
+    dom.require_points(budget)  # the torus has at least as many points as the grid
     source_pts = grid_points(n, m)
-    if source_pts.shape[0] ** 2 > budget * 4:
-        raise PreconditionViolationError(
-            f"grid with {source_pts.shape[0]} points is beyond desk scale"
-        )
     source = points_space(source_pts, math.inf)
-    dom.require_points(budget)
     target = torus_space(dom)
     mapping = np.ravel_multi_index(tuple(source_pts.T), dom.shape)
     return distortion(mapping, source, target)

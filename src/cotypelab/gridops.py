@@ -66,7 +66,9 @@ def climb(values: np.ndarray, score, propose, steps: int,
     keeps the change only when score(values) is strictly higher, else
     restores the old row, so values ends as the best table seen. best is
     the score of the starting table (computed when not given); returns the
-    best score.
+    best score. score must be a function of the table alone; it may
+    memoise the last table it saw (as ShiftSums does), since consecutive
+    tables differ only at the points of one revert and one move.
     """
     if best is None:
         best = score(values)
@@ -134,12 +136,74 @@ def shift_energy_batch(values: np.ndarray, target, table: np.ndarray,
         v = values[w0:w0 + w_step]
         for s0 in range(0, S, s_step):
             d = target.pairwise(np.take(v, table[s0:s0 + s_step], axis=1), v[:, None])
-            out[w0:w0 + w_step, s0:s0 + s_step] = \
-                (d if p == 1 else d ** p).mean(axis=-1)
+            out[w0:w0 + w_step, s0:s0 + s_step] = dist_power(d, p).mean(axis=-1)
     return out
+
+
+def dist_power(d: np.ndarray, p: float) -> np.ndarray:
+    """d^p as the kernel raises its distances (d itself at p = 1)."""
+    return d if p == 1 else d ** p
 
 
 def shift_energy(values: np.ndarray, target, table: np.ndarray,
                  p: float) -> np.ndarray:
     """Per-shift means avg_x d(f(x + s), f(x))^p of one value table, shape (S,)."""
     return shift_energy_batch(values[None], target, table, p)[0]
+
+
+def shift_sums(values: np.ndarray, dist_p: np.ndarray,
+               table: np.ndarray) -> np.ndarray:
+    """Per-shift sums sum_x dist_p[f(x + s), f(x)] of one point-valued table,
+    shape (S,), over blocks of at most SHIFT_BLOCK_ELEMENTS gathered entries."""
+    step = max(1, SHIFT_BLOCK_ELEMENTS // len(values))
+    return np.concatenate([
+        dist_p[np.take(values, table[s0:s0 + step]), values].sum(axis=1)
+        for s0 in range(0, len(table), step)])
+
+
+INCREMENTAL_POINTS = 2  # a climb step's revert plus its next move
+
+
+class ShiftSums:
+    """Incremental shift_sums of point-valued tables, a pure function of the
+    table it is given.
+
+    dist_p is a symmetric (K, K) table of non-negative integers (as floats)
+    with a zero diagonal, small enough that N * dist_p.max() < 2^53: then
+    every sum is exact in any order, and the means sums / N it returns
+    equal shift_energy's bit for bit. The last table scored is memoised;
+    a table that differs from it at no more than INCREMENTAL_POINTS points
+    is scored in O(S) per point. Changing f(x) from a to b changes only the
+    terms at x and x - s of each shift s, by col[f(x + s)] and col[f(x - s)]
+    with col = dist_p[b] - dist_p[a]; shifts s = 0 (mod m) keep their zero
+    terms and are skipped. Any other table gets a full shift_sums pass.
+    """
+
+    def __init__(self, dist_p: np.ndarray, table: np.ndarray):
+        self.dist_p, self.table = dist_p, table
+        N = table.shape[1]
+        moved = np.any(table != np.arange(N), axis=1)
+        self.moved = slice(None) if moved.all() else np.flatnonzero(moved)
+        self.half = int(moved.sum())
+        forward = table[self.moved]
+        inverse = np.empty_like(forward)
+        np.put_along_axis(inverse, forward, np.arange(N)[None], axis=1)
+        self.neighbours = np.concatenate([forward, inverse]).T.copy()  # (N, 2S')
+        self.values = self.sums = None
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Per-shift means sums / N of values, shift_energy's floats."""
+        changed = None if self.values is None else (values != self.values).nonzero()[0]
+        if changed is None or len(changed) > INCREMENTAL_POINTS:
+            self.values = values.copy()
+            self.sums = shift_sums(self.values, self.dist_p, self.table)
+        else:
+            for x in changed:
+                self._move(x, values[x])
+        return self.sums / len(values)
+
+    def _move(self, x: int, b: int) -> None:
+        nb = self.values[self.neighbours[x]]  # f(x + s), then f(x - s)
+        col = self.dist_p[b][nb] - self.dist_p[self.values[x]][nb]
+        self.sums[self.moved] += col[:self.half] + col[self.half:]
+        self.values[x] = b

@@ -5,7 +5,7 @@ import resource
 
 import pytest
 
-from cotypelab import NotFoundError
+from cotypelab import BudgetExceededError, NotFoundError, grid_to_torus
 from cotypelab.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -105,6 +105,19 @@ def test_embed_commands(capsys):
                                      "--n", "2"])
     assert code == 0
     assert doc["results"]["distortion"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("budget", [2, 3])
+def test_grid_torus_budget_counts_torus_points(capsys, budget):
+    # the grid {0,1,2} has 3 points and its torus Z_4 has 4: both budgets
+    # are refused for the torus, with one error class
+    code, doc, err = run_main(capsys, ["embed", "grid-torus", "--m", "2",
+                                       "--n", "1", "--budget", str(budget)])
+    assert code == 2
+    assert doc is None
+    assert err == f"error: domain has 4 points, budget is {budget}\n"
+    with pytest.raises(BudgetExceededError):
+        grid_to_torus(2, 1, budget)
 
 
 def test_extract_grid_command(capsys):

@@ -5,9 +5,13 @@ Each file under tests/golden/ holds the stdout of one command as it was
 before a refactor of the code it runs: the four search and enumeration
 reports from before the shift kernel replaced the per-shift loops, the
 two verify suites from before one climber replaced three climb loops,
-and the two grid extractions and the grid-torus inclusion from before
+the two grid extractions and the grid-torus inclusion from before
 their point indices were vectorised and the extraction's ball sums moved
-onto the window-average slices.
+onto the window-average slices, and the four searches over the metric
+spaces in tests/data/ from before the searches scored through incremental
+shift sums (path4 has integer distances, so they score incrementally;
+uneven3 has not, so they fall back to full evaluation). Commands run from
+the tests directory, so the --space paths in the reports are relative.
 Runtime goes to stderr, so stdout is byte-stable. A difference here is a
 behaviour change: argue for it in CHANGES.md instead of re-freezing the
 file.
@@ -44,10 +48,23 @@ CASES = {
         ["extract-grid", "--n", "4", "--m", "8", "--s", "4"],
     "embed_grid_torus_m2_n2.json":
         ["embed", "grid-torus", "--m", "2", "--n", "2"],
+    "gamma_search_path4_n2_m4_q4.json":
+        ["gamma-search", "--n", "2", "--m", "4", "--q", "4", "--budget", "1500",
+         "--seed", "4", "--space", "data/path4_space.json"],
+    "bq_path4_n2_m4_ell2.json":
+        ["bq", "--n", "2", "--m", "4", "--ell", "2", "--budget", "1500",
+         "--seed", "4", "--space", "data/path4_space.json"],
+    "gamma_search_uneven3_n2_m4.json":
+        ["gamma-search", "--n", "2", "--m", "4", "--budget", "1500",
+         "--seed", "4", "--space", "data/uneven3_space.json"],
+    "bq_uneven3_n2_m4_ell2.json":
+        ["bq", "--n", "2", "--m", "4", "--ell", "2", "--budget", "1500",
+         "--seed", "4", "--space", "data/uneven3_space.json"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden(name, capsys):
+def test_report_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent)
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()

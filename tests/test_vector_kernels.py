@@ -2,8 +2,9 @@
 
 Each oracle below keeps the evaluation that ran before the kernels worked
 along long axes: the l_p norm reduced over the trailing coordinate axis,
-np.roll for every shift, and the two-point sides through the general
-shift-energy kernel with an xor "distance". Every comparison is exact
+np.roll for every shift, the cancellation check's signed sum as a complex
+tensordot, and the two-point sides through the general shift-energy kernel
+with an xor "distance". Every comparison is exact
 (tobytes() or ==), so reports keep their bytes.
 """
 import math
@@ -29,7 +30,7 @@ from cotypelab import (
     smoothing_set,
     torus_space,
 )
-from cotypelab import cotype
+from cotypelab import cotype, smoothing
 from cotypelab.gridops import SHIFT_BLOCK_ELEMENTS, axis_shift, family_table
 from cotypelab.targets import MetricTarget
 
@@ -197,6 +198,18 @@ def test_metric_approx_matches_the_roll_body():
         for k, p in ((1, 1.0), (3, 2.0)):
             chk = check_lemma_approx(f, space, j, k, p)
             assert (chk.lhs, chk.rhs) == roll_approx(f, target, j, k, p)
+
+
+def test_signed_sum_matches_the_tensordot():
+    rng = np.random.default_rng(600)
+    for _ in range(600):
+        n, N, d = int(rng.integers(1, 5)), int(rng.integers(1, 1001)), int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        diffs = scale * (rng.standard_normal((n, N, d))
+                         + 1j * rng.standard_normal((n, N, d)))
+        eps = rng.choice((-1, 1), size=n)
+        want = np.tensordot(eps.astype(np.complex128), diffs, axes=(0, 0))
+        assert smoothing._signed_sum(eps, diffs).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- bit planes
