@@ -255,7 +255,7 @@ def _cmd_extract_grid(cfg: ExperimentConfig):
         raise SchemaViolationError(f"s must be divisible by 4, got {s}",
                                    json_path="$.params.s")
     dom = TorusDomain(n=n, m=m)
-    require_defect_budget(dom, s)  # before the (N, N) torus table
+    require_defect_budget(dom, s)  # before the witness and its edge tables
     f = GridFunction.points(dom, np.arange(dom.points, dtype=np.int64))
     rec, info = extract_grid(f, torus_space(dom), s)
     return {"embedding": rec.to_json_dict(), "extraction": _jsonable(info)}, [], "exact"

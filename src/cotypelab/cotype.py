@@ -54,7 +54,12 @@ from .gridops import (
 )
 from .harmonic import GridFunction
 from .spaces import FiniteMetricSpace, TorusDomain, two_point_space
-from .targets import MetricTarget, NormTarget, as_target as _as_target
+from .targets import (
+    MetricTarget,
+    NormTarget,
+    as_target as _as_target,
+    require_indices,
+)
 
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
@@ -125,12 +130,19 @@ def cotype_functionals(f: GridFunction, space_or_norm, p: float, q: float,
     estimated by stratified sampling over the number of zero entries of
     eps (the x average stays exact), with the standard error reported.
     """
+    target = _as_target(space_or_norm)
+    require_indices(f.values, target)
+    return _cotype_report(f, target, p, q, budget, seed)
+
+
+def _cotype_report(f: GridFunction, target, p: float, q: float,
+                   budget: int = EPS_ENUM_BUDGET, seed: int = 0) -> CotypeReport:
+    """cotype_functionals on a target, the point range already checked."""
     _check_pq(p, q)
     dom = f.domain
     n, m = dom.n, dom.m
     if m % 2 != 0:
         raise OddMError(f"half-circumference shift needs even m, got {m}")
-    target = _as_target(space_or_norm)
 
     exact = 3**n * dom.points <= budget
     table = family_table(dom, "edges" if exact else "axes", m // 2)
@@ -428,13 +440,18 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int,
     Every witness satisfies b_hat <= 1; with enforce=True a numerical
     violation beyond 1e-9 raises InvariantViolationError.
     """
+    target = _as_target(space_or_norm)
+    require_indices(f.values, target)
+    return _b_report(f, target, ell, enforce)
+
+
+def _b_report(f: GridFunction, target, ell: int, enforce: bool = True) -> BReport:
+    """b_functionals on a target, the point range already checked."""
     dom = f.domain
     n, m = dom.n, dom.m
     if m % 2 != 0:
         raise OddMError(f"even m required, got {m}")
-    if ell % 2 != 0:
-        raise OddEllError(f"even shift required, got ell={ell}")
-    target = _as_target(space_or_norm)
+    _require_shift(ell)
     table = family_table(dom, "signs", ell)
     means = shift_energy(f.values, target, table, 2.0)
     lhs = _total(means[:n])
@@ -443,6 +460,14 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int,
     return BReport(n=n, m=m, ell=ell, lhs=lhs,
                    rhs_raw=0.0 if degenerate else rhs_raw, b_hat=b_hat,
                    degenerate=degenerate)
+
+
+def _require_shift(ell: int) -> None:
+    """b_hat divides by ell^2: the shift must be even and nonzero."""
+    if ell % 2 != 0:
+        raise OddEllError(f"even shift required, got ell={ell}")
+    if ell == 0:
+        raise PreconditionViolationError("the shift must be nonzero, got ell=0")
 
 
 def _b_from(lhs: float, rhs_raw: float, n: int, m: int, ell: int,
@@ -502,6 +527,7 @@ def _hill_climb(dom: TorusDomain, codomain_size: int, score, budget: int,
         rng = np.random.default_rng(seeds[ri])
         if ri < len(initial):
             vals = GridFunction.points(dom, initial[ri]).values.copy()
+            require_indices(vals, K)
         else:
             vals = random_point_values(dom, K, rng)
             while K > 1 and N > 1 and np.all(vals == vals[0]):
@@ -527,14 +553,14 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
     reported with degenerate = True.
     """
     _check_pq(p, q)
-    dom = TorusDomain(n=n, m=m)
+    dom, target = TorusDomain(n=n, m=m), _as_target(space)
     sums = None
     if m % 2 == 0 and 3**n * dom.points <= EPS_ENUM_BUDGET:  # exact eps average
         sums = _exact_shift_sums(space, p, family_table(dom, "edges", m // 2))
 
-    def score(vals):
+    def score(vals):  # _hill_climb has checked the point range
         if sums is None:
-            rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
+            rep = _cotype_report(GridFunction.points(dom, vals), target, p, q)
             return -math.inf if rep.degenerate else rep.gamma_hat
         means = sums(vals)  # the floats cotype_functionals computes
         gamma_hat, degenerate = _gamma_from(
@@ -556,14 +582,15 @@ def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
     improvement, earliest restart wins ties, and the first restart's
     witness, flagged degenerate, when no witness met is nondegenerate.
     """
-    dom = TorusDomain(n=n, m=m)
+    _require_shift(ell)
+    dom, target = TorusDomain(n=n, m=m), _as_target(space)
     sums = None
-    if m % 2 == 0 and ell % 2 == 0:  # else b_functionals raises
+    if m % 2 == 0:  # else _b_report raises
         sums = _exact_shift_sums(space, 2.0, family_table(dom, "signs", ell))
 
-    def score(vals):
+    def score(vals):  # _hill_climb has checked the point range
         if sums is None:
-            rep = b_functionals(GridFunction.points(dom, vals), space, ell)
+            rep = _b_report(GridFunction.points(dom, vals), target, ell)
             return -math.inf if rep.degenerate else rep.b_hat
         means = sums(vals)  # the floats b_functionals computes
         b_hat, degenerate = _b_from(
@@ -674,8 +701,7 @@ def _exhaustive_b_space(space: FiniteMetricSpace, n: int, ell: int, m: int,
     """
     if m % 2 != 0:
         raise OddMError(f"even m required, got {m}")
-    if ell % 2 != 0:
-        raise OddEllError(f"even shift required, got ell={ell}")
+    _require_shift(ell)
     dom = TorusDomain(n=n, m=m)
     N, K = dom.points, space.size
     bits = K == 2 and float(space.dist[0, 1]) == 1.0

@@ -30,10 +30,11 @@ from .spaces import (
     grid_points,
     moduli,
     points_space,
+    require_table,
     snowflake,
     torus_space,
 )
-from .targets import as_target
+from .targets import as_target, require_indices
 
 # transition-point terms of one geodesic-defect sum; each costs about 10 ns
 # (2-core x86 desk machine, numpy 2.4), so the cap is about 1.5 s of work
@@ -116,6 +117,7 @@ def frechet_cycle(m: int) -> EmbeddingRecord:
     """
     if m < 1:
         raise PreconditionViolationError(f"m must be >= 1, got {m}")
+    require_table(2 * m)  # before the (2m, 2m) vectors distortion would refuse
     source = torus_space(TorusDomain(n=1, m=2 * m))
     vectors = _frechet_vectors(m, np.arange(2 * m))
     target = points_space(vectors, math.inf)
@@ -368,6 +370,7 @@ def extract_grid(f: GridFunction, space, s: int):
     n, m = dom.n, dom.m
     _require_extraction_scale(s, m)
     target = as_target(space)
+    require_indices(f.values, target)
 
     lhs_s = 0.0
     for v in shift_energy(f.values, target, family_table(dom, "axes", s), 2.0):

@@ -1,12 +1,14 @@
 """Finite metric spaces, torus domains, and embedding measurements.
 
-Points of a finite metric space are integer indices into a validated
-distance table. Points of the discrete torus are n-tuples of residues
-mod m, linearized row-major (last coordinate varies fastest); that
-linearization is part of the file and report contract.
+Points of a finite metric space are integer indices; their distances
+come from a validated table or from coordinates. Points of the discrete
+torus are n-tuples of residues mod m, linearized row-major (last
+coordinate varies fastest); that linearization is part of the file and
+report contract.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -33,22 +35,84 @@ from .errors import (
 
 TRIANGLE_SLACK_REL = 1e-12  # additive slack is this times the largest distance
 TABLE_BUDGET_BYTES = 1 << 30  # largest (N, N) float64 distance table built
-# rows per block of points_space and distortion: 32 rows of an N = 3125
-# table are 0.8 MB, so a block's buffers stay in a 2 MB L2 cache (256 rows
-# ran distortion 4x slower on a 2-core x86 desk machine, numpy 2.4)
+# rows per block of .dist and distortion: 32 rows of an N = 3125 table are
+# 0.8 MB, so a block's buffers stay in a 2 MB L2 cache (256 rows ran
+# distortion 4x slower on a 2-core x86 desk machine, numpy 2.4)
 ROW_BLOCK = 32
 
 
-@dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite metric space given by labels and a validated distance table."""
+    """A finite metric space: labels, and distances read from a validated
+    (N, N) table or computed from (N, k) coordinates.
 
-    labels: tuple
-    dist: np.ndarray  # (N, N) float64, symmetric, zero diagonal
+    Coordinate distances are the l_p norm (max for p = inf) of the gaps
+    |c_i - c_j|, or, with a period m, of the circular gaps
+    m/2 - ||c_i - c_j| - m/2|. Every reader goes through pairs
+    (elementwise) or block (outer); .dist is the whole table.
+    """
+
+    def __init__(self, labels, dist=None, coords=None, p=math.inf, period=0):
+        self.labels, self.coords, self.p, self.period = labels, coords, p, period
+        if dist is not None:
+            self.dist = dist
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        """(N, N) float64 table, symmetric, zero diagonal, built from block
+        ROW_BLOCK rows at a time on first read; require_table guards it."""
+        require_table(self.size)
+        out = np.empty((self.size, self.size))
+        for lo in range(0, self.size, ROW_BLOCK):
+            out[lo:lo + ROW_BLOCK] = self.block(slice(lo, lo + ROW_BLOCK),
+                                                slice(None))
+        out.flags.writeable = False
+        return out
+
+    def pairs(self, a, b) -> np.ndarray:
+        """d(a, b) for index arrays a and b, elementwise (broadcast)."""
+        if self.coords is None:
+            return self.dist[a, b]
+        half = self.period / 2
+        total = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        gap = np.empty_like(total)
+        for c in self.coords.T:
+            if np.iscomplexobj(c):
+                np.abs(c[a] - c[b], out=gap)
+            else:
+                np.subtract(c[a], c[b], out=gap)
+                np.abs(gap, out=gap)
+            if self.period:
+                gap = half - np.abs(gap - half)
+            if math.isinf(self.p):
+                np.maximum(total, gap, out=total)
+            else:
+                np.power(gap, self.p, out=gap)
+                total += gap
+        if not math.isinf(self.p):
+            np.power(total, 1.0 / self.p, out=total)
+        return total
+
+    def block(self, rows, cols) -> np.ndarray:
+        """The fresh array of d(i, j) over i in rows and j in cols, each an
+        index array or a slice."""
+        idx = np.arange(self.size)
+        return self.pairs(idx[rows][:, None], idx[cols][None])
+
+
+def require_table(points: int) -> None:
+    """Raise BudgetExceededError when an (N, N) float64 table over points
+    would exceed TABLE_BUDGET_BYTES (N = 11,585 points). It bounds a .dist
+    read and the all-pairs work of distortion and moduli."""
+    size = 8 * points * points
+    if size > TABLE_BUDGET_BYTES:
+        raise BudgetExceededError(
+            f"a {points}-point distance table needs {size} bytes, "
+            f"budget is {TABLE_BUDGET_BYTES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -157,18 +221,18 @@ def validate_metric(table, labels: Iterable | None = None) -> FiniteMetricSpace:
             json_path=f"$.dist[{i}][{j}]",
         )
     slack = TRIANGLE_SLACK_REL * float(arr.max())
-    # viol[i,k,j]: going through k beats the direct entry by more than slack
-    through = arr[:, :, None] + arr[None, :, :]
-    viol = arr[:, None, :] > through + slack
-    loc = _first_true(viol)
-    if loc is not None:
-        i, k, j = loc
-        raise TriangleViolationError(
-            f"dist[{i}][{j}] = {arr[i, j]} exceeds "
-            f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}",
-            indices=(int(i), int(j), int(k)),
-            json_path=f"$.dist[{i}][{j}]",
-        )
+    for i in range(n):  # one (N, N) slice of the (i, k, j) scan at a time
+        # viol[k, j]: going through k beats the direct entry by more than slack
+        viol = arr[i][None, :] > (arr[i][:, None] + arr) + slack
+        loc = _first_true(viol)
+        if loc is not None:
+            k, j = loc
+            raise TriangleViolationError(
+                f"dist[{i}][{j}] = {arr[i, j]} exceeds "
+                f"dist[{i}][{k}] + dist[{k}][{j}] = {arr[i, k] + arr[k, j]}",
+                indices=(int(i), int(j), int(k)),
+                json_path=f"$.dist[{i}][{j}]",
+            )
 
     if labels is None:
         labels = tuple(str(i) for i in range(n))
@@ -220,41 +284,13 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=space.labels, dist=out)
 
 
-def _require_table(points: int) -> None:
-    """Raise BudgetExceededError before an (N, N) float64 table larger
-    than TABLE_BUDGET_BYTES is allocated."""
-    size = 8 * points * points
-    if size > TABLE_BUDGET_BYTES:
-        raise BudgetExceededError(
-            f"a {points}-point distance table needs {size} bytes, "
-            f"budget is {TABLE_BUDGET_BYTES}"
-        )
-
-
 def torus_space(domain: TorusDomain) -> FiniteMetricSpace:
-    """Materialize Z_m^n with its word metric as a FiniteMetricSpace.
-
-    The table is the max of the per-axis circular gaps, built from its
-    product structure: each further axis writes one fresh table. Raises
-    BudgetExceededError above TABLE_BUDGET_BYTES (N = 11,585 points).
-    """
-    _require_table(domain.points)
-    m = domain.m
-    half = m / 2
-    # circular gap min(d, m - d) = m/2 - |d - m/2| for d = |x - y|
-    c = np.arange(m, dtype=np.float64)
-    gap = half - np.abs(np.abs(c[:, None] - c[None, :]) - half)
-    dist = gap
-    for _ in range(domain.n - 1):
-        size = dist.shape[0]
-        # D_{k+1}[(a, b), (c, d)] = max(D_k[a, c], gap[b, d]), row-major
-        nxt = np.empty((size * m, size * m))
-        np.maximum(dist[:, None, :, None], gap[None, :, None, :],
-                   out=nxt.reshape(size, m, size, m))
-        dist = nxt
-    dist.flags.writeable = False
-    labels = tuple(",".join(map(str, p)) for p in domain.coords())
-    return FiniteMetricSpace(labels=labels, dist=dist)
+    """Z_m^n with its word metric, the max of the per-axis circular gaps,
+    computed from the coordinates of the points it is asked about."""
+    coords = domain.coords()
+    labels = tuple(",".join(map(str, p)) for p in coords)
+    return FiniteMetricSpace(labels, coords=coords.astype(np.float64),
+                             period=domain.m)
 
 
 def grid_points(n: int, m: int) -> np.ndarray:
@@ -264,38 +300,15 @@ def grid_points(n: int, m: int) -> np.ndarray:
 
 
 def points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
-    """Finite metric space of vectors under the l_p norm, built one
-    coordinate at a time into one (N, N) table, ROW_BLOCK rows at a time
-    through one (ROW_BLOCK, N) gap buffer.
+    """Finite metric space of the (N, k) vectors under the l_p norm.
 
     Complex coordinates are allowed; differences are measured by modulus.
     """
-    pts = np.asarray(points)
+    pts = np.array(points)  # a copy: later edits to points move no distance
     if not np.iscomplexobj(pts):
         pts = pts.astype(np.float64)
-    n = pts.shape[0]
-    _require_table(n)
-    dist = np.zeros((n, n))
-    buf = np.empty((min(ROW_BLOCK, n), n))
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        rows, gap = dist[lo:hi], buf[:hi - lo]
-        for c in pts.T:
-            if np.iscomplexobj(pts):
-                np.abs(c[lo:hi, None] - c[None, :], out=gap)
-            else:
-                np.subtract(c[lo:hi, None], c[None, :], out=gap)
-                np.abs(gap, out=gap)
-            if math.isinf(p):
-                np.maximum(rows, gap, out=rows)
-            else:
-                np.power(gap, p, out=gap)
-                rows += gap
-        if not math.isinf(p):
-            np.power(rows, 1.0 / p, out=rows)
-    dist[np.diag_indices(n)] = 0.0
-    dist.flags.writeable = False
-    return FiniteMetricSpace(labels=tuple(str(i) for i in range(n)), dist=dist)
+    return FiniteMetricSpace(tuple(str(i) for i in range(len(pts))),
+                             coords=pts, p=p)
 
 
 DIAG_BFS_BUDGET = 10**6
@@ -398,7 +411,8 @@ def distortion(mapping, source: FiniteMetricSpace,
     max over pairs i < j, skipping 0/0 pairs, scanned ROW_BLOCK rows at a
     time; lip_pair and colip_pair are the first pair in row-major order to
     reach it, whatever the block. Raises NotInjectiveError on a
-    collision, witnessed by the colliding pair.
+    collision, witnessed by the colliding pair, and BudgetExceededError
+    where require_table does.
     """
     f = np.asarray(mapping, dtype=np.int64)
     ns = source.size
@@ -406,6 +420,7 @@ def distortion(mapping, source: FiniteMetricSpace,
         raise DimensionMismatchError(
             f"mapping must have shape ({ns},), got {f.shape}"
         )
+    require_table(ns)  # the scan reads ns^2 / 2 pairs
     if ns and (f.min() < 0 or f.max() >= target.size):
         raise PreconditionViolationError(
             "mapping contains an out-of-range target index"
@@ -427,8 +442,8 @@ def distortion(mapping, source: FiniteMetricSpace,
     # each row block scans only columns j > lo; the j <= i corner reads -inf
     for lo in range(0, ns - 1, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, ns)
-        ds = source.dist[lo:hi, lo + 1:]
-        dt = target.dist[f[lo:hi], :][:, f[lo + 1:]]
+        ds = source.block(slice(lo, hi), slice(lo + 1, None))
+        dt = target.block(f[lo:hi], f[lo + 1:])
         with np.errstate(invalid="ignore", divide="ignore"):
             up = dt / ds
             down = np.divide(ds, dt, out=dt)
@@ -484,16 +499,19 @@ class ModuliTables:
 
 def moduli(mapping, source: FiniteMetricSpace,
            target: FiniteMetricSpace) -> ModuliTables:
-    """Tabulate both moduli of a (not necessarily injective) map."""
+    """Tabulate both moduli of a (not necessarily injective) map.
+
+    Raises BudgetExceededError where require_table does."""
     f = np.asarray(mapping, dtype=np.int64)
     ns = source.size
     if f.shape != (ns,):
         raise DimensionMismatchError(
             f"mapping must have shape ({ns},), got {f.shape}"
         )
+    require_table(ns)  # the pair arrays hold ns^2 / 2 entries each
     iu, ju = np.triu_indices(ns, k=1)
-    ds = source.dist[iu, ju]
-    dt = target.dist[f[iu], f[ju]]
+    ds = source.pairs(iu, ju)
+    dt = target.pairs(f[iu], f[ju])
     ts, inv = np.unique(ds, return_inverse=True)
     gmax = np.full(ts.shape, -np.inf)
     np.maximum.at(gmax, inv, dt)

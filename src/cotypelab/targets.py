@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SchemaViolationError
+from .errors import (
+    DimensionMismatchError,
+    PreconditionViolationError,
+    SchemaViolationError,
+)
 from .spaces import FiniteMetricSpace
 
 
@@ -26,7 +30,7 @@ class MetricTarget:
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ai = np.asarray(a, dtype=np.int64)
         bi = np.asarray(b, dtype=np.int64)
-        return self.space.dist[ai, bi]
+        return self.space.pairs(ai, bi)
 
 
 @dataclass(frozen=True)
@@ -74,3 +78,17 @@ def as_target(space_or_norm):
         f"cannot interpret {type(space_or_norm).__name__} as a codomain"
     )
 
+
+def require_indices(values: np.ndarray, codomain) -> None:
+    """Raise PreconditionViolationError unless every value is a point index
+    of codomain, a point count or a MetricTarget, naming the first value
+    that is not. Other targets take vectors and pass unchecked."""
+    size = codomain.space.size if isinstance(codomain, MetricTarget) else codomain
+    if not isinstance(size, (int, np.integer)):
+        return
+    if values.size and (values.min() < 0 or values.max() >= size):
+        bad = int(np.flatnonzero((values < 0) | (values >= size))[0])
+        raise PreconditionViolationError(
+            f"value {int(values[bad])} at point {bad} is not a point index "
+            f"of a {size}-point space"
+        )

@@ -1,7 +1,6 @@
 import filecmp
 import json
 import math
-import resource
 
 import pytest
 
@@ -151,29 +150,48 @@ def test_extract_grid_over_the_defect_budget(capsys, monkeypatch):
     assert "error:" in err and "budget is 1000" in err
 
 
-def test_extract_grid_over_the_table_budget(capsys):
+def test_extract_grid_runs_without_a_torus_table(capsys, address_cap):
     from cotypelab import TorusDomain, embeddings
 
-    # within the defect budget, but the 65,536-point torus table is 32 GiB
+    # within the defect budget; the 65,536-point torus table would be 32 GiB
     work = embeddings.require_defect_budget(TorusDomain(n=4, m=16), 4)
     assert work == 75_497_472 <= embeddings.DEFECT_BUDGET
-    # cap the address space 4 GiB above its present size, so a table built
-    # past the guard fails with MemoryError rather than filling the machine
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    with open("/proc/self/statm") as fh:
-        mapped = int(fh.read().split()[0]) * resource.getpagesize()
-    cap = mapped + (4 << 30)
-    if hard != resource.RLIM_INFINITY:
-        cap = min(cap, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        code, doc, err = run_main(capsys, ["extract-grid", "--n", "4",
-                                           "--m", "16", "--s", "4"])
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    address_cap(4 << 30)  # a table built anyway fails with MemoryError
+    code, doc, err = run_main(capsys, ["extract-grid", "--n", "4",
+                                       "--m", "16", "--s", "4"])
+    assert code == 0, err
+    assert doc["results"]["extraction"]["eta"] == 0.0
+    assert doc["results"]["embedding"]["distortion"] == 1.0
+    assert doc["results"]["embedding"]["target_size"] == 65536
+
+
+def test_extract_grid_at_n4_s8_stays_over_the_defect_budget(capsys):
+    code, doc, err = run_main(capsys, ["extract-grid", "--n", "4",
+                                       "--m", "16", "--s", "8"])
     assert code == 2
     assert doc is None
-    assert "error:" in err and "65536-point distance table" in err
+    assert f"budget is {1 << 27}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moduli-check", "--n", "2", "--m", "128"],  # 16,384 net points
+    ["embed", "frechet", "--m", "6000"],  # a 12,000-point cycle
+])
+def test_all_pair_work_over_the_table_budget_is_refused(capsys, address_cap,
+                                                        argv):
+    address_cap(4 << 30)  # work begun anyway fails with MemoryError
+    code, doc, err = run_main(capsys, argv)
+    assert code == 2
+    assert doc is None
+    assert err.startswith("error: a ") and f"budget is {1 << 30}" in err
+
+
+def test_bq_zero_shift_is_a_usage_error(capsys):
+    code, doc, err = run_main(capsys, ["bq", "--n", "2", "--m", "4",
+                                       "--ell", "0", "--budget", "10"])
+    assert code == 2
+    assert doc is None
+    assert err == "error: the shift must be nonzero, got ell=0\n"
 
 
 def test_moduli_check_command(capsys):

@@ -440,6 +440,46 @@ class TestTensorSubmultiplicativity:
             tensor_submultiplicativity_check(sp, 0, 1, 2, 2, 4)
 
 
+def test_zero_shift_is_a_typed_error():
+    # b_hat divides by ell^2, and 0 is even
+    sp = two_point_space()
+    f = GridFunction.points(TorusDomain(n=2, m=4), np.arange(16) % 2)
+    for call in (lambda: b_functionals(f, sp, 0),
+                 lambda: b_quantity_search(sp, 2, 0, 4, 10, 0),
+                 lambda: exhaustive_b_two_point(1, 0, 4)):
+        with pytest.raises(PreconditionViolationError, match="ell=0"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_point_values_outside_the_codomain_are_refused(bad):
+    sp = two_point_space()
+    vals = [0, 1, bad, 0]
+    f = GridFunction.points(TorusDomain(n=1, m=4), vals)
+    for call in (lambda: gamma_search(sp, 1, 4, 2, 2, 1, 0, [vals]),
+                 lambda: b_quantity_search(sp, 1, 2, 4, 1, 0, [vals]),
+                 lambda: cotype_functionals(f, sp, 2, 2),
+                 lambda: b_functionals(f, sp, 2)):
+        with pytest.raises(PreconditionViolationError,
+                           match=f"value {bad} at point 2 is not a point index"):
+            call()
+
+
+def test_fallback_climb_checks_the_point_range_once(monkeypatch):
+    from cotypelab import cotype
+    from cotypelab.spaces import FiniteMetricSpace
+
+    real, calls = cotype.require_indices, []
+    monkeypatch.setattr(cotype, "require_indices", lambda values, codomain:
+                        calls.append(len(values)) or real(values, codomain))
+    # half-integer distances leave no exact shift sums: every climb step
+    # evaluates the functionals, and only the reported witness is checked
+    sp = FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0, .5], [.5, 0]]))
+    cotype.gamma_search(sp, 1, 4, 2, 2, 12, 0)
+    cotype.b_quantity_search(sp, 1, 2, 4, 12, 0)
+    assert calls == [4, 4]
+
+
 class TestMParameterExperiment:
     def test_hilbert_scan(self):
         res = m_parameter_experiment(None, 2, 2.0, 2.0, 0.45, 10)

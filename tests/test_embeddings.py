@@ -189,6 +189,15 @@ class TestExtractGrid:
         with pytest.raises(PreconditionViolationError):
             extract_grid(ident, torus_space(self.dom), 8)  # m < 2s
 
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_point_values_outside_the_codomain_are_refused(self, bad):
+        vals = np.arange(self.dom.points)
+        vals[5] = bad
+        f = GridFunction.points(self.dom, vals)
+        with pytest.raises(PreconditionViolationError,
+                           match=f"value {bad} at point 5 is not a point index"):
+            extract_grid(f, torus_space(self.dom), 4)
+
 
 def _balanced_sign_rows(s):
     """All {-1,1} rows of length s summing to zero, as a (C(s,s/2), s) array."""

@@ -96,6 +96,42 @@ def test_validate_metric_reports_first_violation():
         validate_metric([[0, math.nan], [math.nan, 0]])
 
 
+def _first_triangle_violation(arr: np.ndarray):
+    """(i, k, j) of the row-major first triangle violation, or None, by the
+    whole (N, N, N) scan."""
+    slack = spaces.TRIANGLE_SLACK_REL * float(arr.max())
+    through = arr[:, :, None] + arr[None, :, :]
+    viol = arr[:, None, :] > through + slack
+    flat = np.flatnonzero(viol)
+    return None if flat.size == 0 else np.unravel_index(flat[0], viol.shape)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_triangle_scan_reports_the_first_violation(seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(3, 25))
+    arr = points_space(rng.standard_normal((N, 2)), 2.0).dist.copy()
+    for _ in range(seed % 4):  # stretch or shrink a few pairs
+        i, j = rng.choice(N, 2, replace=False)
+        arr[i, j] = arr[j, i] = arr[i, j] * rng.uniform(0.3, 3.0)
+    want = _first_triangle_violation(arr)
+    if want is None:
+        assert validate_metric(arr).dist.tobytes() == arr.tobytes()
+        return
+    with pytest.raises(TriangleViolationError) as ei:
+        validate_metric(arr)
+    i, k, j = want
+    assert ei.value.indices == (int(i), int(j), int(k))
+    assert ei.value.json_path == f"$.dist[{i}][{j}]"
+
+
+def test_triangle_scan_memory_is_quadratic():
+    # the whole (N, N, N) scan held two 216 MB arrays at N = 300
+    arr = points_space(np.random.default_rng(0).standard_normal((300, 3)),
+                       2.0).dist
+    assert _peak_bytes(lambda: validate_metric(arr)) <= 4 * arr.nbytes
+
+
 def test_validate_metric_accepts_tight_triangle():
     # equality in the triangle inequality is legal (points on a line)
     sp = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], labels="abc")
@@ -384,6 +420,64 @@ def full_gap_points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels=tuple(str(i) for i in range(n)), dist=dist)
 
 
+def product_torus_space(domain: TorusDomain) -> FiniteMetricSpace:
+    """Materialize Z_m^n with its word metric as a FiniteMetricSpace.
+
+    The table is the max of the per-axis circular gaps, built from its
+    product structure: each further axis writes one fresh table.
+    """
+    m = domain.m
+    half = m / 2
+    # circular gap min(d, m - d) = m/2 - |d - m/2| for d = |x - y|
+    c = np.arange(m, dtype=np.float64)
+    gap = half - np.abs(np.abs(c[:, None] - c[None, :]) - half)
+    dist = gap
+    for _ in range(domain.n - 1):
+        size = dist.shape[0]
+        # D_{k+1}[(a, b), (c, d)] = max(D_k[a, c], gap[b, d]), row-major
+        nxt = np.empty((size * m, size * m))
+        np.maximum(dist[:, None, :, None], gap[None, :, None, :],
+                   out=nxt.reshape(size, m, size, m))
+        dist = nxt
+    dist.flags.writeable = False
+    labels = tuple(",".join(map(str, p)) for p in domain.coords())
+    return FiniteMetricSpace(labels=labels, dist=dist)
+
+
+def row_block_points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
+    """Finite metric space of vectors under the l_p norm, built one
+    coordinate at a time into one (N, N) table, ROW_BLOCK rows at a time
+    through one (ROW_BLOCK, N) gap buffer.
+
+    Complex coordinates are allowed; differences are measured by modulus.
+    """
+    pts = np.asarray(points)
+    if not np.iscomplexobj(pts):
+        pts = pts.astype(np.float64)
+    n = pts.shape[0]
+    dist = np.zeros((n, n))
+    buf = np.empty((min(spaces.ROW_BLOCK, n), n))
+    for lo in range(0, n, spaces.ROW_BLOCK):
+        hi = min(lo + spaces.ROW_BLOCK, n)
+        rows, gap = dist[lo:hi], buf[:hi - lo]
+        for c in pts.T:
+            if np.iscomplexobj(pts):
+                np.abs(c[lo:hi, None] - c[None, :], out=gap)
+            else:
+                np.subtract(c[lo:hi, None], c[None, :], out=gap)
+                np.abs(gap, out=gap)
+            if math.isinf(p):
+                np.maximum(rows, gap, out=rows)
+            else:
+                np.power(gap, p, out=gap)
+                rows += gap
+        if not math.isinf(p):
+            np.power(rows, 1.0 / p, out=rows)
+    dist[np.diag_indices(n)] = 0.0
+    dist.flags.writeable = False
+    return FiniteMetricSpace(labels=tuple(str(i) for i in range(n)), dist=dist)
+
+
 def full_row_distortion(mapping, source: FiniteMetricSpace,
                         target: FiniteMetricSpace,
                         block: int = 256) -> EmbeddingRecord:
@@ -471,6 +565,88 @@ def test_points_space_matches_the_full_gap_oracle(N, p, complex_points):
     got, want = points_space(pts, p), full_gap_points_space(pts, p)
     assert got.dist.tobytes() == want.dist.tobytes()
     assert got.labels == want.labels
+
+
+def _same_reads(space, want: np.ndarray, seed: int) -> None:
+    """pairs, block and .dist of a coordinate space give the bytes of the
+    table want, and pairs and block build no table."""
+    N = want.shape[0]
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, N, (2, 3, 50))
+    assert space.pairs(a, b).tobytes() == want[a, b].tobytes()
+    rows, cols = rng.integers(0, N, 40), rng.permutation(N)[:N // 2 + 1]
+    assert space.block(rows, cols).tobytes() == want[rows][:, cols].tobytes()
+    assert (space.block(slice(1, None), slice(None, -1)).tobytes()
+            == want[1:, :-1].tobytes())
+    assert "dist" not in vars(space)
+    assert space.dist.tobytes() == want.tobytes()
+    assert not space.dist.flags.writeable
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 7), (2, 5), (3, 4),
+                                 (2, 8), (3, 8)])
+def test_torus_reads_match_the_product_oracle(n, m):
+    dom = TorusDomain(n=n, m=m)
+    want = product_torus_space(dom)
+    got = torus_space(dom)
+    assert got.labels == want.labels
+    _same_reads(got, want.dist, n * 100 + m)
+
+
+@pytest.mark.parametrize("N", [1, 33, 100])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+def test_points_reads_match_the_row_block_oracle(N, p, kind):
+    rng = np.random.default_rng(N)
+    pts = {"real": lambda: rng.standard_normal((N, 3)),
+           "complex": lambda: (rng.standard_normal((N, 3))
+                               + 1j * rng.standard_normal((N, 3))),
+           "integer": lambda: rng.integers(-5, 6, (N, 3))}[kind]()
+    want = row_block_points_space(pts, p)
+    got = points_space(pts, p)
+    assert got.labels == want.labels
+    _same_reads(got, want.dist, N)
+
+
+def _table_or_coords(space, table: bool):
+    return FiniteMetricSpace(space.labels, dist=space.dist) if table else space
+
+
+@pytest.mark.parametrize("case", ["torus-to-points", "grid-to-points"])
+@pytest.mark.parametrize("source_table", [False, True])
+@pytest.mark.parametrize("target_table", [False, True])
+def test_distortion_and_moduli_read_tables_and_coordinates_alike(
+        case, source_table, target_table):
+    rng = np.random.default_rng(3)
+    if case == "torus-to-points":
+        dom = TorusDomain(n=2, m=6)
+        source, want_source = torus_space(dom), product_torus_space(dom)
+        pts = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        target, want_target = points_space(pts, 3.0), row_block_points_space(pts, 3.0)
+        f = rng.permutation(50)[:36]
+    else:
+        grid = grid_points(2, 6)
+        source = points_space(grid, math.inf)
+        want_source = row_block_points_space(grid, math.inf)
+        target, want_target = points_space(grid, 2.0), row_block_points_space(grid, 2.0)
+        f = rng.permutation(len(grid))
+    source = _table_or_coords(source, source_table)
+    target = _table_or_coords(target, target_table)
+    _same_record(distortion(f, source, target),
+                 distortion(f, want_source, want_target))
+    got, want = moduli(f, source, target), moduli(f, want_source, want_target)
+    for name in ("thresholds", "expansion", "compression"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_grid_identity_distortion_needs_no_table(address_cap):
+    # the two 3,125-point tables would take 156 MB
+    pts = grid_points(5, 4)
+    address_cap(64 << 20)
+    rec = distortion(np.arange(len(pts)), points_space(pts, math.inf),
+                     points_space(pts, 2.0))
+    assert rec.distortion == pytest.approx(math.sqrt(5), rel=1e-12)
+    assert (rec.lip_pair, rec.colip_pair) == ((0, 781), (0, 1))
 
 
 def _same_record(got, want):
@@ -570,8 +746,24 @@ def test_table_budget_boundary(build, points, monkeypatch):
         monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", budget)
         assert build(points).dist.nbytes == table
     monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", table - 1)
+    space = build(points)  # the guard is on the table read, not the space
+    assert space.pairs(0, 1) > 0
     with pytest.raises(BudgetExceededError):
-        build(points)
+        space.dist
+
+
+def test_all_pair_scans_keep_the_table_budget(monkeypatch):
+    # distortion and moduli visit every pair, so a source over the table
+    # budget is refused although neither reads a table
+    space = points_space(np.arange(12)[:, None], 2.0)
+    ident = np.arange(12)
+    monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", 8 * 12 * 12)
+    assert distortion(ident, space, space).distortion == 1.0
+    assert moduli(ident, space, space).expansion_at(11.0) == 11.0
+    monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", 8 * 12 * 12 - 1)
+    for scan in (distortion, moduli):
+        with pytest.raises(BudgetExceededError):
+            scan(ident, space, space)
 
 
 def _peak_bytes(build) -> int:
@@ -584,16 +776,22 @@ def _peak_bytes(build) -> int:
 
 
 def test_one_table_per_space():
-    # beyond the (N, N) table: labels, coordinates and numpy's ufunc
-    # buffers, about 0.15 MB here, whatever N is
+    # a space holds coordinates and labels, O(N n); the first .dist read
+    # adds the (N, N) table and one ROW_BLOCK-row block's buffers
     slack = 1 << 18
-    table = 8 * 1024**2
+    N = 1024
     peak = _peak_bytes(lambda: torus_space(TorusDomain(n=2, m=32)))
-    assert table <= peak <= table + slack
-    # points_space adds one (ROW_BLOCK, N) gap buffer
+    assert peak <= 64 * N * 2 + slack
+    space = torus_space(TorusDomain(n=2, m=32))
+    table, row_block = 8 * N * N, 8 * spaces.ROW_BLOCK * N
+    peak = _peak_bytes(lambda: space.dist)
+    assert table <= peak <= table + 4 * row_block + slack
     N = 600
     pts = np.random.default_rng(0).standard_normal((N, 3))
     table, row_block = 8 * N * N, 8 * spaces.ROW_BLOCK * N
     for p in (math.inf, 2.0):
         peak = _peak_bytes(lambda: points_space(pts, p))
-        assert table <= peak <= table + row_block + slack
+        assert peak <= 64 * N * 3 + slack
+        space = points_space(pts, p)
+        peak = _peak_bytes(lambda: space.dist)
+        assert table <= peak <= table + 4 * row_block + slack
