@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -46,6 +45,7 @@ from .gridops import (
     climb,
     dist_power,
     family_table,
+    ordered_sum,
     random_point_values,
     shift_energy,
     shift_energy_batch,
@@ -65,11 +65,6 @@ EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
 B_INVARIANT_TOL = 1e-9
 WITNESS_CHUNK = 4096  # bounds the (witness, shift) means held at once
-
-
-def _total(values) -> float:
-    """Left-to-right float sum, as += adds; sum() compensates from 3.12 on."""
-    return functools.reduce(operator.add, np.asarray(values).tolist(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -147,9 +142,9 @@ def _cotype_report(f: GridFunction, target, p: float, q: float,
     exact = 3**n * dom.points <= budget
     table = family_table(dom, "edges" if exact else "axes", m // 2)
     means = shift_energy(f.values, target, table, p)
-    lhs = _total(means[:n])
+    lhs = ordered_sum(means[:n])
     if exact:
-        rhs_raw, stderr, mode = _total(means[n:]) / 3**n, 0.0, "exact"
+        rhs_raw, stderr, mode = ordered_sum(means[n:]) / 3**n, 0.0, "exact"
     else:
         rng = np.random.default_rng(seed)
         n_samples = max(n, int(budget // max(dom.points, 1)))
@@ -174,7 +169,7 @@ def _sampled_eps_average(f: GridFunction, target, p: float,
     """
     n = f.domain.n
     weights = [comb(n, z) * 2 ** (n - z) / 3**n for z in range(n)]
-    wsum = _total(weights)
+    wsum = ordered_sum(weights)
     alloc = [max(1, round(n_samples * w / wsum)) for w in weights]
     eps = np.zeros((sum(alloc), n), dtype=np.int64)
     for row, z in enumerate(np.repeat(np.arange(n), alloc)):
@@ -454,8 +449,8 @@ def _b_report(f: GridFunction, target, ell: int, enforce: bool = True) -> BRepor
     _require_shift(ell)
     table = family_table(dom, "signs", ell)
     means = shift_energy(f.values, target, table, 2.0)
-    lhs = _total(means[:n])
-    rhs_raw = _total(means[n:]) / 2**n
+    lhs = ordered_sum(means[:n])
+    rhs_raw = ordered_sum(means[n:]) / 2**n
     b_hat, degenerate = _b_from(lhs, rhs_raw, n, m, ell, enforce)
     return BReport(n=n, m=m, ell=ell, lhs=lhs,
                    rhs_raw=0.0 if degenerate else rhs_raw, b_hat=b_hat,
@@ -564,7 +559,7 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
             return -math.inf if rep.degenerate else rep.gamma_hat
         means = sums(vals)  # the floats cotype_functionals computes
         gamma_hat, degenerate = _gamma_from(
-            _total(means[:n]), _total(means[n:]) / 3**n, n, m, p, q)
+            ordered_sum(means[:n]), ordered_sum(means[n:]) / 3**n, n, m, p, q)
         return -math.inf if degenerate else gamma_hat
 
     witness = GridFunction.points(
@@ -594,7 +589,7 @@ def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
             return -math.inf if rep.degenerate else rep.b_hat
         means = sums(vals)  # the floats b_functionals computes
         b_hat, degenerate = _b_from(
-            _total(means[:n]), _total(means[n:]) / 2**n, n, m, ell)
+            ordered_sum(means[:n]), ordered_sum(means[n:]) / 2**n, n, m, ell)
         return -math.inf if degenerate else b_hat
 
     witness = GridFunction.points(
@@ -623,8 +618,8 @@ def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
     target = _as_target(space_or_norm)
     table = family_table(dom, "signs", a * m + r)
     means = shift_energy(f.values, target, table, 2.0)
-    lhs = _total(means[:n])
-    edge = _total(means[n:]) / 2**n
+    lhs = ordered_sum(means[:n])
+    edge = ordered_sum(means[n:]) / 2**n
     rhs = min(r**2, (m - r) ** 2) * n * edge
     return make_check(
         "shift-mod-bound",
@@ -647,8 +642,8 @@ def edge_sum_check(f: GridFunction, space_or_norm,
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     target = _as_target(space_or_norm)
     means = shift_energy(f.values, target, family_table(dom, "three", 1), p)
-    lhs = _total(means[:n])
-    rhs = 3.0 * 2.0 ** (p - 1.0) * n * (_total(means[n:]) / 3**n)
+    lhs = ordered_sum(means[:n])
+    rhs = 3.0 * 2.0 ** (p - 1.0) * n * (ordered_sum(means[n:]) / 3**n)
     return make_check("edge-sum-bound", {"n": n, "m": dom.m, "p": p}, lhs, rhs)
 
 

@@ -20,7 +20,14 @@ from .errors import (
     HypothesisFailedError,
     PreconditionViolationError,
 )
-from .gridops import axis_shift, climb, family_table, roll_values, shift_energy
+from .gridops import (
+    axis_shift,
+    climb,
+    family_table,
+    ordered_sum,
+    roll_values,
+    shift_energy,
+)
 from .harmonic import GridFunction, _axis_window_sum
 from .spaces import (
     EmbeddingRecord,
@@ -372,9 +379,8 @@ def extract_grid(f: GridFunction, space, s: int):
     target = as_target(space)
     require_indices(f.values, target)
 
-    lhs_s = 0.0
-    for v in shift_energy(f.values, target, family_table(dom, "axes", s), 2.0):
-        lhs_s += float(v)
+    lhs_s = ordered_sum(
+        shift_energy(f.values, target, family_table(dom, "axes", s), 2.0))
     edge = _edge_table(f, target)
     activity = _edge_activity(edge)
     rhs_full = float(activity.mean())

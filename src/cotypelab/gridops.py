@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -23,6 +24,12 @@ def roll_values(domain: TorusDomain, values: np.ndarray, shift) -> np.ndarray:
     grid = values.reshape(shape)
     rolled = np.roll(grid, tuple(-int(v) for v in s), axis=tuple(range(domain.n)))
     return rolled.reshape(values.shape)
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right float sum from 0.0, as += adds; sum() compensates
+    from Python 3.12 on."""
+    return functools.reduce(operator.add, np.asarray(values).tolist(), 0.0)
 
 
 def axis_shift(domain: TorusDomain, j: int, amount: int = 1) -> np.ndarray:

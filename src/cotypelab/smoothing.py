@@ -25,6 +25,7 @@ from .errors import (
 from .gridops import (
     climb,
     family_table,
+    ordered_sum,
     random_vector_values,
     shift_energy,
     shift_table,
@@ -109,10 +110,7 @@ def _norm_of(target):
 def _edge_energy(f: GridFunction, target, p: float) -> float:
     """E over full sign patterns of avg_x d(f(x+eps), f(x))^p."""
     table = family_table(f.domain, "signs")
-    total = 0.0
-    for v in shift_energy(f.values, target, table, p):
-        total += float(v)
-    return total / len(table)
+    return ordered_sum(shift_energy(f.values, target, table, p)) / len(table)
 
 
 def check_lemma_approx(f: GridFunction, space, j: int, k: int,
@@ -136,10 +134,8 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
         lhs = float(np.mean(norm(smoothed.values - f.values) ** p))
     else:
         sset = smoothing_set(j, k, dom)
-        lhs = 0.0
-        for v in shift_energy(f.values, target, shift_table(dom, sset.members), p):
-            lhs += float(v)
-        lhs /= sset.size
+        table = shift_table(dom, sset.members)
+        lhs = ordered_sum(shift_energy(f.values, target, table, p)) / sset.size
     ej = np.take(f.values, family_table(dom, "axes", 1)[j], axis=0)
     ej_term = float(np.mean(target.pairwise(ej, f.values) ** p))
     rhs = 2.0**p * k**p * _edge_energy(f, target, p) + 2.0 ** (p - 1) * ej_term
@@ -203,9 +199,8 @@ def _cancellation_check_from(f: GridFunction, space, k: int, p: float,
     fwd, bwd = np.take(f.values, family_table(dom, "signs")[[row, 2**n - 1 - row]],
                        axis=0)
     eps_term = float(np.mean(norm(fwd - bwd) ** p))
-    edge_sum = 0.0
-    for v in shift_energy(f.values, target, family_table(dom, "axes", 1), p):
-        edge_sum += float(v)
+    edge_sum = ordered_sum(
+        shift_energy(f.values, target, family_table(dom, "axes", 1), p))
     rhs = (3.0 ** (p - 1) * eps_term
            + 24.0**p * n ** (2 * p - 1) / k**p * edge_sum)
     return make_check(

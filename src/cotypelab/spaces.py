@@ -46,19 +46,32 @@ class FiniteMetricSpace:
     (N, N) table or computed from (N, k) coordinates.
 
     Coordinate distances are the l_p norm (max for p = inf) of the gaps
-    |c_i - c_j|, or, with a period m, of the circular gaps
-    m/2 - ||c_i - c_j| - m/2|. Every reader goes through pairs
-    (elementwise) or block (outer); .dist is the whole table.
+    g = |c_i - c_j|, or, with a period m, of the circular gaps
+    min(g, m - g). Every reader goes through pairs (elementwise) or block
+    (outer); .dist is the whole table. A coordinate space without given
+    labels builds them on first read: "a,b,c" from a torus point's
+    coordinates, the index otherwise.
     """
 
-    def __init__(self, labels, dist=None, coords=None, p=math.inf, period=0):
-        self.labels, self.coords, self.p, self.period = labels, coords, p, period
+    def __init__(self, labels=None, dist=None, coords=None, p=math.inf,
+                 period=0):
+        if labels is not None:
+            self.labels = labels
+        if coords is not None:  # copied: later edits move no distance
+            coords = np.array(coords, dtype=_working_dtype(coords, p, period))
+        self.coords, self.p, self.period = coords, p, period
         if dist is not None:
             self.dist = dist
 
+    @functools.cached_property
+    def labels(self) -> tuple:
+        if self.period:
+            return tuple(",".join(map(str, c)) for c in self.coords)
+        return tuple(str(i) for i in range(len(self.coords)))
+
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.labels if self.coords is None else self.coords)
 
     @functools.cached_property
     def dist(self) -> np.ndarray:
@@ -73,12 +86,16 @@ class FiniteMetricSpace:
         return out
 
     def pairs(self, a, b) -> np.ndarray:
-        """d(a, b) for index arrays a and b, elementwise (broadcast)."""
+        """d(a, b) for index arrays a and b, elementwise (broadcast), as
+        float64. Integer coordinates are summed in their own exact dtype,
+        so the float64 sums, and their roots, are those of a float64 loop."""
         if self.coords is None:
             return self.dist[a, b]
-        half = self.period / 2
-        total = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        exact = self.coords.dtype.kind == "i"
+        total = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)),
+                         self.coords.dtype if exact else np.float64)
         gap = np.empty_like(total)
+        spare = np.empty_like(total) if exact else None
         for c in self.coords.T:
             if np.iscomplexobj(c):
                 np.abs(c[a] - c[b], out=gap)
@@ -86,12 +103,14 @@ class FiniteMetricSpace:
                 np.subtract(c[a], c[b], out=gap)
                 np.abs(gap, out=gap)
             if self.period:
-                gap = half - np.abs(gap - half)
+                np.subtract(self.period, gap, out=spare)
+                np.minimum(gap, spare, out=gap)
             if math.isinf(self.p):
                 np.maximum(total, gap, out=total)
             else:
-                np.power(gap, self.p, out=gap)
-                total += gap
+                total += (_int_power(gap, int(self.p), spare) if exact
+                          else np.power(gap, self.p, out=gap))
+        total = total.astype(np.float64, copy=False)
         if not math.isinf(self.p):
             np.power(total, 1.0 / self.p, out=total)
         return total
@@ -101,6 +120,34 @@ class FiniteMetricSpace:
         index array or a slice."""
         idx = np.arange(self.size)
         return self.pairs(idx[rows][:, None], idx[cols][None])
+
+
+def _int_power(gap: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """gap**p as p - 1 products into out: numpy's integer power loop runs
+    30-40x slower than a product (numpy 2.4)."""
+    np.copyto(out, gap)
+    for _ in range(p - 1):
+        out *= gap
+    return out
+
+
+def _working_dtype(coords, p, period) -> np.dtype:
+    """The dtype pairs measures coordinates in: the narrowest signed
+    integer dtype holding every coordinate, gap, period and sum of k gap
+    powers when the coordinates are integers, p is an integer in [1, 52]
+    or inf and all of those are below 2^53 (where float64 is exact too);
+    complex or float64 otherwise."""
+    arr = np.asarray(coords)
+    # p > 52 stays float64: k * span**p < 2**53 would need a span below 2
+    if (arr.dtype.kind in "iu"
+            and (math.isinf(p) or (float(p).is_integer() and 1 <= p <= 52))):
+        lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+        span = hi - lo  # the largest gap; the sum of gap powers is no less
+        peak = span if math.isinf(p) else arr.shape[1] * span ** int(p)
+        bound = max(-lo, hi, peak, period)
+        if bound < 2**53:  # a signed dtype holding -bound - 1 holds bound
+            return np.min_scalar_type(-bound - 1)
+    return arr.dtype if np.iscomplexobj(arr) else np.dtype(np.float64)
 
 
 def require_table(points: int) -> None:
@@ -287,10 +334,7 @@ def snowflake(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
 def torus_space(domain: TorusDomain) -> FiniteMetricSpace:
     """Z_m^n with its word metric, the max of the per-axis circular gaps,
     computed from the coordinates of the points it is asked about."""
-    coords = domain.coords()
-    labels = tuple(",".join(map(str, p)) for p in coords)
-    return FiniteMetricSpace(labels, coords=coords.astype(np.float64),
-                             period=domain.m)
+    return FiniteMetricSpace(coords=domain.coords(), period=domain.m)
 
 
 def grid_points(n: int, m: int) -> np.ndarray:
@@ -304,11 +348,7 @@ def points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
 
     Complex coordinates are allowed; differences are measured by modulus.
     """
-    pts = np.array(points)  # a copy: later edits to points move no distance
-    if not np.iscomplexobj(pts):
-        pts = pts.astype(np.float64)
-    return FiniteMetricSpace(tuple(str(i) for i in range(len(pts))),
-                             coords=pts, p=p)
+    return FiniteMetricSpace(coords=points, p=p)
 
 
 DIAG_BFS_BUDGET = 10**6

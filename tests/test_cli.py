@@ -150,12 +150,21 @@ def test_extract_grid_over_the_defect_budget(capsys, monkeypatch):
     assert "error:" in err and "budget is 1000" in err
 
 
-def test_extract_grid_runs_without_a_torus_table(capsys, address_cap):
+def test_extract_grid_runs_without_a_torus_table(capsys, address_cap,
+                                                 monkeypatch):
     from cotypelab import TorusDomain, embeddings
+    from cotypelab.spaces import FiniteMetricSpace
 
     # within the defect budget; the 65,536-point torus table would be 32 GiB
     work = embeddings.require_defect_budget(TorusDomain(n=4, m=16), 4)
     assert work == 75_497_472 <= embeddings.DEFECT_BUDGET
+    built, init = [], FiniteMetricSpace.__init__
+
+    def record(space, *args, **kwargs):
+        init(space, *args, **kwargs)
+        built.append(space)
+
+    monkeypatch.setattr(FiniteMetricSpace, "__init__", record)
     address_cap(4 << 30)  # a table built anyway fails with MemoryError
     code, doc, err = run_main(capsys, ["extract-grid", "--n", "4",
                                        "--m", "16", "--s", "4"])
@@ -163,6 +172,9 @@ def test_extract_grid_runs_without_a_torus_table(capsys, address_cap):
     assert doc["results"]["extraction"]["eta"] == 0.0
     assert doc["results"]["embedding"]["distortion"] == 1.0
     assert doc["results"]["embedding"]["target_size"] == 65536
+    # the torus and the box: labels are built only when read
+    assert [s.size for s in built] == [65536, 16]
+    assert not any("labels" in vars(s) for s in built)
 
 
 def test_extract_grid_at_n4_s8_stays_over_the_defect_budget(capsys):

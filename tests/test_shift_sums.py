@@ -25,7 +25,13 @@ from cotypelab import (
     two_point_space,
 )
 from cotypelab import cotype, gridops
-from cotypelab.gridops import ShiftSums, dist_power, family_table, shift_energy
+from cotypelab.gridops import (
+    ShiftSums,
+    dist_power,
+    family_table,
+    ordered_sum,
+    shift_energy,
+)
 from cotypelab.spaces import validate_metric
 from cotypelab.targets import MetricTarget
 
@@ -97,8 +103,8 @@ def test_search_scores_equal_the_reports(name, p, q):
         rng = np.random.default_rng([n, m, int(p), int(q)])
         for values in edits(rng, dom.points, space.size, 30):
             means = sums(values)
-            got = cotype._gamma_from(cotype._total(means[:n]),
-                                     cotype._total(means[n:]) / 3**n, n, m, p, q)
+            got = cotype._gamma_from(ordered_sum(means[:n]),
+                                     ordered_sum(means[n:]) / 3**n, n, m, p, q)
             rep = cotype_functionals(GridFunction.points(dom, values), space, p, q)
             assert got == (rep.gamma_hat, rep.degenerate)
 
@@ -113,8 +119,8 @@ def test_b_scores_equal_the_reports(name, ell):
         rng = np.random.default_rng([n, m, ell])
         for values in edits(rng, dom.points, space.size, 30):
             means = sums(values)
-            got = cotype._b_from(cotype._total(means[:n]),
-                                 cotype._total(means[n:]) / 2**n, n, m, ell)
+            got = cotype._b_from(ordered_sum(means[:n]),
+                                 ordered_sum(means[n:]) / 2**n, n, m, ell)
             rep = b_functionals(GridFunction.points(dom, values), space, ell)
             assert got == (rep.b_hat, rep.degenerate)
 

@@ -571,6 +571,7 @@ def _same_reads(space, want: np.ndarray, seed: int) -> None:
     """pairs, block and .dist of a coordinate space give the bytes of the
     table want, and pairs and block build no table."""
     N = want.shape[0]
+    assert space.pairs(0, N - 1).tobytes() == want[0, N - 1].tobytes()
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, N, (2, 3, 50))
     assert space.pairs(a, b).tobytes() == want[a, b].tobytes()
@@ -583,27 +584,61 @@ def _same_reads(space, want: np.ndarray, seed: int) -> None:
     assert not space.dist.flags.writeable
 
 
+# odd m; m = 128, whose coordinates fit int8 but whose period does not; m = 129
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 7), (2, 5), (3, 4),
-                                 (2, 8), (3, 8)])
+                                 (2, 8), (3, 8), (2, 3), (1, 128), (1, 129)])
 def test_torus_reads_match_the_product_oracle(n, m):
     dom = TorusDomain(n=n, m=m)
     want = product_torus_space(dom)
     got = torus_space(dom)
+    assert got.coords.dtype == (np.int8 if m < 128 else np.int16)
+    assert "labels" not in vars(got)
     assert got.labels == want.labels
     _same_reads(got, want.dist, n * 100 + m)
 
 
+def _span_at_2_53(p: float, k: int) -> int:
+    """The largest span s of k integer columns whose sum of k gap powers
+    k * s**p (s for p = inf) stays below 2**53."""
+    if math.isinf(p):
+        return 2**53 - 1
+    s = int((2**53 / k) ** (1 / p))
+    while k * (s + 1) ** p < 2**53:
+        s += 1
+    while k * s**p >= 2**53:
+        s -= 1
+    return s
+
+
+# integer points run in an integer dtype for p in {1, 2, 3, 4, inf} up to the
+# largest span whose sum of gap powers stays below 2**53 ("2^53-under"), and
+# in float64 one span unit over ("2^53-over") or at p = 1.5; both must give
+# the float64 bytes. "negative" and "positive" hold coordinates wider than
+# their gaps.
 @pytest.mark.parametrize("N", [1, 33, 100])
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-@pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("kind", ["real", "complex", "integer", "negative",
+                                  "positive", "uint8", "2^53-under",
+                                  "2^53-over"])
 def test_points_reads_match_the_row_block_oracle(N, p, kind):
     rng = np.random.default_rng(N)
     pts = {"real": lambda: rng.standard_normal((N, 3)),
            "complex": lambda: (rng.standard_normal((N, 3))
                                + 1j * rng.standard_normal((N, 3))),
-           "integer": lambda: rng.integers(-5, 6, (N, 3))}[kind]()
+           "integer": lambda: rng.integers(-5, 6, (N, 3)),
+           "negative": lambda: rng.integers(-200, -100, (N, 3)),
+           "positive": lambda: rng.integers(150, 250, (N, 3)),
+           "uint8": lambda: rng.integers(0, 256, (N, 3), dtype=np.uint8),
+           "2^53-under": lambda: rng.integers(0, 2, (N, 3)) * _span_at_2_53(p, 3),
+           "2^53-over": lambda: (rng.integers(0, 2, (N, 3))
+                                 * (_span_at_2_53(p, 3) + 1))}[kind]()
     want = row_block_points_space(pts, p)
     got = points_space(pts, p)
+    exact = kind not in ("real", "complex", "2^53-over") and p != 1.5
+    assert got.coords.dtype.kind == ("i" if exact else "c" if kind == "complex"
+                                     else "f")
+    assert (got.coords == pts).all()
+    assert "labels" not in vars(got)
     assert got.labels == want.labels
     _same_reads(got, want.dist, N)
 
