@@ -95,13 +95,20 @@ SHIFT_BLOCK_ELEMENTS = 1 << 18  # gathered value entries per kernel block
 
 
 def shift_table(domain: TorusDomain, shifts) -> np.ndarray:
-    """Read-only (S, m^n) int64 array: table[s, x] = linear index of x + shifts[s]."""
-    s = np.asarray(shifts, dtype=np.int64).reshape(-1, domain.n)
-    coords = domain.coords()
-    table = np.zeros((len(s), domain.points), dtype=np.int64)
+    """Read-only (S, m^n) int64 array: table[s, x] = linear index of x + shifts[s].
+    A coordinate plus a shift residue is below 2m, so in the narrowest dtype
+    holding 2m one conditional subtraction of m reduces it."""
+    m = domain.m
+    small = np.min_scalar_type(2 * m)
+    res = np.asarray(shifts, dtype=np.int64).reshape(-1, domain.n) % m
+    res = res.astype(small)
+    coords = domain.coords().astype(small)
+    table = np.zeros((len(res), domain.points), dtype=np.int64)
     for ax in range(domain.n):  # row-major index, built in place
-        table *= domain.m
-        table += (coords[:, ax] + s[:, ax, None]) % domain.m
+        v = coords[:, ax] + res[:, ax, None]
+        np.subtract(v, m, out=v, where=v >= m)
+        table *= m
+        table += v
     table.setflags(write=False)
     return table
 
@@ -143,13 +150,19 @@ def shift_energy_batch(values: np.ndarray, target, table: np.ndarray,
         v = values[w0:w0 + w_step]
         for s0 in range(0, S, s_step):
             d = target.pairwise(np.take(v, table[s0:s0 + s_step], axis=1), v[:, None])
-            out[w0:w0 + w_step, s0:s0 + s_step] = dist_power(d, p).mean(axis=-1)
+            out[w0:w0 + w_step, s0:s0 + s_step] = mean_power(d, p)
     return out
 
 
 def dist_power(d: np.ndarray, p: float) -> np.ndarray:
     """d^p as the kernel raises its distances (d itself at p = 1)."""
     return d if p == 1 else d ** p
+
+
+def mean_power(d: np.ndarray, p: float) -> np.ndarray:
+    """Means of d^p over the last axis with np.mean's floats (add.reduce in
+    index order, one division by the count), minus its Python overhead."""
+    return np.add.reduce(dist_power(d, p), axis=-1) / d.shape[-1]
 
 
 def shift_energy(values: np.ndarray, target, table: np.ndarray,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,11 @@ from .errors import (
     PreconditionViolationError,
 )
 from .gridops import (
+    INCREMENTAL_POINTS,
+    SHIFT_BLOCK_ELEMENTS,
     climb,
     family_table,
+    mean_power,
     ordered_sum,
     random_vector_values,
     shift_energy,
@@ -113,6 +117,101 @@ def _edge_energy(f: GridFunction, target, p: float) -> float:
     return ordered_sum(shift_energy(f.values, target, table, p)) / len(table)
 
 
+@functools.lru_cache(maxsize=4)
+def _update_tables(dom: TorusDomain) -> tuple:
+    """Per axis, shift_table rows whose entries at a changed point x's
+    coordinates add up to the indices an update reads: y = x - a and x - b
+    for each memo row d(f(y+a), f(y+b)), then y + a and y + b; also the flat
+    start of each y's row."""
+    n, m, pats = dom.n, dom.m, sign_patterns(dom.n)
+    a = np.vstack([np.eye(n, dtype=np.int64), pats, pats])  # rows e_j, eps, eps
+    b = np.vstack([0 * a[:-len(pats)], -pats])  # against 0, 0, -eps
+    shifts = np.vstack([-a, -b, 0 * a, a - b, b - a, 0 * a])
+    line = TorusDomain(n=1, m=m)
+    tables = [shift_table(line, shifts[:, ax]) * m**(n - 1 - ax) for ax in range(n)]
+    return tables, np.tile(np.arange(len(a)) * dom.points, 2)[:, None]
+
+
+def _words(values: np.ndarray) -> np.ndarray:
+    """The table's bits as flat unsigned integer words."""
+    return values.reshape(-1).view(f"u{min(values.itemsize, 8)}")
+
+
+class _Witness:
+    """The p-free arrays of one vector witness, each built on first use. sync
+    moves them to a table that differs at no more than INCREMENTAL_POINTS
+    points: it recomputes just the moved distance entries with the same
+    elementwise kernel, so each keeps a full pass's bits, and drops the rest."""
+
+    def __init__(self, key: tuple, values: np.ndarray):
+        self.key, self.values = key, values.copy()  # never the caller's table
+        self.dom, self.k, self.target = key[:3]
+        self.rows, self.window = None, {}
+
+    def sync(self, values: np.ndarray) -> bool:
+        """Move to values; False when more points than that changed. Bits are
+        compared, so -0.0 against 0.0 is a change."""
+        new, old = _words(values), _words(self.values)
+        width = len(new) // len(values)  # words per point; when more points
+        # differ, the first INCREMENTAL_POINTS * width + 1 differing words show it
+        pos = np.flatnonzero(new != old)[:INCREMENTAL_POINTS * width + 1]
+        changed = sorted({i // width for i in pos.tolist()})
+        if len(changed) > INCREMENTAL_POINTS:
+            return False
+        for x in changed:
+            self.values[x], self.window = values[x], {}
+        if changed and self.rows is not None:
+            tables, start = _update_tables(self.dom)
+            at = np.unravel_index(changed, self.dom.shape)
+            idx = sum(t[:, c] for t, c in zip(tables, at))
+            y, ya, yb = idx.reshape(3, len(start), -1)
+            v = self.values
+            self.rows.put(start + y, self.target.pairwise(v.take(ya, axis=0),
+                                                          v.take(yb, axis=0)))
+        return True
+
+    def distances(self) -> np.ndarray:
+        """The rows of _update_tables, in its order, gathering at most
+        SHIFT_BLOCK_ELEMENTS value entries at a time."""
+        if self.rows is None:
+            v, signs = self.values, family_table(self.dom, "signs")
+            step = max(1, SHIFT_BLOCK_ELEMENTS // max(1, v.size))
+            pairs = [(family_table(self.dom, "axes", 1), None), (signs, None),
+                     (signs, signs[::-1])]  # row -1 - r of the sign table is -eps_r
+            self.rows = np.concatenate([
+                self.target.pairwise(v.take(a[lo:lo + step], axis=0), v if b is None
+                                     else v.take(b[lo:lo + step], axis=0))
+                for a, b in pairs for lo in range(0, len(a), step)])
+        return self.rows
+
+    def built(self, key, build):
+        """The window array under key, from build() on first use."""
+        if key not in self.window:
+            self.window[key] = build()
+        return self.window[key]
+
+    def average(self, j: int) -> np.ndarray:  # A_j f
+        return self.built(j, lambda: _window_average(
+            self.dom, self.values, _window_axes(j, self.k, self.dom)))
+
+    def diffs(self) -> list:  # the central differences of the A_j f
+        return self.built("diffs", lambda: [
+            central_diff(GridFunction(self.dom, self.average(j)), j).values
+            for j in range(self.dom.n)])
+
+
+_MEMO = threading.local()  # the last vector witness checked, per thread
+
+
+def _witness(f: GridFunction, target, k: int) -> _Witness:
+    """The memo entry for f: reused, moved to f's values, or built afresh."""
+    key = (f.domain, k, target, f.values.shape, f.values.dtype)
+    w = getattr(_MEMO, "witness", None)
+    if w is None or w.key != key or not w.sync(f.values):
+        w = _MEMO.witness = _Witness(key, f.values)
+    return w
+
+
 def check_lemma_approx(f: GridFunction, space, j: int, k: int,
                        p: float) -> InequalityCheck:
     """Window average stays close to f: the approximation inequality.
@@ -129,16 +228,22 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
     dom = f.domain
     target = as_target(space)
     if f.is_vector:
-        smoothed = smoothing_apply(f, j, k)
         norm = _norm_of(target)
-        lhs = float(np.mean(norm(smoothed.values - f.values) ** p))
+        w = _witness(f, target, k)
+        gap = w.built(("gap", j), lambda: norm(w.average(j) - f.values))
+        lhs = float(mean_power(gap, p))
+        rows, n = w.distances(), dom.n
+        ej = rows[j]
+        edge = ordered_sum(mean_power(rows[n:n + 2**n], p)) / 2**n
     else:
         sset = smoothing_set(j, k, dom)
         table = shift_table(dom, sset.members)
         lhs = ordered_sum(shift_energy(f.values, target, table, p)) / sset.size
-    ej = np.take(f.values, family_table(dom, "axes", 1)[j], axis=0)
-    ej_term = float(np.mean(target.pairwise(ej, f.values) ** p))
-    rhs = 2.0**p * k**p * _edge_energy(f, target, p) + 2.0 ** (p - 1) * ej_term
+        ej = target.pairwise(
+            np.take(f.values, family_table(dom, "axes", 1)[j], axis=0), f.values)
+        edge = _edge_energy(f, target, p)
+    ej_term = float(mean_power(ej, p))
+    rhs = 2.0**p * k**p * edge + 2.0 ** (p - 1) * ej_term
     return make_check(
         "smoothing-approximation",
         {"n": dom.n, "m": dom.m, "j": j, "k": k, "p": p},
@@ -147,12 +252,11 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
     )
 
 
-def _smoothed_central_diffs(f: GridFunction, k: int) -> np.ndarray:
-    """Stack of central differences of the per-coordinate window averages."""
-    return np.stack([
-        central_diff(smoothing_apply(f, j, k), j).values
-        for j in range(f.domain.n)
-    ])
+def _signed_sum(eps: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """sum_j eps_j diffs[j] for a sign pattern eps, added left to right:
+    the floats of the complex product over j, with no BLAS call."""
+    return functools.reduce(operator.add,
+                            (d if e > 0 else -d for e, d in zip(eps, diffs)))
 
 
 def check_lemma_cancellation(f: GridFunction, space, k: int, p: float,
@@ -165,19 +269,6 @@ def check_lemma_cancellation(f: GridFunction, space, k: int, p: float,
 
     for any fixed full sign pattern eps. Vector-valued witnesses only.
     """
-    diffs = _smoothed_central_diffs(f, k)
-    return _cancellation_check_from(f, space, k, p, eps, diffs)
-
-
-def _signed_sum(eps: np.ndarray, diffs: np.ndarray) -> np.ndarray:
-    """sum_j eps_j diffs[j] for a sign pattern eps, added left to right:
-    the floats of the complex product over j, with no BLAS call."""
-    return functools.reduce(operator.add,
-                            (d if e > 0 else -d for e, d in zip(eps, diffs)))
-
-
-def _cancellation_check_from(f: GridFunction, space, k: int, p: float,
-                             eps, diffs: np.ndarray) -> InequalityCheck:
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     if not f.is_vector:
@@ -185,28 +276,26 @@ def _cancellation_check_from(f: GridFunction, space, k: int, p: float,
     dom = f.domain
     n = dom.n
     ev = np.asarray(eps, dtype=np.int64)
-    if ev.shape != (n,) or not np.all(np.abs(ev) == 1):
+    if ev.shape != (n,) or any(abs(e) != 1 for e in ev.tolist()):
         raise PreconditionViolationError(
             f"eps must be a full sign pattern of length {n}"
         )
+    label = "".join("+" if e > 0 else "-" for e in ev.tolist())
     target = as_target(space)
     norm = _norm_of(target)
+    w = _witness(f, target, k)
 
-    signed = _signed_sum(ev, diffs)
-    lhs = float(np.mean(norm(signed) ** p))
-
-    row = np.ravel_multi_index(tuple((ev + 1) // 2), (2,) * n)  # -eps: 2^n - 1 - row
-    fwd, bwd = np.take(f.values, family_table(dom, "signs")[[row, 2**n - 1 - row]],
-                       axis=0)
-    eps_term = float(np.mean(norm(fwd - bwd) ** p))
-    edge_sum = ordered_sum(
-        shift_energy(f.values, target, family_table(dom, "axes", 1), p))
+    row = int(label.replace("+", "1").replace("-", "0"), 2)  # sign_patterns row
+    signed = w.built(("signed", row), lambda: norm(_signed_sum(ev, w.diffs())))
+    lhs = float(mean_power(signed, p))
+    rows = w.distances()
+    eps_term = float(mean_power(rows[n + 2**n + row], p))
+    edge_sum = ordered_sum(mean_power(rows[:n], p))
     rhs = (3.0 ** (p - 1) * eps_term
            + 24.0**p * n ** (2 * p - 1) / k**p * edge_sum)
     return make_check(
         "smoothing-cancellation",
-        {"n": n, "m": dom.m, "k": k, "p": p,
-         "eps": "".join("+" if e > 0 else "-" for e in ev)},
+        {"n": n, "m": dom.m, "k": k, "p": p, "eps": label},
         lhs,
         rhs,
     )
@@ -215,11 +304,8 @@ def _cancellation_check_from(f: GridFunction, space, k: int, p: float,
 def check_lemma_cancellation_all(f: GridFunction, space, k: int,
                                  p: float) -> list[InequalityCheck]:
     """The cancellation bound for every full sign pattern, sharing work."""
-    diffs = _smoothed_central_diffs(f, k)
-    return [
-        _cancellation_check_from(f, space, k, p, eps, diffs)
-        for eps in sign_patterns(f.domain.n)
-    ]
+    return [check_lemma_cancellation(f, space, k, p, eps)
+            for eps in sign_patterns(f.domain.n)]
 
 
 def _adversarial(dom: TorusDomain, check_of, steps: int,

@@ -10,6 +10,7 @@ import math
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +217,32 @@ def test_shift_table_rows_are_rolled_indices(n, m, shifts):
     idx = np.arange(dom.points)
     for row, s in zip(table, shifts):
         np.testing.assert_array_equal(row, roll_values(dom, idx, s))
+
+
+def modulus_shift_table(dom, shifts):
+    """shift_table as it was built: an int64 (coords + shift) % m per axis."""
+    s = np.asarray(shifts, dtype=np.int64).reshape(-1, dom.n)
+    coords = dom.coords()
+    table = np.zeros((len(s), dom.points), dtype=np.int64)
+    for ax in range(dom.n):
+        table *= dom.m
+        table += (coords[:, ax] + s[:, ax, None]) % dom.m
+    return table
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 5), (3, 6), (1, 127),
+                                 (1, 128), (2, 130)])
+def test_shift_table_matches_the_modulus_construction(n, m):
+    # 2m = 254 fits uint8, 2m = 256 needs uint16; shifts are negative,
+    # at least m and at least 2m
+    rng = np.random.default_rng(n * m)
+    shifts = np.vstack([rng.integers(-3 * m - 2, 3 * m + 3, (20, n)),
+                        [[-m] * n, [m] * n, [2 * m] * n, [2 * m + 1] * n,
+                         [-2 * m - 1] * n, [m - 1] * n]])
+    dom = TorusDomain(n=n, m=m)
+    table = shift_table(dom, shifts)
+    assert table.dtype == np.int64
+    np.testing.assert_array_equal(table, modulus_shift_table(dom, shifts))
 
 
 # ------------------------------------------------------- tables, blocks

@@ -30,7 +30,7 @@ from cotypelab import (
     smoothing_set,
     torus_space,
 )
-from cotypelab import cotype, smoothing
+from cotypelab import cotype, gridops, smoothing
 from cotypelab.gridops import SHIFT_BLOCK_ELEMENTS, axis_shift, family_table
 from cotypelab.targets import MetricTarget
 
@@ -265,3 +265,124 @@ def test_bit_plane_temporaries_stay_within_a_block():
         tracemalloc.stop()
     held = peak - base - lhs.nbytes - rhs.nbytes
     assert held <= (3 + 9 / N) * SHIFT_BLOCK_ELEMENTS + (1 << 15)
+
+
+# ---------------------------------------------------------- witness memo
+
+
+def assert_checks_match(f, norm_p, dim, k, rng):
+    """A random approximation and cancellation check of f, at p = 1 then
+    p = 2, against the roll bodies."""
+    n = f.domain.n
+    new, old = NormTarget(p=norm_p, dim=dim), TrailingAxisNorm(norm_p)
+    j, eps = int(rng.integers(n)), sign_patterns(n)[rng.integers(2**n)]
+    for p in (1.0, 2.0):
+        chk = check_lemma_approx(f, new, j, k, p)
+        assert (chk.lhs, chk.rhs) == roll_approx(f, old, j, k, p)
+        chk = check_lemma_cancellation(f, new, k, p, eps)
+        assert (chk.lhs, chk.rhs) == roll_cancellation(f, old, k, p, eps)
+
+
+def edit(values, count, rng):
+    """Change count random points of values in place (all when count < 0)."""
+    pts = np.arange(len(values)) if count < 0 else \
+        rng.choice(len(values), count, replace=False)
+    values[pts] = rng.standard_normal((len(pts), values.shape[1])) \
+        + 1j * rng.standard_normal((len(pts), values.shape[1]))
+
+
+@pytest.mark.parametrize("n,m,k", [(1, 6, 1), (2, 8, 3), (3, 6, 1), (1, 130, 3)])
+@pytest.mark.parametrize("norm_p,d", [(2.0, 2), (1.0, 1), (math.inf, 3), (3.0, 2)])
+def test_memo_edit_sequences_match_the_roll_bodies(n, m, k, norm_p, d):
+    # 0, 1, 2 (a climb's revert and move), 3 and all points changed, in
+    # place between calls, so every check meets a hit, an update or a rebuild
+    dom = TorusDomain(n=n, m=m)
+    rng = np.random.default_rng(7 * n + m)
+    values = rand_vec(dom, d, rng).values
+    f = GridFunction(dom, values)
+    for count in (0, 1, 2, 0, 3, 1, -1, 2, 2, 1):
+        edit(values, count, rng)
+        assert_checks_match(f, norm_p, 0, k, rng)
+
+
+def test_memo_follows_interleaved_witnesses_and_keys():
+    rng = np.random.default_rng(11)
+    dom = TorusDomain(n=2, m=8)
+    f, g = rand_vec(dom, 2, rng), rand_vec(dom, 2, rng)
+    for _ in range(6):
+        edit(f.values, 1, rng)
+        assert_checks_match(f, 2.0, 0, 1, rng)
+        assert_checks_match(g, 2.0, 0, 3, rng)  # another witness and k
+        assert_checks_match(g, 2.0, 2, 3, rng)  # another target dim
+        assert_checks_match(f, 1.0, 0, 1, rng)  # another target p
+    # the same table read on three domains of 16 points
+    values = rand_vec(TorusDomain(n=4, m=2), 2, rng).values
+    for shape in ((1, 16), (2, 4), (1, 16)):
+        dom = TorusDomain(n=shape[0], m=shape[1])
+        assert_checks_match(GridFunction(dom, values), 2.0, 0, 1, rng)
+        edit(values, 1, rng)
+
+
+def test_memo_sees_a_zero_change_sign():
+    # -0.0 and 0.0 give the same distances, so only the held copy shows
+    # that the change was seen
+    dom = TorusDomain(n=2, m=6)
+    values = np.zeros((dom.points, 2), dtype=np.complex128)
+    f = GridFunction(dom, values)
+    norm = NormTarget(p=2.0)
+    check_lemma_cancellation(f, norm, 1, 2.0, [1, 1])
+    values[5, 1] = complex(-0.0, 0.0)
+    values[9, 0] = complex(0.0, -0.0)
+    check_lemma_approx(f, norm, 1, 1, 2.0)
+    held = smoothing._MEMO.witness.values
+    assert held.tobytes() == values.tobytes() and held is not values
+    assert np.signbit(held[5, 1].real) and np.signbit(held[9, 0].imag)
+
+
+def reference_climb(dom, sides, steps, seed):
+    """The adversarial climb with every step scored by sides(f) -> (lhs, rhs)."""
+    rng = np.random.default_rng(seed)
+    values = smoothing.random_vector_values(dom, smoothing.ADVERSARIAL_DIM, rng)
+    f = GridFunction(dom, values)
+    scores = []
+
+    def margin(_):
+        lhs, rhs = sides(f)
+        scores.append(lhs - rhs)
+        return scores[-1]
+
+    def nudge(rng, old):
+        return old + 0.7 * (rng.standard_normal(smoothing.ADVERSARIAL_DIM)
+                            + 1j * rng.standard_normal(smoothing.ADVERSARIAL_DIM))
+
+    gridops.climb(values, margin, nudge, steps, rng)
+    return sides(f), scores
+
+
+def recorded_climb(monkeypatch, search):
+    """Run search, recording every score its climb computes."""
+    scores = []
+
+    def climb(values, score, *args):
+        return gridops.climb(values, lambda v: scores.append(score(v)) or scores[-1],
+                             *args)
+
+    monkeypatch.setattr(smoothing, "climb", climb)
+    chk = search()
+    return (chk.lhs, chk.rhs), scores
+
+
+@pytest.mark.parametrize("n,m,k,p,seed", [(1, 6, 1, 1.0, 3), (2, 8, 3, 2.0, 4),
+                                          (3, 6, 1, 2.0, 5)])
+def test_adversarial_searches_match_a_reference_climb(monkeypatch, n, m, k, p, seed):
+    dom = TorusDomain(n=n, m=m)
+    norm, old = NormTarget(p=2.0), TrailingAxisNorm(2.0)
+    j, eps = n - 1, sign_patterns(n)[seed % 2**n]
+    got = recorded_climb(monkeypatch, lambda: smoothing.adversarial_approx_search(
+        n, m, j, k, p, norm, steps=30, seed=seed))
+    assert got == reference_climb(
+        dom, lambda f: roll_approx(f, old, j, k, p), 30, seed)
+    got = recorded_climb(monkeypatch, lambda: smoothing.adversarial_cancellation_search(
+        n, m, k, p, eps, norm, steps=30, seed=seed))
+    assert got == reference_climb(
+        dom, lambda f: roll_cancellation(f, old, k, p, eps), 30, seed)
