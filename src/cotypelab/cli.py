@@ -1,9 +1,10 @@
 """Experiment runner: every operation behind one reproducible command line.
 
 Reports are JSON with sorted keys so identical configs give identical
-bytes; wall-clock runtime goes to the console only. Check-producing
-commands also write the CSV ledger (columns fixed: suite, name, params,
-lhs, rhs, slack, pass) and exit with the number of failed checks.
+bytes; wall-clock runtime goes to the console only. The check commands
+(mod-check, verify, moduli-check) also write the CSV ledger (columns
+fixed: suite, name, params, lhs, rhs, slack, pass) and exit with the
+number of failed checks. TABLE declares every command and parameter.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .spaces import (
     torus_space,
     two_point_space,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -126,131 +128,156 @@ def _jsonable(obj):
     return obj
 
 
-def _need(params: dict, key: str, kind, path_root: str = "$.params"):
-    if key not in params or params[key] is None:
-        raise SchemaViolationError(f"missing required parameter {key!r}",
-                                   json_path=f"{path_root}.{key}")
-    try:
-        return kind(params[key])
-    except (TypeError, ValueError) as exc:
-        raise SchemaViolationError(f"parameter {key!r}: {exc}",
-                                   json_path=f"{path_root}.{key}") from exc
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a command: a ``--name`` flag, or a positional."""
+    name: str
+    type: type = int
+    default: object = None
+    required: bool | str = False  # or the one kind that needs it
+    even: bool = False
+    least: int | None = None
+    choices: tuple[str, ...] | None = None
+    positional: bool = False
+    help: str | None = None
+
+    def typed(self, value):
+        """A dict value as this type: no bool stands in for a number, no
+        fraction for an integer and nothing but a bool for a flag."""
+        bad = SchemaViolationError(
+            f"{self.name} must be {self.type.__name__}, got {value!r}",
+            json_path=f"$.params.{self.name}")
+        if isinstance(value, (bool, np.bool_)) != (self.type is bool):
+            raise bad
+        try:
+            typed = self.type(value)
+        except (TypeError, ValueError) as exc:
+            raise bad from exc
+        if self.type is int and typed != value:
+            raise bad
+        return typed
 
 
-def _opt(params: dict, key: str, kind, default):
-    if key not in params or params[key] is None:
-        return default
-    return _need(params, key, kind)
+def _kind(*choices: str) -> Param:
+    """The positional that selects a command's variant."""
+    return Param("kind", str, required=True, choices=choices, positional=True)
 
 
-def _even(name: str, value: int) -> int:
-    if value % 2 != 0:
-        raise SchemaViolationError(f"{name} must be even, got {value}",
-                                   json_path=f"$.params.{name}")
-    return value
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler, its parameters and the shared flags
+    (of ``_FLAGS``) it reads; every command takes ``--out``."""
+    name: str
+    help: str
+    handler: Callable
+    params: tuple[Param, ...]
+    flags: tuple[str, ...] = ()
+
+    def __call__(self, cfg: ExperimentConfig):
+        """The handler on typed, checked values, defaults filled in."""
+        for key in sorted(cfg.params.keys() - {p.name for p in self.params}):
+            raise SchemaViolationError(f"{self.name} has no parameter {key!r}",
+                                       json_path=f"$.params.{key}")
+        values = {}
+        for par in self.params:
+            raw = cfg.params.get(par.name)
+            value = par.default if raw is None else par.typed(raw)
+            path = f"$.params.{par.name}"
+            if value is None:
+                if par.required in (True, values.get("kind")):
+                    raise SchemaViolationError(
+                        f"missing required parameter {par.name!r}",
+                        json_path=path)
+            elif par.choices is not None and value not in par.choices:
+                raise UnknownCommandError(
+                    f"no {self.name} {par.name} named {value!r}")
+            elif par.even and value % 2 != 0:
+                raise SchemaViolationError(
+                    f"{par.name} must be even, got {value}", json_path=path)
+            elif par.least is not None and value < par.least:
+                # a *-worst check over no trials has no worst case to report
+                raise SchemaViolationError(
+                    f"{par.name} must be >= {par.least}, got {value}",
+                    json_path=path)
+            values[par.name] = value
+        return self.handler(cfg, **values)
 
 
-def _load_space(params: dict):
-    path = params.get("space")
-    if path is None:
-        return two_point_space()
-    return load_metric_space(path)
+def _load_space(path: str | None):
+    return two_point_space() if path is None else load_metric_space(path)
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_gamma_hilbert(cfg: ExperimentConfig):
-    n = _need(cfg.params, "n", int)
-    m = _even("m", _need(cfg.params, "m", int))
+def _gamma_hilbert(cfg: ExperimentConfig, n, m):
     value, kstar = gamma_hilbert_exact(n, m)
     return {"gamma": value, "argmax_frequency": list(kstar),
             "n": n, "m": m}, [], "exact"
 
 
-def _cmd_gamma_exhaustive(cfg: ExperimentConfig):
-    n = _need(cfg.params, "n", int)
-    m = _even("m", _need(cfg.params, "m", int))
-    p = _opt(cfg.params, "p", float, 2.0)
-    q = _opt(cfg.params, "q", float, 2.0)
+def _gamma_exhaustive(cfg: ExperimentConfig, n, m, p, q):
     rep = gamma_exhaustive_two_point(n, m, p, q, budget=cfg.budget)
     return rep.to_json_dict(), [], "exact"
 
 
-def _cmd_gamma_search(cfg: ExperimentConfig):
-    n = _need(cfg.params, "n", int)
-    m = _even("m", _need(cfg.params, "m", int))
-    p = _opt(cfg.params, "p", float, 2.0)
-    q = _opt(cfg.params, "q", float, 2.0)
-    space = _load_space(cfg.params)
-    rep = gamma_search(space, n, m, p, q, cfg.budget, cfg.seed)
+def _gamma_search(cfg: ExperimentConfig, n, m, p, q, space):
+    rep = gamma_search(_load_space(space), n, m, p, q, cfg.budget, cfg.seed)
     return rep.to_json_dict(), [], "lower-bound"
 
 
-def _cmd_bq(cfg: ExperimentConfig):
-    n = _need(cfg.params, "n", int)
-    m = _even("m", _need(cfg.params, "m", int))
-    ell = _even("ell", _need(cfg.params, "ell", int))
-    space = _load_space(cfg.params)
-    if cfg.params.get("exhaustive") and space.size == 2:
+def _bq(cfg: ExperimentConfig, n, m, ell, space, exhaustive):
+    space = _load_space(space)
+    if exhaustive and space.size == 2:
         rep = exhaustive_b_two_point(n, ell, m, cfg.budget)
         return rep.to_json_dict(), [], "exact"
     rep = b_quantity_search(space, n, ell, m, cfg.budget, cfg.seed)
     return rep.to_json_dict(), [], "lower-bound"
 
 
-def _cmd_mod_check(cfg: ExperimentConfig):
-    n = _need(cfg.params, "n", int)
-    m = _even("m", _need(cfg.params, "m", int))
-    a = _opt(cfg.params, "a", int, 0)
-    r = _need(cfg.params, "r", int)
-    trials = _opt(cfg.params, "trials", int, 100)
-    space = _load_space(cfg.params)
+def _trial_checks(cfg: ExperimentConfig, n, m, trials, space,
+                  check) -> list[InequalityCheck]:
+    """check(f, space) on `trials` seeded random point maps f of Z_m^n
+    into the space, each tagged with its trial, in check order."""
+    space = _load_space(space)
     dom = TorusDomain(n=n, m=m)
     rng = np.random.default_rng(cfg.seed)
-    checks = []
-    for t in range(trials):
-        f = GridFunction.points(dom, random_point_values(dom, space.size, rng))
-        chk = mod_inequality_check(f, space, a, r)
-        checks.append(InequalityCheck(
-            name=chk.name, params={**chk.params, "trial": t},
-            lhs=chk.lhs, rhs=chk.rhs, tolerance=chk.tolerance))
-    checks.sort(key=check_order)
-    worst = min(c.slack for c in checks) if checks else 0.0
+    checks = (check(GridFunction.points(
+        dom, random_point_values(dom, space.size, rng)), space)
+        for _ in range(trials))
+    return sorted((replace(c, params={**c.params, "trial": t})
+                   for t, c in enumerate(checks)), key=check_order)
+
+
+def _mod_check(cfg: ExperimentConfig, n, m, a, r, trials, space):
+    checks = _trial_checks(cfg, n, m, trials, space, lambda f, sp:
+                           mod_inequality_check(f, sp, a, r))
+    worst = min(c.slack for c in checks)
     return {"trials": trials, "worst_slack": worst}, checks, "sampled"
 
 
-def _cmd_verify(cfg: ExperimentConfig):
-    suite = _opt(cfg.params, "suite", str, "all")
-    trials = _opt(cfg.params, "trials", int, None)
-    if trials is not None and trials < 1:
-        # a *-worst check over no trials has no worst case to report
-        raise SchemaViolationError(f"trials must be >= 1, got {trials}",
-                                   json_path="$.params.trials")
-    seed = _opt(cfg.params, "seed", int, None)
+def _moduli_check(cfg: ExperimentConfig, n, m, p, q, r, s, trials, space):
+    checks = _trial_checks(cfg, n, m, trials, space, lambda f, sp:
+                           coarse_obstruction_check(f.values, sp, n, m, p, q,
+                                                    r, s))
+    return {"trials": trials}, checks, "sampled"
+
+
+def _verify(cfg: ExperimentConfig, suite, trials, seed):
     checks = run_suite(suite, seed=seed, trials=trials)
     return {"suite": suite, "checks_run": len(checks)}, checks, "suite"
 
 
-def _cmd_embed(cfg: ExperimentConfig):
-    kind = _need(cfg.params, "kind", str)
-    m = _even("m", _need(cfg.params, "m", int))
+def _embed(cfg: ExperimentConfig, kind, m, n, eps):
     if kind == "frechet":
         rec = frechet_cycle(m)
     elif kind == "sparse":
-        eps = _need(cfg.params, "eps", float)
         rec = sparse_frechet_cycle(m, eps)
-    elif kind == "grid-torus":
-        n = _need(cfg.params, "n", int)
-        rec = grid_to_torus(m, n, budget=cfg.budget)
     else:
-        raise UnknownCommandError(f"no embed kind named {kind!r}")
+        rec = grid_to_torus(m, n, budget=cfg.budget)
     return rec.to_json_dict(), [], "exact"
 
 
-def _cmd_extract_grid(cfg: ExperimentConfig):
-    n = _need(cfg.params, "n", int)
-    m = _even("m", _need(cfg.params, "m", int))
-    s = _need(cfg.params, "s", int)
+def _extract_grid(cfg: ExperimentConfig, n, m, s):
     if s % 4 != 0:
         raise SchemaViolationError(f"s must be divisible by 4, got {s}",
                                    json_path="$.params.s")
@@ -261,96 +288,99 @@ def _cmd_extract_grid(cfg: ExperimentConfig):
     return {"embedding": rec.to_json_dict(), "extraction": _jsonable(info)}, [], "exact"
 
 
-def _cmd_moduli_check(cfg: ExperimentConfig):
-    n = _need(cfg.params, "n", int)
-    m = _even("m", _need(cfg.params, "m", int))
-    p = _opt(cfg.params, "p", float, 2.0)
-    q = _opt(cfg.params, "q", float, 2.0)
-    r = _opt(cfg.params, "r", float, 2.0)
-    s_scale = _opt(cfg.params, "s", float, 1.0)
-    trials = _opt(cfg.params, "trials", int, 50)
-    space = _load_space(cfg.params)
-    dom = TorusDomain(n=n, m=m)
-    rng = np.random.default_rng(cfg.seed)
-    checks = []
-    for t in range(trials):
-        vals = random_point_values(dom, space.size, rng)
-        chk = coarse_obstruction_check(vals, space, n, m, p, q, r, s_scale)
-        checks.append(InequalityCheck(
-            name=chk.name, params={**chk.params, "trial": t},
-            lhs=chk.lhs, rhs=chk.rhs, tolerance=chk.tolerance))
-    checks.sort(key=check_order)
-    return {"trials": trials}, checks, "sampled"
-
-
-def _cmd_bounds(cfg: ExperimentConfig):
-    kind = _need(cfg.params, "kind", str)
+def _bounds(cfg: ExperimentConfig, kind, n, n0, ell0, q, K, m):
     if kind == "shift-growth":
-        n0 = _need(cfg.params, "n0", int)
-        ell0 = _need(cfg.params, "ell0", int)
-        n = _need(cfg.params, "n", int)
         value = shift_growth_bound(n0, ell0, n)
         return {"kind": kind, "value": value, "n0": n0, "ell0": ell0,
                 "n": n}, [], "formula"
-    if kind == "grid-distortion":
-        n = _need(cfg.params, "n", int)
-        q = _need(cfg.params, "q", float)
-        if cfg.params.get("K") is not None:
-            K = _need(cfg.params, "K", float)
-        else:
-            m = _even("m", _need(cfg.params, "m", int))
-            K, _ = gamma_hilbert_exact(n, m)
-        value = grid_distortion_bound(n, q, K)
-        return {"kind": kind, "value": value, "n": n, "q": q,
-                "K": K}, [], "formula"
-    raise UnknownCommandError(f"no bounds kind named {kind!r}")
+    if K is None:  # the exact constant of the named cell
+        if m is None:
+            raise SchemaViolationError("grid-distortion needs --K or --m",
+                                       json_path="$.params.m")
+        K, _ = gamma_hilbert_exact(n, m)
+    value = grid_distortion_bound(n, q, K)
+    return {"kind": kind, "value": value, "n": n, "q": q,
+            "K": K}, [], "formula"
 
 
-def _cmd_plot(cfg: ExperimentConfig):
-    kind = _need(cfg.params, "kind", str)
-    path = cfg.plot
-    if path is None:
+def _plot(cfg: ExperimentConfig, kind, n, m, m_max, n_max, q):
+    if cfg.plot is None:
         raise SchemaViolationError("plot needs a --plot path",
                                    json_path="$.plot")
     if kind == "gamma-vs-m":
-        n = _need(cfg.params, "n", int)
-        m_max = _even("m-max", _need(cfg.params, "m_max", int))
-        pts = []
-        for m in range(2, m_max + 1, 2):
-            g, _ = gamma_hilbert_exact(n, m)
-            pts.append((float(m), g))
+        pts = [(float(k), gamma_hilbert_exact(n, k)[0])
+               for k in range(2, m_max + 1, 2)]
         ref = ("sqrt(6)/pi", float(np.sqrt(6.0) / np.pi))
-        emit_plot([(f"n={n}", pts)], path, title="Hilbert cotype constant",
+        emit_plot([(f"n={n}", pts)], cfg.plot, title="Hilbert cotype constant",
                   xlabel="m", ylabel="gamma", reference=ref)
-        return {"kind": kind, "points": pts, "file": str(path)}, [], "exact"
-    if kind == "distortion-vs-n":
-        m = _even("m", _need(cfg.params, "m", int))
-        q = _opt(cfg.params, "q", float, 2.0)
-        n_max = _need(cfg.params, "n_max", int)
-        pts = []
-        for n in range(1, n_max + 1):
-            K, _ = gamma_hilbert_exact(n, m)
-            pts.append((float(n), grid_distortion_bound(n, q, K)))
-        emit_plot([(f"m={m}", pts)], path,
+    else:
+        pts = [(float(k), grid_distortion_bound(
+            k, q, gamma_hilbert_exact(k, m)[0])) for k in range(1, n_max + 1)]
+        emit_plot([(f"m={m}", pts)], cfg.plot,
                   title="Distortion floor for torus bijections",
                   xlabel="n", ylabel="required distortion")
-        return {"kind": kind, "points": pts, "file": str(path)}, [], "exact"
-    raise UnknownCommandError(f"no plot kind named {kind!r}")
+    return {"kind": kind, "points": pts, "file": str(cfg.plot)}, [], "exact"
 
 
-COMMANDS = {
-    "gamma-hilbert": _cmd_gamma_hilbert,
-    "gamma-exhaustive": _cmd_gamma_exhaustive,
-    "gamma-search": _cmd_gamma_search,
-    "bq": _cmd_bq,
-    "mod-check": _cmd_mod_check,
-    "verify": _cmd_verify,
-    "embed": _cmd_embed,
-    "extract-grid": _cmd_extract_grid,
-    "moduli-check": _cmd_moduli_check,
-    "bounds": _cmd_bounds,
-    "plot": _cmd_plot,
+# ------------------------------------------------------------------ table
+
+N = Param("n", required=True)
+M = Param("m", required=True, even=True)
+P = Param("p", float, 2.0)
+Q = Param("q", float, 2.0)
+SPACE = Param("space", str, help="metric-space JSON file (default: two-point)")
+
+_FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "budget": {"type": int, "default": DEFAULT_BUDGET},
+    "csv": {"help": "CSV check-ledger path"},
+    "plot": {"help": "SVG output path"},
 }
+
+TABLE = {c.name: c for c in (
+    Command("gamma-hilbert", "exact l2 constant, p = q = 2",
+            _gamma_hilbert, (N, M)),
+    Command("gamma-exhaustive", "exact two-point maximum by enumeration",
+            _gamma_exhaustive, (N, M, P, Q), ("budget",)),
+    Command("gamma-search", "hill-climbed lower bound over a metric space",
+            _gamma_search, (N, M, P, Q, SPACE), ("seed", "budget")),
+    Command("bq", "diagonal-shift quantity search", _bq,
+            (N, M, Param("ell", required=True, even=True), SPACE,
+             Param("exhaustive", bool, False)), ("seed", "budget")),
+    Command("mod-check", "wrapped-shift bound on random maps", _mod_check,
+            (N, M, Param("a", default=0), Param("r", required=True),
+             Param("trials", default=100, least=1), SPACE), ("seed", "csv")),
+    Command("verify", "run a verification suite", _verify,
+            (Param("suite", str, "all", choices=(*SUITES, "all")),
+             Param("trials", least=1),
+             Param("seed", help="seed for every suite "
+                                "(default: each suite's own)")), ("csv",)),
+    Command("embed", "reference embeddings and their records", _embed,
+            (_kind("frechet", "sparse", "grid-torus"), M,
+             Param("n", required="grid-torus"),
+             Param("eps", float, required="sparse")), ("budget",)),
+    Command("extract-grid", "grid extraction from the identity witness",
+            _extract_grid, (N, M, Param("s", required=True))),
+    Command("moduli-check", "net-moduli obstruction on random maps",
+            _moduli_check,
+            (N, M, P, Q, Param("r", float, 2.0), Param("s", float, 1.0),
+             Param("trials", default=50, least=1), SPACE), ("seed", "csv")),
+    Command("bounds", "closed-form bound calculators", _bounds,
+            (_kind("shift-growth", "grid-distortion"), N,
+             Param("n0", required="shift-growth"),
+             Param("ell0", required="shift-growth"),
+             Param("q", float, required="grid-distortion"),
+             Param("K", float), Param("m", even=True))),
+    Command("plot", "emit an SVG curve", _plot,
+            (_kind("gamma-vs-m", "distortion-vs-n"),
+             Param("n", required="gamma-vs-m"),
+             Param("m", even=True, required="distortion-vs-n"),
+             Param("m_max", even=True, required="gamma-vs-m"),
+             Param("n_max", required="distortion-vs-n"), Q), ("plot",)),
+)}
+
+# run() dispatches through this copy, so a test can swap one handler
+COMMANDS = dict(TABLE)
 
 
 def run(config: ExperimentConfig) -> Report:
@@ -391,120 +421,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, seeded: bool = True):
+    for spec in TABLE.values():
+        p = sub.add_parser(spec.name, help=spec.help)
+        for par in spec.params:
+            if par.positional:
+                p.add_argument(par.name, choices=par.choices)
+            elif par.type is bool:
+                p.add_argument(f"--{par.name}", action="store_true",
+                               help=par.help)
+            else:
+                p.add_argument(f"--{par.name.replace('_', '-')}",
+                               dest=par.name, type=par.type,
+                               default=par.default, choices=par.choices,
+                               required=par.required is True, help=par.help)
         p.add_argument("--out", help="JSON report path")
-        p.add_argument("--csv", help="CSV check-ledger path")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("gamma-hilbert", help="exact l2 constant, p = q = 2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    common(p, seeded=False)
-
-    p = sub.add_parser("gamma-exhaustive",
-                       help="exact two-point maximum by enumeration")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=2.0)
-    common(p, seeded=False)
-
-    p = sub.add_parser("gamma-search",
-                       help="hill-climbed lower bound over a metric space")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--space", help="metric-space JSON file (default: two-point)")
-    common(p)
-
-    p = sub.add_parser("bq", help="diagonal-shift quantity search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--space")
-    p.add_argument("--exhaustive", action="store_true")
-    common(p)
-
-    p = sub.add_parser("mod-check", help="wrapped-shift bound on random maps")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--space")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", default="all",
-                   choices=["harmonic", "cotype", "smoothing", "embeddings",
-                            "all"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int,
-                   help="seed for every suite (default: each suite's own)")
-    common(p, seeded=False)
-
-    p = sub.add_parser("embed", help="reference embeddings and their records")
-    p.add_argument("kind", choices=["frechet", "sparse", "grid-torus"])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--eps", type=float)
-    common(p, seeded=False)
-
-    p = sub.add_parser("extract-grid",
-                       help="grid extraction from the identity witness")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    common(p, seeded=False)
-
-    p = sub.add_parser("moduli-check",
-                       help="net-moduli obstruction on random maps")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--space")
-    common(p)
-
-    p = sub.add_parser("bounds", help="closed-form bound calculators")
-    p.add_argument("kind", choices=["shift-growth", "grid-distortion"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--n0", type=int)
-    p.add_argument("--ell0", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--K", type=float)
-    p.add_argument("--m", type=int)
-    common(p, seeded=False)
-
-    p = sub.add_parser("plot", help="emit an SVG curve")
-    p.add_argument("kind", choices=["gamma-vs-m", "distortion-vs-n"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-max", dest="m_max", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--plot", help="SVG output path")
-    common(p, seeded=False)
-
+        for flag in spec.flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return top
-
-
-_CONFIG_KEYS = {"command", "out", "csv", "plot", "budget", "seed"}
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw = vars(args)
-    params = {k: v for k, v in raw.items()
-              if k not in _CONFIG_KEYS and v is not None}
-    if raw["command"] == "verify" and raw.get("seed") is not None:
-        params["seed"] = raw["seed"]  # suites keep their own seeds otherwise
+    params = {par.name: raw[par.name] for par in TABLE[raw["command"]].params
+              if raw.get(par.name) is not None}
     return ExperimentConfig(
         command=raw["command"],
         params=params,

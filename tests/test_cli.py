@@ -440,3 +440,124 @@ def test_verify_seed_reaches_the_suites(capsys):
     assert [c["lhs"] for c in one["checks"]] == \
         [c.lhs for c in run_suite("cotype", seed=1)]
     assert one["checks"] != two["checks"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["mod-check", "--n", "2", "--m", "6", "--r", "2"],
+    ["moduli-check", "--n", "1", "--m", "6"],
+])
+def test_check_commands_refuse_fewer_than_one_trial(capsys, command, trials):
+    # no trials means no checks, so "all passed" would certify nothing
+    code, doc, err = run_main(capsys, command + ["--trials", trials])
+    assert code == 2 and doc is None
+    assert f"$.params.trials: trials must be >= 1, got {trials}" in err
+    params = {"n": 2, "m": 6, "r": 2, "trials": int(trials)}
+    if command[0] == "moduli-check":
+        params = {"n": 1, "m": 6, "trials": int(trials)}
+    with pytest.raises(SchemaViolationError) as ei:
+        run(ExperimentConfig(command=command[0], params=params))
+    assert ei.value.json_path == "$.params.trials"
+
+
+@pytest.mark.parametrize("command, params, key", [
+    ("gamma-hilbert", {"n": 1, "m": 4, "mm": 6}, "mm"),  # unknown key
+    ("gamma-search", {"n": 1, "m": 4, "seed": 3}, "seed"),  # a config field
+    ("gamma-hilbert", {"n": 2.7, "m": 4}, "n"),  # no truncation to 2
+    ("gamma-hilbert", {"n": 2, "m": 4.9}, "m"),
+    ("gamma-hilbert", {"n": True, "m": 4}, "n"),
+    ("gamma-hilbert", {"n": "2", "m": 4}, "n"),
+    ("gamma-exhaustive", {"n": 1, "m": 2, "p": False}, "p"),
+    ("bq", {"n": 1, "m": 4, "ell": 2, "exhaustive": "no"}, "exhaustive"),
+    ("bq", {"n": 1, "m": 4, "ell": 2, "exhaustive": 1}, "exhaustive"),
+    ("mod-check", {"n": 1, "m": 4, "r": 2, "trials": 2.5}, "trials"),
+    ("embed", {"m": 4}, "kind"),
+    ("embed", {"kind": "sparse", "m": 16}, "eps"),
+    ("bounds", {"kind": "grid-distortion", "n": 2, "q": 2.0}, "m"),
+    ("plot", {"kind": "gamma-vs-m", "n": 1, "m_max": 3}, "m_max"),
+])
+def test_dict_params_are_checked(command, params, key):
+    with pytest.raises(SchemaViolationError) as ei:
+        run(ExperimentConfig(command=command, params=params, plot="x.svg"))
+    assert ei.value.json_path == f"$.params.{key}"
+
+
+def test_dict_params_take_integral_numbers_and_fill_defaults():
+    import numpy as np
+
+    rep = run(ExperimentConfig(command="gamma-hilbert",
+                               params={"n": np.int64(1), "m": 4.0}))
+    assert rep.results["n"] == 1 and rep.results["m"] == 4
+    assert isinstance(rep.results["m"], int)
+    # defaults reach the handler; the report keeps the params as given
+    rep = run(ExperimentConfig(command="mod-check",
+                               params={"n": 1, "m": 4, "r": 2}))
+    assert len(rep.checks) == 100 and rep.config.params == {"n": 1, "m": 4,
+                                                            "r": 2}
+
+
+@pytest.mark.parametrize("command, params", [
+    ("embed", {"kind": "torus", "m": 4}),
+    ("bounds", {"kind": "volume", "n": 2}),
+    ("plot", {"kind": "pie"}),
+    ("verify", {"suite": "bogus"}),
+])
+def test_unknown_kind_or_suite_in_a_dict(command, params):
+    with pytest.raises(UnknownCommandError):
+        run(ExperimentConfig(command=command, params=params, plot="x.svg"))
+
+
+def test_plot_odd_m_max_names_its_params_key(capsys, tmp_path):
+    svg = str(tmp_path / "g.svg")
+    code, doc, err = run_main(capsys, ["plot", "gamma-vs-m", "--n", "1",
+                                       "--m-max", "3", "--plot", svg])
+    assert code == 2 and doc is None
+    assert err == "error: $.params.m_max: m_max must be even, got 3\n"
+    code, doc, _ = run_main(capsys, ["plot", "gamma-vs-m", "--n", "1",
+                                     "--m-max", "4", "--plot", svg])
+    assert code == 0 and doc["params"]["q"] == 2.0  # the table default
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-hilbert", "--n", "1", "--m", "4", "--budget", "5"],
+    ["extract-grid", "--n", "2", "--m", "8", "--s", "4", "--seed", "1"],
+    ["gamma-search", "--n", "1", "--m", "4", "--csv", "x.csv"],
+    ["embed", "frechet", "--m", "4", "--seed", "1"],
+    ["bounds", "shift-growth", "--n0", "4", "--ell0", "4", "--n", "10",
+     "--budget", "5"],
+    ["verify", "--suite", "harmonic", "--budget", "5"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_commands_write_the_ledger(tmp_path, capsys):
+    for argv in (["mod-check", "--n", "1", "--m", "4", "--r", "2",
+                  "--trials", "3"],
+                 ["moduli-check", "--n", "1", "--m", "4", "--trials", "3"]):
+        path = tmp_path / f"{argv[0]}.csv"
+        code, _, _ = run_main(capsys, argv + ["--csv", str(path)])
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith(f"{argv[0]},") for line in lines[1:])
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 11
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "cotypelab"
+        code, doc, err = run_main(capsys, argv)
+        assert code == 0, (line, err)
+        assert doc["command"] == argv[0]

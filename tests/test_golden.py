@@ -10,7 +10,9 @@ their point indices were vectorised and the extraction's ball sums moved
 onto the window-average slices, and the four searches over the metric
 spaces in tests/data/ from before the searches scored through incremental
 shift sums (path4 has integer distances, so they score incrementally;
-uneven3 has not, so they fall back to full evaluation). Commands run from
+uneven3 has not, so they fall back to full evaluation), and the two
+sampled check commands, a bound and a sparse embedding from before the
+command line was built from one parameter table. Commands run from
 the tests directory, so the --space paths in the reports are relative.
 Runtime goes to stderr, so stdout is byte-stable. A difference here is a
 behaviour change: argue for it in CHANGES.md instead of re-freezing the
@@ -60,6 +62,17 @@ CASES = {
     "bq_uneven3_n2_m4_ell2.json":
         ["bq", "--n", "2", "--m", "4", "--ell", "2", "--budget", "1500",
          "--seed", "4", "--space", "data/uneven3_space.json"],
+    # the seeded trial loop, a bound with K from the exact constant, eps
+    "mod_check_n2_m6_a1_r2_trials5.json":
+        ["mod-check", "--n", "2", "--m", "6", "--a", "1", "--r", "2",
+         "--trials", "5"],
+    "moduli_check_n1_m6_trials5_seed3.json":
+        ["moduli-check", "--n", "1", "--m", "6", "--trials", "5",
+         "--seed", "3"],
+    "bounds_grid_distortion_n2_m4_q2.json":
+        ["bounds", "grid-distortion", "--n", "2", "--m", "4", "--q", "2"],
+    "embed_sparse_m16_eps025.json":
+        ["embed", "sparse", "--m", "16", "--eps", "0.25"],
 }
 
 
