@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .checks import CSV_COLUMNS, InequalityCheck, check_order
 from .cotype import (
+    _exhaustive_b_space,
     b_quantity_search,
-    exhaustive_b_two_point,
     gamma_exhaustive_two_point,
     gamma_hilbert_exact,
     gamma_search,
@@ -227,8 +227,8 @@ def _gamma_search(cfg: ExperimentConfig, n, m, p, q, space):
 
 def _bq(cfg: ExperimentConfig, n, m, ell, space, exhaustive):
     space = _load_space(space)
-    if exhaustive and space.size == 2:
-        rep = exhaustive_b_two_point(n, ell, m, cfg.budget)
+    if exhaustive:
+        rep = _exhaustive_b_space(space, n, ell, m, cfg.budget)
         return rep.to_json_dict(), [], "exact"
     rep = b_quantity_search(space, n, ell, m, cfg.budget, cfg.seed)
     return rep.to_json_dict(), [], "lower-bound"
@@ -346,7 +346,9 @@ TABLE = {c.name: c for c in (
             _gamma_search, (N, M, P, Q, SPACE), ("seed", "budget")),
     Command("bq", "diagonal-shift quantity search", _bq,
             (N, M, Param("ell", required=True, even=True), SPACE,
-             Param("exhaustive", bool, False)), ("seed", "budget")),
+             Param("exhaustive", bool, False,
+                   help="exact maximum by enumeration over --space")),
+            ("seed", "budget")),
     Command("mod-check", "wrapped-shift bound on random maps", _mod_check,
             (N, M, Param("a", default=0), Param("r", required=True),
              Param("trials", default=100, least=1), SPACE), ("seed", "csv")),

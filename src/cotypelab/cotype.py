@@ -15,6 +15,9 @@ shift by an even shift ell and averages edges over full sign patterns:
 Every witness satisfies b_hat <= 1 (up to round-off); the code treats a
 violation as a defect, not as data.
 
+Both are one ratio of a long-shift energy to an averaged edge energy, and
+each has one _Ratio record (shift family, exponent, weight, root, ceiling)
+from which every evaluation, search step and enumeration forms its value.
 Every shift average runs on index tables that gridops.family_table caches
 per shift family, through gridops.shift_energy or, for two-point witnesses,
 as xor counts on bit planes. Per-shift means are added in shift order, so
@@ -65,6 +68,7 @@ EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
 B_INVARIANT_TOL = 1e-9
 WITNESS_CHUNK = 4096  # bounds the (witness, shift) means held at once
+GENERAL_ENUM_CAP = 1 << 16  # witnesses of an enumeration off bit planes
 
 
 @dataclass(frozen=True)
@@ -84,36 +88,104 @@ class CotypeReport:
     witness: GridFunction | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return _with_run_fields(self, {
             "n": self.n, "m": self.m, "p": self.p, "q": self.q,
             "lhs": self.lhs, "rhs_raw": self.rhs_raw,
             "gamma_hat": self.gamma_hat, "degenerate": self.degenerate,
             "mode": self.mode, "stderr": self.stderr,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.budget is not None:
-            out["budget"] = self.budget
-        if self.witness is not None and not self.witness.is_vector:
-            out["witness"] = [int(v) for v in self.witness.values]
+        })
+
+
+def _with_run_fields(report, out: dict) -> dict:
+    """out with the report's seed, budget and point witness, where set."""
+    if report.seed is not None:
+        out["seed"] = report.seed
+    if report.budget is not None:
+        out["budget"] = report.budget
+    if report.witness is not None and not report.witness.is_vector:
+        out["witness"] = [int(v) for v in report.witness.values]
+    return out
+
+def _require_even_m(m: int) -> None:
+    if m % 2 != 0:
+        raise OddMError(f"even m required, got {m}")
+
+
+@dataclass(frozen=True)
+class _Ratio:
+    """One quantity root(lhs / (weight * rhs_raw)) on Z_m^n: lhs adds the
+    means of the n long shifts that lead family_table(dom, family, amount),
+    rhs_raw averages those of its edge patterns. root is 1/p, or None for
+    a correctly rounded square root (x ** 0.5 is libm pow, which need not
+    round the same); a value above the ceiling is a defect and raises.
+    """
+
+    n: int
+    family: str
+    amount: int
+    p: float  # exponent of the distances
+    patterns: int
+    weight: float
+    root: float | None
+    ceiling: float = math.inf
+
+    def table(self, dom: TorusDomain) -> np.ndarray:
+        return family_table(dom, self.family, self.amount)
+
+    def sides(self, means) -> tuple[float, float]:
+        """(lhs, rhs_raw) of one witness's per-shift means, in row order."""
+        n = self.n
+        return ordered_sum(means[:n]), ordered_sum(means[n:]) / self.patterns
+
+    def value(self, lhs: float, rhs_raw: float) -> tuple[float, bool]:
+        """(value, degenerate); 0 and degenerate when rhs_raw <= 0."""
+        if rhs_raw <= 0.0:
+            return 0.0, True
+        x = lhs / (self.weight * rhs_raw)
+        value = math.sqrt(x) if self.root is None else x ** self.root
+        return self._bounded(value), False
+
+    def values(self, lhs: np.ndarray, rhs_raw: np.ndarray) -> np.ndarray:
+        """value of each witness's sides, 0 where rhs_raw <= 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = lhs / (self.weight * rhs_raw)
+            out = np.where(rhs_raw > 0,
+                           np.sqrt(x) if self.root is None else x ** self.root,
+                           0.0)
+        self._bounded(out.max())
         return out
 
+    def _bounded(self, value):
+        if value > self.ceiling:
+            raise InvariantViolationError(
+                f"{value} exceeds its ceiling {self.ceiling} at n={self.n}, "
+                f"{self.family} shift {self.amount}")
+        return value
 
-def _gamma_from(lhs: float, rhs_raw: float, n: int, m: int,
-                p: float, q: float) -> tuple[float, bool]:
-    if rhs_raw <= 0.0:
-        return 0.0, True
-    weight = m**p * n ** (1.0 - p / q)
-    return (lhs / (weight * rhs_raw)) ** (1.0 / p), False
 
-
-def _check_pq(p: float, q: float) -> None:
+def _gamma_ratio(n: int, m: int, p: float, q: float) -> _Ratio:
+    """gamma_hat: half-circumference shifts over the {-1,0,1}^n edges."""
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     if p > q:
         raise PreconditionViolationError(
             f"the weak functional needs p <= q, got p={p} q={q}"
         )
+    _require_even_m(m)
+    return _Ratio(n, "edges", m // 2, p, 3**n, m**p * n ** (1.0 - p / q),
+                  1.0 / p)
+
+
+def _b_ratio(n: int, m: int, ell: int) -> _Ratio:
+    """b_hat: shifts by ell over the {-1,1}^n edges; it divides by ell^2,
+    so the shift must be even and nonzero."""
+    _require_even_m(m)
+    if ell % 2 != 0:
+        raise OddEllError(f"even shift required, got ell={ell}")
+    if ell == 0:
+        raise PreconditionViolationError("the shift must be nonzero, got ell=0")
+    return _Ratio(n, "signs", ell, 2.0, 2**n, ell**2 * n, None,
+                  1.0 + B_INVARIANT_TOL)
 
 
 def cotype_functionals(f: GridFunction, space_or_norm, p: float, q: float,
@@ -127,34 +199,23 @@ def cotype_functionals(f: GridFunction, space_or_norm, p: float, q: float,
     """
     target = _as_target(space_or_norm)
     require_indices(f.values, target)
-    return _cotype_report(f, target, p, q, budget, seed)
-
-
-def _cotype_report(f: GridFunction, target, p: float, q: float,
-                   budget: int = EPS_ENUM_BUDGET, seed: int = 0) -> CotypeReport:
-    """cotype_functionals on a target, the point range already checked."""
-    _check_pq(p, q)
     dom = f.domain
-    n, m = dom.n, dom.m
-    if m % 2 != 0:
-        raise OddMError(f"half-circumference shift needs even m, got {m}")
-
-    exact = 3**n * dom.points <= budget
-    table = family_table(dom, "edges" if exact else "axes", m // 2)
-    means = shift_energy(f.values, target, table, p)
-    lhs = ordered_sum(means[:n])
+    ratio = _gamma_ratio(dom.n, dom.m, p, q)
+    exact = 3**dom.n * dom.points <= budget
     if exact:
-        rhs_raw, stderr, mode = ordered_sum(means[n:]) / 3**n, 0.0, "exact"
+        means = shift_energy(f.values, target, ratio.table(dom), p)
+        (lhs, rhs_raw), stderr = ratio.sides(means), 0.0
     else:
-        rng = np.random.default_rng(seed)
-        n_samples = max(n, int(budget // max(dom.points, 1)))
-        rhs_raw, stderr = _sampled_eps_average(f, target, p, n_samples, rng)
-        mode = "sampled"
-
-    gamma_hat, degenerate = _gamma_from(lhs, rhs_raw, n, m, p, q)
+        axes = family_table(dom, "axes", ratio.amount)  # the n long shifts
+        lhs = ordered_sum(shift_energy(f.values, target, axes, p))
+        n_samples = max(dom.n, int(budget // max(dom.points, 1)))
+        rhs_raw, stderr = _sampled_eps_average(f, target, p, n_samples,
+                                               np.random.default_rng(seed))
+    gamma_hat, degenerate = ratio.value(lhs, rhs_raw)
     return CotypeReport(
-        n=n, m=m, p=p, q=q, lhs=lhs, rhs_raw=rhs_raw, gamma_hat=gamma_hat,
-        degenerate=degenerate, mode=mode, stderr=stderr,
+        n=dom.n, m=dom.m, p=p, q=q, lhs=lhs, rhs_raw=rhs_raw,
+        gamma_hat=gamma_hat, degenerate=degenerate,
+        mode="exact" if exact else "sampled", stderr=stderr,
         seed=None if exact else seed, budget=budget,
     )
 
@@ -200,8 +261,7 @@ def gamma_hilbert_exact(n: int, m: int) -> tuple[float, tuple]:
     """
     if n < 1:
         raise PreconditionViolationError(f"n must be >= 1, got {n}")
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
+    _require_even_m(m)
     half = m // 2
     factors = [(1.0 + 2.0 * math.cos(2.0 * math.pi * r / m)) / 3.0
                for r in range(half + 1)]
@@ -231,8 +291,7 @@ def hilbert_gamma_power_iteration(n: int, m: int) -> float:
     whitens the edge form by its eigendecomposition (constants are its
     kernel and get deflated), then takes eigvalsh of the whitened matrix.
     """
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
+    _require_even_m(m)
     dom = TorusDomain(n=n, m=m)
     N = dom.points
     if N > 4096:
@@ -303,6 +362,42 @@ def _two_point_sides(n: int, m: int, family: str,
     return sides
 
 
+def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
+               budget: int) -> tuple[float, float, float, GridFunction]:
+    """(lhs, rhs_raw, value, witness) of the best of every map dom -> space,
+    the first index winning ties.
+
+    The unit two-point space enumerates the bit tables of the witness
+    indices on bit planes (m^n <= 20, point 0 the lowest bit); any other
+    space enumerates assignments in mixed radix (point 0 the highest
+    digit), at most GENERAL_ENUM_CAP of them.
+    """
+    N, K = dom.points, space.size
+    bits = K == 2 and float(space.dist[0, 1]) == 1.0
+    if bits:
+        if N > 20:
+            raise PreconditionViolationError(
+                f"exhaustive scan needs m^n <= 20, got {N}")
+        if 2**N > budget:
+            raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
+        lhs, rhs = _two_point_sides(dom.n, dom.m, ratio.family, ratio.amount)
+    else:
+        if N > 20 or K**N > min(budget, GENERAL_ENUM_CAP):
+            raise BudgetExceededError(
+                f"{K}^{N} witnesses exceed the exhaustive cap"
+            )
+        idx = np.arange(K**N, dtype=np.int64)
+        F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
+        lhs, rhs = _side_sums(F, MetricTarget(space), ratio.table(dom),
+                              dom.n, ratio.p)
+    rhs = rhs / ratio.patterns
+    values = ratio.values(lhs, rhs)
+    best = int(np.argmax(values))
+    witness = _bit_rows(best, best + 1, N)[0] if bits else F[best]
+    return (float(lhs[best]), float(rhs[best]), float(values[best]),
+            GridFunction.points(dom, witness))
+
+
 def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
                                budget: int = TWO_POINT_BUDGET) -> CotypeReport:
     """Maximize gamma_hat over every map into the two-point space.
@@ -311,27 +406,12 @@ def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
     canonical two-point space are 0/1, so d^p is the xor of bit tables
     and gamma_hat is scale-invariant in the two-point gap.
     """
-    _check_pq(p, q)
-    dom = TorusDomain(n=n, m=m)
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
-    N = dom.points
-    if N > 20:
-        raise PreconditionViolationError(f"exhaustive scan needs m^n <= 20, got {N}")
-    if 2**N > budget:
-        raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
-    lhs, rhs = _two_point_sides(n, m, "edges", m // 2)
-    rhs = rhs / 3**n
-
-    weight = m**p * n ** (1.0 - p / q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gammas = np.where(rhs > 0, (lhs / (weight * rhs)) ** (1.0 / p), 0.0)
-    best = int(np.argmax(gammas))  # first index wins ties
-    witness = GridFunction.points(dom, _bit_rows(best, best + 1, N)[0])
+    ratio = _gamma_ratio(n, m, p, q)
+    lhs, rhs_raw, gamma_hat, witness = _enumerate(
+        two_point_space(), TorusDomain(n=n, m=m), ratio, budget)
     return CotypeReport(
-        n=n, m=m, p=p, q=q, lhs=float(lhs[best]), rhs_raw=float(rhs[best]),
-        gamma_hat=float(gammas[best]), degenerate=bool(rhs[best] <= 0),
-        mode="exact", witness=witness,
+        n=n, m=m, p=p, q=q, lhs=lhs, rhs_raw=rhs_raw, gamma_hat=gamma_hat,
+        degenerate=rhs_raw <= 0, mode="exact", witness=witness,
     )
 
 
@@ -342,9 +422,7 @@ def expected_random_gamma(n: int, m: int, p: float, q: float) -> float:
     pair, and the eps = 0 atom has weight 3^(-n), leaving
     n^(1/q) / (m * (1 - 3^(-n))^(1/p)).
     """
-    _check_pq(p, q)
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
+    _gamma_ratio(n, m, p, q)  # checks p, q and m
     return n ** (1.0 / q) / (m * (1.0 - 3.0 ** (-n)) ** (1.0 / p))
 
 
@@ -354,39 +432,36 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
 
     Estimates E[lhs] and E[rhs_raw] over uniformly random witnesses,
     WITNESS_CHUNK at a time, plugs the means into the gamma formula
-    (delta-method standard error), and also reports the mean of the
-    per-witness gamma_hat values for contrast. A standard error needs at
-    least two trials.
+    (delta-method standard error, 0 when a mean side and so gamma_mc is
+    0), and also reports the mean of the per-witness gamma_hat values for
+    contrast. A standard error needs at least two trials.
     """
-    _check_pq(p, q)
+    ratio = _gamma_ratio(n, m, p, q)
     if trials < 2:
         raise PreconditionViolationError(
             f"a standard error needs trials >= 2, got {trials}")
     dom = TorusDomain(n=n, m=m)
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
     N = dom.points
     rng = np.random.default_rng(seed)
-    table = family_table(dom, "edges", m // 2)
+    table = ratio.table(dom)
     L, R = np.empty(trials), np.empty(trials)
     for done in range(0, trials, WITNESS_CHUNK):
         k = min(WITNESS_CHUNK, trials - done)
         bits = rng.integers(0, 2, size=(k, N), dtype=np.int64).astype(np.uint8)
         L[done:done + k], R[done:done + k] = _xor_sides(bits, table, n)
-    R /= 3**n
+    R /= ratio.patterns
 
-    weight = m**p * n ** (1.0 - p / q)
     Lbar, Rbar = float(L.mean()), float(R.mean())
-    gamma_mc = (Lbar / (weight * Rbar)) ** (1.0 / p)
-    # delta method for g(L, R) = (L / (w R))^(1/p)
-    vL = float(L.var(ddof=1)) / trials
-    vR = float(R.var(ddof=1)) / trials
-    cLR = float(np.cov(L, R, ddof=1)[0, 1]) / trials
-    rel = vL / Lbar**2 + vR / Rbar**2 - 2.0 * cLR / (Lbar * Rbar)
-    se = gamma_mc / p * math.sqrt(max(rel, 0.0))
+    gamma_mc, _ = ratio.value(Lbar, Rbar)
+    se = 0.0
+    if gamma_mc > 0:  # delta method for g(L, R) = (L / (w R))^(1/p)
+        vL = float(L.var(ddof=1)) / trials
+        vR = float(R.var(ddof=1)) / trials
+        cLR = float(np.cov(L, R, ddof=1)[0, 1]) / trials
+        rel = vL / Lbar**2 + vR / Rbar**2 - 2.0 * cLR / (Lbar * Rbar)
+        se = gamma_mc / p * math.sqrt(max(rel, 0.0))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gs = np.where(R > 0, (L / (weight * R)) ** (1.0 / p), 0.0)
+    gs = ratio.values(L, R)
     return {
         "gamma_mc": gamma_mc,
         "stderr": se,
@@ -414,67 +489,28 @@ class BReport:
     witness: GridFunction | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return _with_run_fields(self, {
             "n": self.n, "m": self.m, "ell": self.ell, "lhs": self.lhs,
             "rhs_raw": self.rhs_raw, "b_hat": self.b_hat,
             "degenerate": self.degenerate, "mode": self.mode,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.budget is not None:
-            out["budget"] = self.budget
-        if self.witness is not None and not self.witness.is_vector:
-            out["witness"] = [int(v) for v in self.witness.values]
-        return out
+        })
 
 
-def b_functionals(f: GridFunction, space_or_norm, ell: int,
-                  enforce: bool = True) -> BReport:
+def b_functionals(f: GridFunction, space_or_norm, ell: int) -> BReport:
     """Evaluate the diagonal-shift quantity for one witness (p = 2).
 
-    Every witness satisfies b_hat <= 1; with enforce=True a numerical
-    violation beyond 1e-9 raises InvariantViolationError.
+    Every witness satisfies b_hat <= 1; a numerical violation beyond
+    1e-9 raises InvariantViolationError.
     """
     target = _as_target(space_or_norm)
     require_indices(f.values, target)
-    return _b_report(f, target, ell, enforce)
-
-
-def _b_report(f: GridFunction, target, ell: int, enforce: bool = True) -> BReport:
-    """b_functionals on a target, the point range already checked."""
     dom = f.domain
-    n, m = dom.n, dom.m
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
-    _require_shift(ell)
-    table = family_table(dom, "signs", ell)
-    means = shift_energy(f.values, target, table, 2.0)
-    lhs = ordered_sum(means[:n])
-    rhs_raw = ordered_sum(means[n:]) / 2**n
-    b_hat, degenerate = _b_from(lhs, rhs_raw, n, m, ell, enforce)
-    return BReport(n=n, m=m, ell=ell, lhs=lhs,
-                   rhs_raw=0.0 if degenerate else rhs_raw, b_hat=b_hat,
-                   degenerate=degenerate)
-
-
-def _require_shift(ell: int) -> None:
-    """b_hat divides by ell^2: the shift must be even and nonzero."""
-    if ell % 2 != 0:
-        raise OddEllError(f"even shift required, got ell={ell}")
-    if ell == 0:
-        raise PreconditionViolationError("the shift must be nonzero, got ell=0")
-
-
-def _b_from(lhs: float, rhs_raw: float, n: int, m: int, ell: int,
-            enforce: bool = True) -> tuple[float, bool]:
-    if rhs_raw <= 0.0:
-        return 0.0, True
-    b_hat = math.sqrt(lhs / (ell**2 * n * rhs_raw))
-    if enforce and b_hat > 1.0 + B_INVARIANT_TOL:
-        raise InvariantViolationError(
-            f"b_hat = {b_hat} exceeds 1 beyond tolerance at n={n} m={m} ell={ell}"
-        )
-    return b_hat, False
+    ratio = _b_ratio(dom.n, dom.m, ell)
+    lhs, rhs_raw = ratio.sides(
+        shift_energy(f.values, target, ratio.table(dom), ratio.p))
+    b_hat, degenerate = ratio.value(lhs, rhs_raw)
+    return BReport(n=dom.n, m=dom.m, ell=ell, lhs=lhs, rhs_raw=rhs_raw,
+                   b_hat=b_hat, degenerate=degenerate)
 
 
 def _exact_shift_sums(space, p: float, table: np.ndarray) -> ShiftSums | None:
@@ -535,6 +571,32 @@ def _hill_climb(dom: TorusDomain, codomain_size: int, score, budget: int,
     return best
 
 
+def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
+            budget: int, seed: int, initial_values, sides=None) -> np.ndarray:
+    """_hill_climb of ratio.value over maps dom -> space, a degenerate
+    witness scoring -inf; returns the best value table.
+
+    A step's (lhs, rhs_raw) come from sides(values) when given, else from
+    gridops.ShiftSums where its means are exact, else from one
+    shift_energy call: the floats of the full evaluation in each case.
+    """
+    if sides is None:
+        table = ratio.table(dom)
+        means = _exact_shift_sums(space, ratio.p, table)
+        if means is None:
+            means = functools.partial(shift_energy, target=_as_target(space),
+                                      table=table, p=ratio.p)
+
+        def sides(vals):
+            return ratio.sides(means(vals))
+
+    def score(vals):  # _hill_climb has checked the point range
+        value, degenerate = ratio.value(*sides(vals))
+        return -math.inf if degenerate else value
+
+    return _hill_climb(dom, space.size, score, budget, seed, initial_values)
+
+
 def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
                  budget: int, seed: int,
                  initial_witnesses=()) -> CotypeReport:
@@ -547,23 +609,17 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
     every witness met is degenerate, the first restart's witness is
     reported with degenerate = True.
     """
-    _check_pq(p, q)
-    dom, target = TorusDomain(n=n, m=m), _as_target(space)
-    sums = None
-    if m % 2 == 0 and 3**n * dom.points <= EPS_ENUM_BUDGET:  # exact eps average
-        sums = _exact_shift_sums(space, p, family_table(dom, "edges", m // 2))
+    ratio = _gamma_ratio(n, m, p, q)
+    dom = TorusDomain(n=n, m=m)
+    sides = None
+    if 3**n * dom.points > EPS_ENUM_BUDGET:  # the eps average is sampled
 
-    def score(vals):  # _hill_climb has checked the point range
-        if sums is None:
-            rep = _cotype_report(GridFunction.points(dom, vals), target, p, q)
-            return -math.inf if rep.degenerate else rep.gamma_hat
-        means = sums(vals)  # the floats cotype_functionals computes
-        gamma_hat, degenerate = _gamma_from(
-            ordered_sum(means[:n]), ordered_sum(means[n:]) / 3**n, n, m, p, q)
-        return -math.inf if degenerate else gamma_hat
+        def sides(vals):
+            rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
+            return rep.lhs, rep.rhs_raw
 
-    witness = GridFunction.points(
-        dom, _hill_climb(dom, space.size, score, budget, seed, initial_witnesses))
+    witness = GridFunction.points(dom, _search(
+        space, dom, ratio, budget, seed, initial_witnesses, sides))
     return replace(cotype_functionals(witness, space, p, q),
                    seed=seed, budget=budget, witness=witness)
 
@@ -577,23 +633,10 @@ def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
     improvement, earliest restart wins ties, and the first restart's
     witness, flagged degenerate, when no witness met is nondegenerate.
     """
-    _require_shift(ell)
-    dom, target = TorusDomain(n=n, m=m), _as_target(space)
-    sums = None
-    if m % 2 == 0:  # else _b_report raises
-        sums = _exact_shift_sums(space, 2.0, family_table(dom, "signs", ell))
-
-    def score(vals):  # _hill_climb has checked the point range
-        if sums is None:
-            rep = _b_report(GridFunction.points(dom, vals), target, ell)
-            return -math.inf if rep.degenerate else rep.b_hat
-        means = sums(vals)  # the floats b_functionals computes
-        b_hat, degenerate = _b_from(
-            ordered_sum(means[:n]), ordered_sum(means[n:]) / 2**n, n, m, ell)
-        return -math.inf if degenerate else b_hat
-
-    witness = GridFunction.points(
-        dom, _hill_climb(dom, space.size, score, budget, seed, initial_witnesses))
+    ratio = _b_ratio(n, m, ell)
+    dom = TorusDomain(n=n, m=m)
+    witness = GridFunction.points(dom, _search(
+        space, dom, ratio, budget, seed, initial_witnesses))
     return replace(b_functionals(witness, space, ell),
                    seed=seed, budget=budget, witness=witness)
 
@@ -607,8 +650,7 @@ def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
     """
     dom = f.domain
     n, m = dom.n, dom.m
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
+    _require_even_m(m)
     if r % 2 != 0:
         raise PreconditionViolationError(f"even r required, got r={r}")
     if not 0 <= r < m:
@@ -683,53 +725,14 @@ def exhaustive_b_two_point(n: int, ell: int, m: int,
     return _exhaustive_b_space(two_point_space(), n, ell, m, budget)
 
 
-GENERAL_ENUM_CAP = 1 << 16
-
-
 def _exhaustive_b_space(space: FiniteMetricSpace, n: int, ell: int, m: int,
                         budget: int = TWO_POINT_BUDGET) -> BReport:
-    """Exact maximum of b_hat over all maps Z_m^n -> space.
-
-    Two-point unit-distance spaces enumerate the bit tables of the witness
-    indices (m^n <= 20); anything else enumerates assignments in mixed
-    radix, so sizes must be tiny. The first index wins ties.
-    """
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
-    _require_shift(ell)
-    dom = TorusDomain(n=n, m=m)
-    N, K = dom.points, space.size
-    bits = K == 2 and float(space.dist[0, 1]) == 1.0
-    if bits:
-        if N > 20:
-            raise PreconditionViolationError(
-                f"exhaustive scan needs m^n <= 20, got {N}")
-        if 2**N > budget:
-            raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
-        lhs, rhs = _two_point_sides(n, m, "signs", ell)
-    else:
-        if N > 20 or K**N > min(budget, GENERAL_ENUM_CAP):
-            raise BudgetExceededError(
-                f"{K}^{N} witnesses exceed the exhaustive cap"
-            )
-        idx = np.arange(K**N, dtype=np.int64)
-        F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
-        lhs, rhs = _side_sums(F, MetricTarget(space),
-                              family_table(dom, "signs", ell), n, 2.0)
-    rhs = rhs / 2**n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bh = np.where(rhs > 0, np.sqrt(lhs / (ell**2 * n * rhs)), 0.0)
-    best = int(np.argmax(bh))
-    if bh[best] > 1.0 + B_INVARIANT_TOL:
-        raise InvariantViolationError(
-            f"exhaustive b_hat = {bh[best]} exceeds 1 at n={n} m={m} ell={ell}"
-        )
-    witness = _bit_rows(best, best + 1, N)[0] if bits else F[best]
-    return BReport(
-        n=n, m=m, ell=ell, lhs=float(lhs[best]), rhs_raw=float(rhs[best]),
-        b_hat=float(bh[best]), degenerate=bool(rhs[best] <= 0),
-        mode="exact", witness=GridFunction.points(dom, witness),
-    )
+    """Exact maximum of b_hat over all maps Z_m^n -> space (see _enumerate)."""
+    ratio = _b_ratio(n, m, ell)
+    lhs, rhs_raw, b_hat, witness = _enumerate(
+        space, TorusDomain(n=n, m=m), ratio, budget)
+    return BReport(n=n, m=m, ell=ell, lhs=lhs, rhs_raw=rhs_raw, b_hat=b_hat,
+                   degenerate=rhs_raw <= 0, mode="exact", witness=witness)
 
 
 def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
@@ -744,9 +747,6 @@ def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
     for name, v in (("ell", ell), ("k", k)):
         if v < 1:
             raise PreconditionViolationError(f"{name} must be >= 1, got {v}")
-    for name, v in (("s", s), ("t", t)):
-        if v % 2 != 0:
-            raise OddEllError(f"even {name} required, got {v}")
     comp1 = _exhaustive_b_space(space, ell, s, m, TWO_POINT_BUDGET)
     comp2 = _exhaustive_b_space(space, k, t, m, TWO_POINT_BUDGET)
     full = _exhaustive_b_space(space, ell * k, s * t, m, TWO_POINT_BUDGET)
@@ -766,8 +766,7 @@ def linear_exponential_witness(vectors, m: int) -> GridFunction:
     if X.ndim != 2:
         raise PreconditionViolationError("vectors must form a 2-d array")
     n = X.shape[0]
-    if m % 2 != 0:
-        raise OddMError(f"even m required, got {m}")
+    _require_even_m(m)
     dom = TorusDomain(n=n, m=m)
     pts = dom.coords()
     phases = np.exp(2j * np.pi * pts / m)  # (N, n)

@@ -107,13 +107,18 @@ def grid_to_torus(m: int, n: int, budget: int = 1 << 16) -> EmbeddingRecord:
     return distortion(mapping, source, target)
 
 
-def _frechet_vectors(m: int, anchors) -> np.ndarray:
-    """Rows x of d_{Z_{2m}}(x, a) over the anchor list a."""
-    two_m = 2 * m
-    x = np.arange(two_m, dtype=np.int64)[:, None]
-    a = np.asarray(anchors, dtype=np.int64)[None, :]
-    diff = np.abs(x - a)
-    return np.minimum(diff, two_m - diff)
+def _profile_embedding(m: int, n: int, anchors) -> EmbeddingRecord:
+    """x -> (d(x_j, a))_{j, a} in the sup-norm grid: the distances in
+    Z_{2m} of each coordinate to every anchor, the n coordinates' blocks
+    side by side, as a map of Z_{2m}^n."""
+    dom = TorusDomain(n=n, m=2 * m)
+    diff = np.abs(np.arange(2 * m, dtype=np.int64)[:, None]
+                  - np.asarray(anchors, dtype=np.int64)[None, :])
+    table = np.minimum(diff, 2 * m - diff)  # (2m, anchors)
+    coords = dom.coords()
+    vectors = np.concatenate([table[coords[:, j]] for j in range(n)], axis=1)
+    mapping = np.arange(dom.points, dtype=np.int64)
+    return distortion(mapping, torus_space(dom), points_space(vectors, math.inf))
 
 
 def frechet_cycle(m: int) -> EmbeddingRecord:
@@ -125,11 +130,7 @@ def frechet_cycle(m: int) -> EmbeddingRecord:
     if m < 1:
         raise PreconditionViolationError(f"m must be >= 1, got {m}")
     require_table(2 * m)  # before the (2m, 2m) vectors distortion would refuse
-    source = torus_space(TorusDomain(n=1, m=2 * m))
-    vectors = _frechet_vectors(m, np.arange(2 * m))
-    target = points_space(vectors, math.inf)
-    mapping = np.arange(2 * m, dtype=np.int64)
-    return distortion(mapping, source, target)
+    return _profile_embedding(m, 1, np.arange(2 * m))
 
 
 def sparse_anchors(m: int, eps: float) -> np.ndarray:
@@ -151,12 +152,7 @@ def sparse_anchors(m: int, eps: float) -> np.ndarray:
 
 def sparse_frechet_cycle(m: int, eps: float) -> EmbeddingRecord:
     """Distance profile against a sparse anchor set; distortion <= 1+6 eps."""
-    anchors = sparse_anchors(m, eps)
-    source = torus_space(TorusDomain(n=1, m=2 * m))
-    vectors = _frechet_vectors(m, anchors)
-    target = points_space(vectors, math.inf)
-    mapping = np.arange(2 * m, dtype=np.int64)
-    return distortion(mapping, source, target)
+    return _profile_embedding(m, 1, sparse_anchors(m, eps))
 
 
 def torus_to_grid_full(m: int, n: int) -> EmbeddingRecord:
@@ -165,15 +161,7 @@ def torus_to_grid_full(m: int, n: int) -> EmbeddingRecord:
     Z_{2m}^n lands in the sup-norm grid of dimension 2mn; the sup over
     the n blocks recovers the torus metric coordinate by coordinate.
     """
-    dom = TorusDomain(n=n, m=2 * m)
-    coords = dom.coords()  # (N, n)
-    table = _frechet_vectors(m, np.arange(2 * m))  # (2m, 2m)
-    blocks = [table[coords[:, j]] for j in range(n)]
-    vectors = np.concatenate(blocks, axis=1)  # (N, 2mn)
-    source = torus_space(dom)
-    target = points_space(vectors, math.inf)
-    mapping = np.arange(dom.points, dtype=np.int64)
-    return distortion(mapping, source, target)
+    return _profile_embedding(m, n, np.arange(2 * m))
 
 
 def _require_extraction_scale(s: int, m: int) -> None:
@@ -466,16 +454,16 @@ def extract_grid(f: GridFunction, space, s: int):
 
 
 def coarse_obstruction_check(values, space, n: int, m: int, p: float,
-                             q: float, r: float, s_scale: float,
-                             gamma: float | None = None) -> InequalityCheck:
+                             q: float, r: float,
+                             s_scale: float) -> InequalityCheck:
     """Compression/expansion moduli comparison for maps of the scaled
     exponential net u(x) = (s e^(2 pi i x_j / m))_j in l_r^n.
 
         n^(1/q) * omega(2s) <= gamma * m * Omega(2 pi s n^(1/r) / m)
 
-    with gamma the measured torus functional of the induced map unless
-    an explicit value is supplied. omega/Omega are the infimum/supremum
-    of target distances over net pairs at source distance >= / <= t.
+    with gamma the measured torus functional of the induced map.
+    omega/Omega are the infimum/supremum of target distances over net
+    pairs at source distance >= / <= t.
     """
     dom = TorusDomain(n=n, m=m)
     vals = np.asarray(values, dtype=np.int64)
@@ -484,8 +472,7 @@ def coarse_obstruction_check(values, space, n: int, m: int, p: float,
             f"need one target index per torus point ({dom.points})"
         )
     g = GridFunction.points(dom, vals)
-    rep = cotype_functionals(g, space, p, q)
-    gamma_used = rep.gamma_hat if gamma is None else gamma
+    gamma = cotype_functionals(g, space, p, q).gamma_hat
 
     coords = dom.coords()
     net = s_scale * np.exp(2j * np.pi * coords / m)  # (N, n) complex
@@ -496,11 +483,11 @@ def coarse_obstruction_check(values, space, n: int, m: int, p: float,
         2.0 * np.pi * s_scale * n ** (1.0 / r) / m
     )
     lhs = n ** (1.0 / q) * omega
-    rhs = gamma_used * m * big_omega
+    rhs = gamma * m * big_omega
     return make_check(
         "net-moduli-obstruction",
         {"n": n, "m": m, "p": p, "q": q, "r": r, "s": s_scale,
-         "gamma": repr(gamma_used)},
+         "gamma": repr(gamma)},
         lhs,
         rhs,
     )

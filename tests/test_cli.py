@@ -1,10 +1,20 @@
 import filecmp
+import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from cotypelab import BudgetExceededError, NotFoundError, grid_to_torus
+from cotypelab import (
+    BudgetExceededError,
+    GridFunction,
+    NotFoundError,
+    TorusDomain,
+    b_functionals,
+    grid_to_torus,
+    load_metric_space,
+)
 from cotypelab.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -79,6 +89,44 @@ def test_bq_exhaustive(capsys):
     assert code == 0
     assert doc["results"]["b_hat"] == pytest.approx(1.0 / math.sqrt(2.0))
     assert doc["mode"] == "exact"
+
+
+PATH4 = str(Path(__file__).parent / "data" / "path4_space.json")
+
+
+def test_bq_exhaustive_enumerates_the_given_space(capsys):
+    code, doc, _ = run_main(capsys, ["bq", "--n", "1", "--m", "4", "--ell",
+                                     "2", "--exhaustive", "--space", PATH4])
+    assert code == 0
+    assert doc["mode"] == doc["results"]["mode"] == "exact"
+    # all 4^4 maps of Z_4 into the 4-point path, point 0 the highest digit;
+    # the first of the maximal witnesses wins
+    space, dom = load_metric_space(PATH4), TorusDomain(n=1, m=4)
+    maps = list(itertools.product(range(4), repeat=4))
+    b_hats = [b_functionals(GridFunction.points(dom, vals), space, 2).b_hat
+              for vals in maps]
+    best = b_hats.index(max(b_hats))
+    assert len(maps) == 256
+    assert doc["results"]["b_hat"] == b_hats[best] == math.sqrt(0.5)
+    assert doc["results"]["witness"] == list(maps[best])
+
+
+def test_bq_exhaustive_keeps_the_two_point_gap(capsys, tmp_path):
+    gap2 = tmp_path / "gap2.json"
+    gap2.write_text(json.dumps({"labels": ["a", "b"], "dist": [[0, 2], [2, 0]]}))
+    code, doc, _ = run_main(capsys, ["bq", "--n", "1", "--m", "4", "--ell",
+                                     "2", "--exhaustive", "--space", str(gap2)])
+    assert code == 0 and doc["mode"] == "exact"
+    got = doc["results"]
+    assert (got["lhs"], got["rhs_raw"]) == (4.0, 2.0)  # 4x the unit gap's
+    assert got["b_hat"] == math.sqrt(0.5)
+
+
+def test_bq_exhaustive_past_the_cap_exits_2(capsys):
+    code, doc, err = run_main(capsys, ["bq", "--n", "2", "--m", "4", "--ell",
+                                       "2", "--exhaustive", "--space", PATH4])
+    assert code == 2 and doc is None
+    assert "4^16 witnesses exceed the exhaustive cap" in err
 
 
 def test_mod_check_all_pass(capsys):

@@ -208,6 +208,17 @@ class TestRandomWitnesses:
         out = random_two_point_mc(2, 4, 2.0, 2.0, trials=2, seed=0)
         assert math.isfinite(out["stderr"])
 
+    # seeds whose two draws are all constant (mean rhs_raw 0), or have
+    # mean lhs 0 with one draw constant; the delta method divides by both
+    @pytest.mark.parametrize("m,seed,degenerate", [(2, 4, 2), (4, 15, 2),
+                                                   (4, 38, 1)])
+    def test_mc_with_a_zero_mean_side(self, m, seed, degenerate):
+        out = random_two_point_mc(1, m, 2.0, 2.0, trials=2, seed=seed)
+        assert out["gamma_mc"] == out["stderr"] == 0.0
+        assert out["mean_of_gammas"] == out["mean_of_gammas_stderr"] == 0.0
+        assert out["degenerate_count"] == degenerate
+        assert out["formula"] == expected_random_gamma(1, m, 2.0, 2.0)
+
 
 class TestBQuantity:
     def test_identity_witness_achieves_one(self):

@@ -384,14 +384,6 @@ class TestCoarseObstruction:
                                            2.0, 2.0, 2.0, 1.0)
             assert chk.passed, chk.slack
 
-    def test_explicit_gamma_override(self):
-        n, m = 2, 4
-        dom = TorusDomain(n=n, m=m)
-        vals = np.arange(dom.points) % 2
-        chk = coarse_obstruction_check(vals, two_point_space(), n, m,
-                                       2.0, 2.0, 2.0, 1.0, gamma=10.0)
-        assert chk.params["gamma"] == repr(10.0)
-
     def test_shape_guard(self):
         with pytest.raises(PreconditionViolationError):
             coarse_obstruction_check([0, 1], two_point_space(), 2, 4,

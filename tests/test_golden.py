@@ -12,7 +12,10 @@ spaces in tests/data/ from before the searches scored through incremental
 shift sums (path4 has integer distances, so they score incrementally;
 uneven3 has not, so they fall back to full evaluation), and the two
 sampled check commands, a bound and a sparse embedding from before the
-command line was built from one parameter table. Commands run from
+command line was built from one parameter table, and the cotype suite,
+an exact b-quantity, an exact two-point gamma and the Frechet cycle from
+before gamma and b-hat shared one ratio record, scorer and enumerator
+and the cycle embeddings one profile helper. Commands run from
 the tests directory, so the --space paths in the reports are relative.
 Runtime goes to stderr, so stdout is byte-stable. A difference here is a
 behaviour change: argue for it in CHANGES.md instead of re-freezing the
@@ -73,6 +76,15 @@ CASES = {
         ["bounds", "grid-distortion", "--n", "2", "--m", "4", "--q", "2"],
     "embed_sparse_m16_eps025.json":
         ["embed", "sparse", "--m", "16", "--eps", "0.25"],
+    # the MC mean, both enumerators, the tensor check, the b identity
+    "verify_cotype_trials5.json":
+        ["verify", "--suite", "cotype", "--trials", "5"],
+    "bq_exhaustive_n1_m4_ell2.json":
+        ["bq", "--n", "1", "--m", "4", "--ell", "2", "--exhaustive"],
+    "gamma_exhaustive_n2_m4_q4.json":
+        ["gamma-exhaustive", "--n", "2", "--m", "4", "--q", "4"],
+    "embed_frechet_m8.json":
+        ["embed", "frechet", "--m", "8"],
 }
 
 

@@ -34,6 +34,7 @@ from cotypelab import (
 from cotypelab import cotype, gridops
 from cotypelab.cotype import _exhaustive_b_space
 from cotypelab.embeddings import _edge_activity, _edge_table
+from cotypelab.errors import InvariantViolationError
 from cotypelab.gridops import (
     axis_shift,
     family_table,
@@ -164,7 +165,7 @@ def test_cotype_functionals_bit_exact(wit, p, sampled, seed):
 @given(witnesses(), st.sampled_from((2, 4, 6)))
 def test_b_functionals_bit_exact(wit, ell):
     f, target = wit
-    rep = b_functionals(f, target, ell, enforce=False)
+    rep = b_functionals(f, target, ell)
     lhs = ref_axis_sum(f, target, ell, 2.0)
     rhs = ref_pattern_sum(f, target, sign_patterns(f.domain.n), 2.0) \
         / 2**f.domain.n
@@ -243,6 +244,93 @@ def test_shift_table_matches_the_modulus_construction(n, m):
     table = shift_table(dom, shifts)
     assert table.dtype == np.int64
     np.testing.assert_array_equal(table, modulus_shift_table(dom, shifts))
+
+
+# ----------------------------------------------------- ratio records
+# The formulas each evaluation, search step and enumeration used before
+# gamma_hat and b_hat shared one record: gamma_hat's ** (1/p) is libm pow,
+# b_hat's square root is correctly rounded, and the two need not agree.
+
+
+def old_gamma(lhs, rhs, n, m, p, q):
+    if rhs <= 0.0:
+        return 0.0, True
+    weight = m**p * n ** (1.0 - p / q)
+    return (lhs / (weight * rhs)) ** (1.0 / p), False
+
+
+def old_b(lhs, rhs, n, ell):
+    if rhs <= 0.0:
+        return 0.0, True
+    return math.sqrt(lhs / (ell**2 * n * rhs)), False
+
+
+def old_gammas(lhs, rhs, n, m, p, q):
+    weight = m**p * n ** (1.0 - p / q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0, (lhs / (weight * rhs)) ** (1.0 / p), 0.0)
+
+
+def old_bs(lhs, rhs, n, ell):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0, np.sqrt(lhs / (ell**2 * n * rhs)), 0.0)
+
+
+SIDES = st.lists(st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False))),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIDES, st.integers(1, 6), st.sampled_from((2, 4, 6, 10, 16)),
+       st.sampled_from((1.0, 1.5, 2.0, 3.0)), st.sampled_from((2.0, 3.0, 4.0)))
+def test_gamma_ratio_matches_the_old_formula(sides, n, m, p, q):
+    q = max(p, q)
+    ratio = cotype._gamma_ratio(n, m, p, q)
+    for lhs, rhs in sides:
+        assert ratio.value(lhs, rhs) == old_gamma(lhs, rhs, n, m, p, q)
+    lhs, rhs = np.array(sides).T
+    got = ratio.values(lhs, rhs)
+    assert got.tobytes() == old_gammas(lhs, rhs, n, m, p, q).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIDES, st.integers(1, 6), st.sampled_from((2, 4, 6)),
+       st.sampled_from((2, 4, 6, 8)))
+def test_b_ratio_matches_the_old_formula_and_ceiling(sides, n, m, ell):
+    # scale lhs so that both sides of the b_hat <= 1 ceiling occur
+    sides = [(lhs * 1e-6 * ell**2 * n * 1.1, rhs) for lhs, rhs in sides]
+    ratio = cotype._b_ratio(n, m, ell)
+    ceiling = 1.0 + cotype.B_INVARIANT_TOL
+    for lhs, rhs in sides:
+        want = old_b(lhs, rhs, n, ell)
+        if want[0] > ceiling:
+            with pytest.raises(InvariantViolationError):
+                ratio.value(lhs, rhs)
+        else:
+            assert ratio.value(lhs, rhs) == want
+    lhs, rhs = np.array(sides).T
+    want = old_bs(lhs, rhs, n, ell)
+    if want.max() > ceiling:
+        with pytest.raises(InvariantViolationError):
+            ratio.values(lhs, rhs)
+    else:
+        assert ratio.values(lhs, rhs).tobytes() == want.tobytes()
+
+
+def test_ratio_roots_keep_their_rounding():
+    # at n = 1, m = ell = 2, p = q = 2 both ratios are sqrt(lhs / (4 rhs)),
+    # taken by pow for gamma_hat and by a square root for b_hat
+    gamma, b = cotype._gamma_ratio(1, 2, 2.0, 2.0), cotype._b_ratio(1, 2, 2)
+    rng = np.random.default_rng(0)
+    apart = 0
+    for lhs, rhs in rng.random((5000, 2)) + (0.0, 0.5):
+        lhs, rhs = float(lhs), float(rhs)
+        assert gamma.value(lhs, rhs) == old_gamma(lhs, rhs, 1, 2, 2.0, 2.0)
+        assert b.value(lhs, rhs) == old_b(lhs, rhs, 1, 2)
+        apart += old_gamma(lhs, rhs, 1, 2, 2.0, 2.0) != old_b(lhs, rhs, 1, 2)
+    assert apart > 0  # the sweep reaches values where the roots round apart
 
 
 # ------------------------------------------------------- tables, blocks

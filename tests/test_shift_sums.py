@@ -98,13 +98,12 @@ def test_search_scores_equal_the_reports(name, p, q):
     space = SPACES[name]
     for n, m in ((1, 2), (2, 2), (2, 4), (2, 6)):
         dom = TorusDomain(n=n, m=m)
+        ratio = cotype._gamma_ratio(n, m, p, q)
         sums = cotype._exact_shift_sums(space, p, family_table(dom, "edges", m // 2))
         assert sums is not None
         rng = np.random.default_rng([n, m, int(p), int(q)])
         for values in edits(rng, dom.points, space.size, 30):
-            means = sums(values)
-            got = cotype._gamma_from(ordered_sum(means[:n]),
-                                     ordered_sum(means[n:]) / 3**n, n, m, p, q)
+            got = ratio.value(*ratio.sides(sums(values)))
             rep = cotype_functionals(GridFunction.points(dom, values), space, p, q)
             assert got == (rep.gamma_hat, rep.degenerate)
 
@@ -115,12 +114,11 @@ def test_b_scores_equal_the_reports(name, ell):
     space = SPACES[name]
     for n, m in ((1, 2), (2, 4), (3, 2)):
         dom = TorusDomain(n=n, m=m)
+        ratio = cotype._b_ratio(n, m, ell)
         sums = cotype._exact_shift_sums(space, 2.0, family_table(dom, "signs", ell))
         rng = np.random.default_rng([n, m, ell])
         for values in edits(rng, dom.points, space.size, 30):
-            means = sums(values)
-            got = cotype._b_from(ordered_sum(means[:n]),
-                                 ordered_sum(means[n:]) / 2**n, n, m, ell)
+            got = ratio.value(*ratio.sides(sums(values)))
             rep = b_functionals(GridFunction.points(dom, values), space, ell)
             assert got == (rep.b_hat, rep.degenerate)
 

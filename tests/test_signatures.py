@@ -26,6 +26,10 @@ SIGNATURES = {
     "adversarial_approx_search": "(n, m, j, k, p, norm, steps=60, seed=0)",
     "adversarial_cancellation_search":
         "(n, m, k, p, eps, norm, steps=60, seed=0)",
+    "b_functionals": "(f, space_or_norm, ell)",
+    "coarse_obstruction_check": "(values, space, n, m, p, q, r, s_scale)",
+    "frechet_cycle": "(m)",
+    "sparse_frechet_cycle": "(m, eps)",
 }
 
 ABSENT_METHODS = {
