@@ -45,7 +45,6 @@ from .errors import (
 from .gridops import (
     SHIFT_BLOCK_ELEMENTS,
     ShiftSums,
-    climb,
     dist_power,
     family_table,
     ordered_sum,
@@ -67,7 +66,7 @@ from .targets import (
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
 B_INVARIANT_TOL = 1e-9
-WITNESS_CHUNK = 4096  # bounds the (witness, shift) means held at once
+WITNESS_CHUNK = 4096  # witnesses, or climbing restarts, held at once
 GENERAL_ENUM_CAP = 1 << 16  # witnesses of an enumeration off bit planes
 
 
@@ -137,21 +136,32 @@ class _Ratio:
         n = self.n
         return ordered_sum(means[:n]), ordered_sum(means[n:]) / self.patterns
 
+    def row_sides(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sides of each row of (W, S) means, added left to right from the
+        first term: from 0.0 as sides adds, unless that term is -0.0."""
+        acc, n = np.add.accumulate, self.n
+        return (acc(means[:, :n], axis=1)[:, -1],
+                acc(means[:, n:], axis=1)[:, -1] / self.patterns)
+
     def value(self, lhs: float, rhs_raw: float) -> tuple[float, bool]:
-        """(value, degenerate); 0 and degenerate when rhs_raw <= 0."""
+        """(value, degenerate); 0 and degenerate when rhs_raw <= 0 or the
+        value is not finite (an overflowed side)."""
         if rhs_raw <= 0.0:
             return 0.0, True
         x = lhs / (self.weight * rhs_raw)
         value = math.sqrt(x) if self.root is None else x ** self.root
+        if not math.isfinite(value):
+            return 0.0, True
         return self._bounded(value), False
 
     def values(self, lhs: np.ndarray, rhs_raw: np.ndarray) -> np.ndarray:
-        """value of each witness's sides, 0 where rhs_raw <= 0."""
+        """value of each witness's sides, 0 where degenerate. numpy's x ** r
+        need not round as libm pow does, so a reported value comes from
+        value."""
         with np.errstate(divide="ignore", invalid="ignore"):
             x = lhs / (self.weight * rhs_raw)
-            out = np.where(rhs_raw > 0,
-                           np.sqrt(x) if self.root is None else x ** self.root,
-                           0.0)
+            out = np.sqrt(x) if self.root is None else x ** self.root
+            out = np.where((rhs_raw > 0) & np.isfinite(out), out, 0.0)
         self._bounded(out.max())
         return out
 
@@ -391,11 +401,10 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
         lhs, rhs = _side_sums(F, MetricTarget(space), ratio.table(dom),
                               dom.n, ratio.p)
     rhs = rhs / ratio.patterns
-    values = ratio.values(lhs, rhs)
-    best = int(np.argmax(values))
+    best = int(np.argmax(ratio.values(lhs, rhs)))
     witness = _bit_rows(best, best + 1, N)[0] if bits else F[best]
-    return (float(lhs[best]), float(rhs[best]), float(values[best]),
-            GridFunction.points(dom, witness))
+    lhs, rhs = float(lhs[best]), float(rhs[best])
+    return lhs, rhs, ratio.value(lhs, rhs)[0], GridFunction.points(dom, witness)
 
 
 def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
@@ -514,11 +523,11 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int) -> BReport:
 
 
 def _exact_shift_sums(space, p: float, table: np.ndarray) -> ShiftSums | None:
-    """An incremental gridops.ShiftSums over the codomain's distances to the
-    power p when its means are exact, else None: the codomain is a
-    FiniteMetricSpace, every distance powered as the kernel powers it is a
-    non-negative integer, the powered table is symmetric with a zero
-    diagonal, and m^n times its largest entry stays below 2^53."""
+    """gridops.ShiftSums over the codomain's distances to the power p when
+    its means are exact, else None: the codomain is a FiniteMetricSpace,
+    every distance powered as the kernel powers it is a non-negative
+    integer, the powered table is symmetric with a zero diagonal, and m^n
+    times its largest entry stays below 2^53."""
     if not isinstance(space, FiniteMetricSpace):
         return None
     dist_p = dist_power(space.dist, p)
@@ -529,72 +538,101 @@ def _exact_shift_sums(space, p: float, table: np.ndarray) -> ShiftSums | None:
     return None
 
 
-def _hill_climb(dom: TorusDomain, codomain_size: int, score, budget: int,
-                seed: int, initial_values=()) -> np.ndarray:
-    """Restart policy around gridops.climb for point-valued witnesses.
+class _FullSides:
+    """gridops.ShiftSums's interface for tables that sides(table) evaluates
+    in full: a table's memo is its (lhs, rhs_raw), and a move evaluates the
+    moved table."""
 
-    score(values) -> float, -inf for a degenerate witness. Each restart
-    spends m^n evaluations (at least 2) of the budget; provided starting
-    witnesses occupy the leading restarts; constant random starts are
-    resampled. Returns the best table across restarts, earliest winning
-    ties; when every restart scores -inf, the first restart's table.
-    """
-    if budget < 1:
-        raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
-    N, K = dom.points, codomain_size
-    per_restart = max(2, N)
-    restarts = max(1, math.ceil(budget / per_restart))
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    def __init__(self, sides):
+        self.sides = sides
 
-    def reassign(rng, old):
-        return (old + int(rng.integers(1, K))) % K if K > 1 else old
+    def __call__(self, tables: np.ndarray) -> np.ndarray:
+        return np.array(list(map(self.sides, tables)))
 
-    best_score, best = -math.inf, None
-    evals = 0
-    initial = list(initial_values)
-    for ri in range(restarts):
-        if evals >= budget:
-            break
-        rng = np.random.default_rng(seeds[ri])
-        if ri < len(initial):
-            vals = GridFunction.points(dom, initial[ri]).values.copy()
-            require_indices(vals, K)
-        else:
-            vals = random_point_values(dom, K, rng)
-            while K > 1 and N > 1 and np.all(vals == vals[0]):
-                vals = random_point_values(dom, K, rng)
-        steps = min(per_restart - 1, budget - evals - 1)
-        got = climb(vals, score, reassign, steps, rng)
-        evals += 1 + steps
-        if best is None or got > best_score:
-            best_score, best = got, vals
-    return best
+    def move(self, tables: np.ndarray, memo, x: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+        moved = tables.copy()
+        moved[np.arange(len(x)), x] = b
+        return self(moved)
+
+
+def _climb_chunk(tables: np.ndarray, rngs: list, steps: np.ndarray, K: int,
+                 kernel, scores) -> tuple[float, np.ndarray]:
+    """(score, table) of the best row of tables, the first winning ties,
+    each row w climbed in lockstep by steps[w] draws from rngs[w]: a point
+    x, then a new value at x among the other K - 1. kernel gives each
+    table's memo and moves it (gridops.ShiftSums), scores(memo) the rows'
+    scores, and a move is kept only when its score is higher."""
+    N, rows = tables.shape[1], np.arange(len(tables))
+    memo = kernel(tables)
+    best = scores(memo)
+    for t in range(int(steps.max())):
+        live = int(np.count_nonzero(steps > t))  # a prefix of the rows
+        x, offset = np.array([(g.integers(N), g.integers(1, K) if K > 1 else 0)
+                              for g in rngs[:live]]).T
+        b = (tables[rows[:live], x] + offset) % K
+        moved = kernel.move(tables[:live], memo[:live], x, b)
+        new = scores(moved)
+        up = np.flatnonzero(new > best[:live])
+        tables[up, x[up]], memo[up], best[up] = b[up], moved[up], new[up]
+    w = int(np.argmax(best))
+    return best[w], tables[w].copy()
 
 
 def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
             budget: int, seed: int, initial_values, sides=None) -> np.ndarray:
-    """_hill_climb of ratio.value over maps dom -> space, a degenerate
-    witness scoring -inf; returns the best value table.
+    """The best table of a hill climb of ratio.value over maps dom -> space,
+    a degenerate witness scoring -inf.
 
-    A step's (lhs, rhs_raw) come from sides(values) when given, else from
-    gridops.ShiftSums where its means are exact, else from one
-    shift_energy call: the floats of the full evaluation in each case.
+    Each restart spends m^n evaluations (at least 2) of the budget; provided
+    starting witnesses occupy the leading restarts, and constant random
+    starts are resampled. Restart i draws from child i of SeedSequence(seed)
+    alone, so restarts climb in lockstep, WITNESS_CHUNK at a time, with the
+    draws of one climb after another. The earliest restart wins ties; when
+    every restart scores -inf, the first restart's table is returned.
+
+    A table's (lhs, rhs_raw) come from sides(table) when given, else from
+    gridops.ShiftSums where its sums are exact, else from one shift_energy
+    call: the floats of the full evaluation in each case.
     """
-    if sides is None:
-        table = ratio.table(dom)
-        means = _exact_shift_sums(space, ratio.p, table)
-        if means is None:
-            means = functools.partial(shift_energy, target=_as_target(space),
-                                      table=table, p=ratio.p)
+    if budget < 1:
+        raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
+    N, K, table = dom.points, space.size, ratio.table(dom)
+    kernel = None if sides else _exact_shift_sums(space, ratio.p, table)
+    exact = kernel is not None
+    if not exact:  # a table's memo is its (lhs, rhs_raw)
+        kernel = _FullSides(sides or (lambda v: ratio.sides(
+            shift_energy(v, _as_target(space), table, ratio.p))))
 
-        def sides(vals):
-            return ratio.sides(means(vals))
+    def scores(memo):  # value takes Python floats, and powers with libm
+        lhs, rhs = ratio.row_sides(memo / N) if exact else memo.T
+        return np.array([-math.inf if degenerate else value for value, degenerate
+                         in map(ratio.value, lhs.tolist(), rhs.tolist())])
 
-    def score(vals):  # _hill_climb has checked the point range
-        value, degenerate = ratio.value(*sides(vals))
-        return -math.inf if degenerate else value
+    def start(i, rng):
+        if i < len(initial):
+            vals = GridFunction.points(dom, initial[i]).values
+            require_indices(vals, K)
+            return vals
+        vals = random_point_values(dom, K, rng)
+        while K > 1 and N > 1 and np.all(vals == vals[0]):
+            vals = random_point_values(dom, K, rng)
+        return vals
 
-    return _hill_climb(dom, space.size, score, budget, seed, initial_values)
+    per_restart = max(2, N)
+    restarts = max(1, math.ceil(budget / per_restart))
+    seeds, initial = np.random.SeedSequence(seed), list(initial_values)
+    best_score, best = -math.inf, None
+    for r0 in range(0, restarts, WITNESS_CHUNK):
+        ri = np.arange(r0, min(r0 + WITNESS_CHUNK, restarts))
+        rngs = [np.random.default_rng(s) for s in seeds.spawn(len(ri))]  # as one spawn
+        got, top = _climb_chunk(
+            np.stack(list(map(start, ri, rngs))), rngs,
+            np.minimum(per_restart - 1, budget - 1 - per_restart * ri), K, kernel, scores)
+        if best is None or got > best_score:
+            best_score, best = got, top
+        del rngs, top  # one chunk's state at a time
+    return best
 
 
 def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,

@@ -74,8 +74,10 @@ def climb(values: np.ndarray, score, propose, steps: int,
     restores the old row, so values ends as the best table seen. best is
     the score of the starting table (computed when not given); returns the
     best score. score must be a function of the table alone; it may
-    memoise the last table it saw (as ShiftSums does), since consecutive
-    tables differ only at the points of one revert and one move.
+    memoise the last table it saw (as the smoothing checks do), since
+    consecutive tables differ only at the points of one revert and one move.
+    Searches over point-valued witnesses climb many tables in lockstep
+    instead (cotype._search).
     """
     if best is None:
         best = score(values)
@@ -134,14 +136,11 @@ def family_table(domain: TorusDomain, family: str,
     return shift_table(domain, pats)
 
 
-def shift_energy_batch(values: np.ndarray, target, table: np.ndarray,
-                       p: float) -> np.ndarray:
-    """(W, S) means avg_x d(f_w(x + s), f_w(x))^p over a stack of W value tables.
-
-    values is (W, m^n) or (W, m^n, d). A block gathers at most
-    SHIFT_BLOCK_ELEMENTS entries (or one row), and every mean runs over x
-    in index order, so the blocking never changes a value.
-    """
+def _per_shift(values: np.ndarray, table: np.ndarray, reduce) -> np.ndarray:
+    """(W, S) reduce(gathered f_w(x + s), f_w(x)) over the last axis, for a
+    stack of W value tables. A block gathers at most SHIFT_BLOCK_ELEMENTS
+    entries (or one row), and each reduction runs over x in index order, so
+    the blocking never changes a value."""
     S = len(table)
     rows = max(1, SHIFT_BLOCK_ELEMENTS // values[0].size)
     s_step, w_step = min(S, rows), max(1, rows // S)
@@ -149,9 +148,17 @@ def shift_energy_batch(values: np.ndarray, target, table: np.ndarray,
     for w0 in range(0, len(values), w_step):
         v = values[w0:w0 + w_step]
         for s0 in range(0, S, s_step):
-            d = target.pairwise(np.take(v, table[s0:s0 + s_step], axis=1), v[:, None])
-            out[w0:w0 + w_step, s0:s0 + s_step] = mean_power(d, p)
+            out[w0:w0 + w_step, s0:s0 + s_step] = reduce(
+                np.take(v, table[s0:s0 + s_step], axis=1), v[:, None])
     return out
+
+
+def shift_energy_batch(values: np.ndarray, target, table: np.ndarray,
+                       p: float) -> np.ndarray:
+    """(W, S) means avg_x d(f_w(x + s), f_w(x))^p over a stack of W value
+    tables, each (m^n,) or (m^n, d)."""
+    return _per_shift(values, table,
+                      lambda a, b: mean_power(target.pairwise(a, b), p))
 
 
 def dist_power(d: np.ndarray, p: float) -> np.ndarray:
@@ -173,30 +180,26 @@ def shift_energy(values: np.ndarray, target, table: np.ndarray,
 
 def shift_sums(values: np.ndarray, dist_p: np.ndarray,
                table: np.ndarray) -> np.ndarray:
-    """Per-shift sums sum_x dist_p[f(x + s), f(x)] of one point-valued table,
-    shape (S,), over blocks of at most SHIFT_BLOCK_ELEMENTS gathered entries."""
-    step = max(1, SHIFT_BLOCK_ELEMENTS // len(values))
-    return np.concatenate([
-        dist_p[np.take(values, table[s0:s0 + step]), values].sum(axis=1)
-        for s0 in range(0, len(table), step)])
+    """(W, S) sums sum_x dist_p[f_w(x + s), f_w(x)] over a stack of W
+    point-valued tables."""
+    return _per_shift(values, table, lambda a, b: dist_p[a, b].sum(axis=-1))
 
 
 INCREMENTAL_POINTS = 2  # a climb step's revert plus its next move
 
 
 class ShiftSums:
-    """Incremental shift_sums of point-valued tables, a pure function of the
-    table it is given.
+    """Per-shift sums of stacks of point-valued tables, and of the tables one
+    point move away, exactly.
 
     dist_p is a symmetric (K, K) table of non-negative integers (as floats)
     with a zero diagonal, small enough that N * dist_p.max() < 2^53: then
-    every sum is exact in any order, and the means sums / N it returns
-    equal shift_energy's bit for bit. The last table scored is memoised;
-    a table that differs from it at no more than INCREMENTAL_POINTS points
-    is scored in O(S) per point. Changing f(x) from a to b changes only the
-    terms at x and x - s of each shift s, by col[f(x + s)] and col[f(x - s)]
-    with col = dist_p[b] - dist_p[a]; shifts s = 0 (mod m) keep their zero
-    terms and are skipped. Any other table gets a full shift_sums pass.
+    every sum is an exact integer in any order, so a moved table's sums
+    equal shift_sums of it bit for bit, and the means sums / N equal
+    shift_energy's. Changing f(x) from a to b changes only the terms at x
+    and x - s of each shift s, by col[f(x + s)] and col[f(x - s)] with
+    col = dist_p[b] - dist_p[a]; shifts s = 0 (mod m) keep their zero
+    terms and are skipped.
     """
 
     def __init__(self, dist_p: np.ndarray, table: np.ndarray):
@@ -209,21 +212,19 @@ class ShiftSums:
         inverse = np.empty_like(forward)
         np.put_along_axis(inverse, forward, np.arange(N)[None], axis=1)
         self.neighbours = np.concatenate([forward, inverse]).T.copy()  # (N, 2S')
-        self.values = self.sums = None
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Per-shift means sums / N of values, shift_energy's floats."""
-        changed = None if self.values is None else (values != self.values).nonzero()[0]
-        if changed is None or len(changed) > INCREMENTAL_POINTS:
-            self.values = values.copy()
-            self.sums = shift_sums(self.values, self.dist_p, self.table)
-        else:
-            for x in changed:
-                self._move(x, values[x])
-        return self.sums / len(values)
+        """(W, S) sums of a (W, N) stack of tables."""
+        return shift_sums(values, self.dist_p, self.table)
 
-    def _move(self, x: int, b: int) -> None:
-        nb = self.values[self.neighbours[x]]  # f(x + s), then f(x - s)
-        col = self.dist_p[b][nb] - self.dist_p[self.values[x]][nb]
-        self.sums[self.moved] += col[:self.half] + col[self.half:]
-        self.values[x] = b
+    def move(self, values: np.ndarray, sums: np.ndarray, x: np.ndarray,
+             b: np.ndarray) -> np.ndarray:
+        """The sums of each table values[w] with b[w] at point x[w], from its
+        sums; one gather of O(S) entries per table, and nothing changes in
+        place."""
+        nb = np.take_along_axis(values, self.neighbours[x], axis=1)  # f(x + s), f(x - s)
+        a = values[np.arange(len(x)), x]
+        col = self.dist_p[b[:, None], nb] - self.dist_p[a[:, None], nb]
+        out = sums.copy()
+        out[:, self.moved] += col[:, :self.half] + col[:, self.half:]
+        return out

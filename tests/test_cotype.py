@@ -36,6 +36,8 @@ from cotypelab import (
     two_point_space,
 )
 
+from cotypelab import cotype
+
 SQ2 = math.sqrt(2.0)
 
 # exact maxima over all two-point witnesses, frozen after independent
@@ -110,6 +112,25 @@ class TestCotypeFunctionals:
                                    budget=1000, seed=5)
         assert again.rhs_raw == est.rhs_raw
 
+    def test_an_overflowed_value_is_degenerate(self):
+        # a (2, 6) vector witness scaled by 1e200: both sides overflow to
+        # inf and their ratio is NaN, which is no value
+        rng = np.random.default_rng(506201)
+        values = rng.standard_normal((36, 2)) + 1j * rng.standard_normal((36, 2))
+        f = GridFunction.vector(TorusDomain(n=2, m=6), 1e200 * values)
+        with np.errstate(over="ignore"):
+            rep = cotype_functionals(f, NormTarget(p=2.0), 2.0, 2.0)
+            b_rep = b_functionals(f, NormTarget(p=2.0), 2)
+        assert math.isinf(rep.lhs) and math.isinf(rep.rhs_raw)
+        assert rep.degenerate and rep.gamma_hat == 0.0
+        assert b_rep.degenerate and b_rep.b_hat == 0.0
+        for ratio in (cotype._gamma_ratio(2, 6, 2.0, 2.0), cotype._b_ratio(2, 6, 2)):
+            for lhs, rhs in ((math.inf, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
+                assert ratio.value(lhs, rhs) == (0.0, True)
+            got = ratio.values(np.array([math.inf, math.inf, 1.0]),
+                               np.array([math.inf, 1.0, 1e3]))
+            assert got[:2].tolist() == [0.0, 0.0] and 0 < got[2] < 1
+
     def test_report_serialization(self):
         dom = TorusDomain(n=1, m=4)
         f = GridFunction.points(dom, np.array([0, 1, 0, 1]))
@@ -163,6 +184,18 @@ class TestTwoPointExhaustive:
         rep = gamma_exhaustive_two_point(n, m, 2.0, 2.0)
         assert rep.gamma_hat == pytest.approx(want, rel=1e-12)
         assert rep.mode == "exact"
+
+    @pytest.mark.parametrize("n,m", [(1, m) for m in range(2, 17, 2)]
+                             + [(2, 2), (2, 4), (3, 2), (4, 2)])
+    def test_reports_the_value_of_its_witness(self, n, m):
+        # every cell with 2^(m^n) <= 2^16: the maximum's value is powered
+        # as cotype_functionals powers it (numpy's x ** (1/p) put the
+        # (3, 2, 1.5, 2) maximum one bit away)
+        for p, q in ((1, 1), (1, 2), (1.5, 2), (2, 2), (2, 3), (2, 4)):
+            rep = gamma_exhaustive_two_point(n, m, p, q)
+            again = cotype_functionals(rep.witness, two_point_space(), p, q)
+            assert (rep.gamma_hat, rep.lhs, rep.rhs_raw) == \
+                (again.gamma_hat, again.lhs, again.rhs_raw)
 
     def test_witness_reaches_reported_value(self):
         rep = gamma_exhaustive_two_point(1, 4, 2.0, 2.0)

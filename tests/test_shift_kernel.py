@@ -252,28 +252,37 @@ def test_shift_table_matches_the_modulus_construction(n, m):
 # b_hat's square root is correctly rounded, and the two need not agree.
 
 
+# The old formulas, where a value that is not finite (an overflowed ratio)
+# now counts as degenerate, 0, like a zero edge energy.
+
+def finite(value):
+    return (value, False) if math.isfinite(value) else (0.0, True)
+
+
 def old_gamma(lhs, rhs, n, m, p, q):
     if rhs <= 0.0:
         return 0.0, True
     weight = m**p * n ** (1.0 - p / q)
-    return (lhs / (weight * rhs)) ** (1.0 / p), False
+    return finite((lhs / (weight * rhs)) ** (1.0 / p))
 
 
 def old_b(lhs, rhs, n, ell):
     if rhs <= 0.0:
         return 0.0, True
-    return math.sqrt(lhs / (ell**2 * n * rhs)), False
+    return finite(math.sqrt(lhs / (ell**2 * n * rhs)))
 
 
 def old_gammas(lhs, rhs, n, m, p, q):
     weight = m**p * n ** (1.0 - p / q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rhs > 0, (lhs / (weight * rhs)) ** (1.0 / p), 0.0)
+        out = (lhs / (weight * rhs)) ** (1.0 / p)
+        return np.where((rhs > 0) & np.isfinite(out), out, 0.0)
 
 
 def old_bs(lhs, rhs, n, ell):
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rhs > 0, np.sqrt(lhs / (ell**2 * n * rhs)), 0.0)
+        out = np.sqrt(lhs / (ell**2 * n * rhs))
+        return np.where((rhs > 0) & np.isfinite(out), out, 0.0)
 
 
 SIDES = st.lists(st.tuples(

@@ -1,14 +1,18 @@
-"""The incremental shift sums against full evaluation, bit for bit.
+"""The exact shift sums and the lockstep search against full evaluation,
+bit for bit.
 
-gridops.ShiftSums scores a point-valued table by updating the per-shift
-sums of the last table it scored. Every score below is compared with ==
-(tobytes() for arrays) against the full kernel, and each search against
-the search as it ran before, with cotype_functionals / b_functionals
-scoring every step. The searches fall back to full evaluation when the
-sums could round: non-integer distances, non-integer powers and the
-sampled eps average.
+gridops.ShiftSums gives the per-shift sums of a stack of point-valued
+tables, and of the tables one point move away, from the sums before the
+move. Every sum below is compared with == (tobytes() for arrays) against a
+full shift_sums pass over the edited table, and every score against the
+full kernel. Each search is compared with the sequential oracle below:
+one restart after another through gridops.climb, cotype_functionals /
+b_functionals scoring every step. The searches fall back to full
+evaluation when the sums could round: non-integer distances, non-integer
+powers and the sampled eps average.
 """
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,15 +29,18 @@ from cotypelab import (
     two_point_space,
 )
 from cotypelab import cotype, gridops
+from cotypelab.errors import InvariantViolationError, PreconditionViolationError
 from cotypelab.gridops import (
     ShiftSums,
+    climb,
     dist_power,
     family_table,
-    ordered_sum,
+    random_point_values,
     shift_energy,
+    shift_sums,
 )
 from cotypelab.spaces import validate_metric
-from cotypelab.targets import MetricTarget
+from cotypelab.targets import MetricTarget, require_indices
 
 SPACES = {
     "two-point": two_point_space(),
@@ -53,27 +60,17 @@ def full_means(values, space, p, table):
     return shift_energy(values, MetricTarget(space), table, p)
 
 
-def edits(rng, N, K, steps):
-    """A random sequence of edits: moves, reverts, and multi-point changes."""
-    values = rng.integers(0, K, N)
-    yield values
+def moves(rng, N, K, W, steps):
+    """A stack of W random tables, then steps rounds of one random move per
+    table of a prefix of the stack, as the climb draws them: yields
+    (tables, x, b) and applies the moves of the rows it is sent back."""
+    tables = rng.integers(0, K, (W, N))
     for _ in range(steps):
-        kind = rng.integers(4)
-        if kind == 0:  # a move that is kept
-            values[rng.integers(N)] = rng.integers(K)
-        elif kind == 1:  # a move that is reverted, then another move
-            x = rng.integers(N)
-            old = values[x]
-            values[x] = rng.integers(K)
-            yield values
-            values[x] = old
-            values[rng.integers(N)] = rng.integers(K)
-        elif kind == 2:  # two or three points change
-            pts = rng.choice(N, size=min(int(rng.integers(2, 4)), N), replace=False)
-            values[pts] = rng.integers(0, K, len(pts))
-        else:  # a fresh table, as a restart brings
-            values[:] = rng.integers(0, K, N)
-        yield values
+        live = int(rng.integers(1, W + 1))
+        x = rng.integers(0, N, live)
+        b = (tables[np.arange(live), x] + rng.integers(1, max(K, 2), live)) % K
+        kept = yield tables, x, b
+        tables[kept, x[kept]] = b[kept]
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -83,13 +80,49 @@ def test_edit_sequences_match_full_evaluation(name, p, n, m, family, amount):
     space = SPACES[name]
     dom = TorusDomain(n=n, m=m)
     table = family_table(dom, family, amount)
-    sums = ShiftSums(dist_power(space.dist, p), table)
+    dist_p = dist_power(space.dist, p)
+    kernel = ShiftSums(dist_p, table)
     rng = np.random.default_rng([n, m, amount, int(p), space.size])
-    for values in edits(rng, dom.points, space.size, 60):
-        got = sums(values)
-        assert got.tobytes() == full_means(values, space, p, table).tobytes()
-        # the memo is a copy: later edits of values do not reach it
-        assert np.array_equal(sums.values, values)
+    edits = moves(rng, dom.points, space.size, 5, 40)
+    tables, x, b = next(edits)
+    sums = kernel(tables)
+    for w, row in enumerate(tables):
+        want = full_means(row, space, p, table)
+        assert (sums[w] / dom.points).tobytes() == want.tobytes()
+    while True:
+        before, sums_before = tables.copy(), sums.copy()
+        got = kernel.move(tables[:len(x)], sums[:len(x)], x, b)
+        assert np.array_equal(tables, before) and np.array_equal(sums, sums_before)
+        edited = tables[:len(x)].copy()
+        edited[np.arange(len(x)), x] = b
+        assert got.tobytes() == shift_sums(edited, dist_p, table).tobytes()
+        kept = rng.random(len(x)) < 0.5
+        sums[:len(x)][kept] = got[kept]
+        try:
+            tables, x, b = edits.send(np.flatnonzero(kept))
+        except StopIteration:
+            break
+    assert sums.tobytes() == shift_sums(tables, dist_p, table).tobytes()
+
+
+def block_scores(ratio, kernel, rng, N, K, steps):
+    """((lhs, rhs_raw), tables) as the search forms them from exact sums:
+    ratio.row_sides of the means of a block of tables, then of its moves."""
+    edits = moves(rng, N, K, 4, steps)
+    tables, x, b = next(edits)
+    sums = kernel(tables)
+    yield ratio.row_sides(sums / N), tables
+    while True:
+        edited = tables[:len(x)].copy()
+        edited[np.arange(len(x)), x] = b
+        moved = kernel.move(tables[:len(x)], sums[:len(x)], x, b)
+        yield ratio.row_sides(moved / N), edited
+        kept = np.flatnonzero(rng.random(len(x)) < 0.5)
+        sums[kept] = moved[kept]
+        try:
+            tables, x, b = edits.send(kept)
+        except StopIteration:
+            return
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -99,13 +132,15 @@ def test_search_scores_equal_the_reports(name, p, q):
     for n, m in ((1, 2), (2, 2), (2, 4), (2, 6)):
         dom = TorusDomain(n=n, m=m)
         ratio = cotype._gamma_ratio(n, m, p, q)
-        sums = cotype._exact_shift_sums(space, p, family_table(dom, "edges", m // 2))
-        assert sums is not None
+        kernel = cotype._exact_shift_sums(space, p, family_table(dom, "edges", m // 2))
+        assert kernel is not None
         rng = np.random.default_rng([n, m, int(p), int(q)])
-        for values in edits(rng, dom.points, space.size, 30):
-            got = ratio.value(*ratio.sides(sums(values)))
-            rep = cotype_functionals(GridFunction.points(dom, values), space, p, q)
-            assert got == (rep.gamma_hat, rep.degenerate)
+        for (lhs, rhs), tables in block_scores(ratio, kernel, rng, dom.points,
+                                               space.size, 15):
+            for row, l, r in zip(tables, lhs.tolist(), rhs.tolist()):
+                rep = cotype_functionals(GridFunction.points(dom, row), space, p, q)
+                assert (l, r) == (rep.lhs, rep.rhs_raw)
+                assert ratio.value(l, r) == (rep.gamma_hat, rep.degenerate)
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -115,25 +150,66 @@ def test_b_scores_equal_the_reports(name, ell):
     for n, m in ((1, 2), (2, 4), (3, 2)):
         dom = TorusDomain(n=n, m=m)
         ratio = cotype._b_ratio(n, m, ell)
-        sums = cotype._exact_shift_sums(space, 2.0, family_table(dom, "signs", ell))
+        kernel = cotype._exact_shift_sums(space, 2.0, family_table(dom, "signs", ell))
         rng = np.random.default_rng([n, m, ell])
-        for values in edits(rng, dom.points, space.size, 30):
-            got = ratio.value(*ratio.sides(sums(values)))
-            rep = b_functionals(GridFunction.points(dom, values), space, ell)
-            assert got == (rep.b_hat, rep.degenerate)
+        for (lhs, rhs), tables in block_scores(ratio, kernel, rng, dom.points,
+                                               space.size, 15):
+            for row, l, r in zip(tables, lhs.tolist(), rhs.tolist()):
+                rep = b_functionals(GridFunction.points(dom, row), space, ell)
+                assert (l, r) == (rep.lhs, rep.rhs_raw)
+                assert ratio.value(l, r) == (rep.b_hat, rep.degenerate)
 
 
 def test_one_point_space_scores_zero():
     dom = TorusDomain(n=2, m=4)
     table = family_table(dom, "edges", 2)
-    sums = ShiftSums(dist_power(ONE_POINT.dist, 2.0), table)
-    values = np.zeros(dom.points, dtype=np.int64)
-    for _ in range(3):
-        want = full_means(values, ONE_POINT, 2.0, table)
-        assert sums(values).tobytes() == want.tobytes()
+    kernel = ShiftSums(dist_power(ONE_POINT.dist, 2.0), table)
+    values = np.zeros((3, dom.points), dtype=np.int64)
+    sums = kernel(values)
+    want = full_means(values[0], ONE_POINT, 2.0, table)
+    assert (sums[0] / dom.points).tobytes() == want.tobytes()
+    x, b = np.array([0, 5, 15]), np.zeros(3, dtype=np.int64)
+    assert kernel.move(values, sums, x, b).tobytes() == sums.tobytes()
 
 
-# ------------------------------------------------ searches, as they were
+# ---------------------------------------------- the sequential oracle
+
+def sequential_climb(dom, codomain_size, score, budget, seed, initial_values=()):
+    """The restart policy as one climb after another: each restart spends
+    m^n evaluations (at least 2), provided witnesses lead, constant random
+    starts are resampled, and the earliest restart wins ties; when every
+    restart scores -inf, the first restart's table."""
+    if budget < 1:
+        raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
+    N, K = dom.points, codomain_size
+    per_restart = max(2, N)
+    restarts = max(1, math.ceil(budget / per_restart))
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+
+    def reassign(rng, old):
+        return (old + int(rng.integers(1, K))) % K if K > 1 else old
+
+    best_score, best = -math.inf, None
+    evals = 0
+    initial = list(initial_values)
+    for ri in range(restarts):
+        if evals >= budget:
+            break
+        rng = np.random.default_rng(seeds[ri])
+        if ri < len(initial):
+            vals = GridFunction.points(dom, initial[ri]).values.copy()
+            require_indices(vals, K)
+        else:
+            vals = random_point_values(dom, K, rng)
+            while K > 1 and N > 1 and np.all(vals == vals[0]):
+                vals = random_point_values(dom, K, rng)
+        steps = min(per_restart - 1, budget - evals - 1)
+        got = climb(vals, score, reassign, steps, rng)
+        evals += 1 + steps
+        if best is None or got > best_score:
+            best_score, best = got, vals
+    return best
+
 
 def reference_gamma_search(space, n, m, p, q, budget, seed, initial=()):
     dom = TorusDomain(n=n, m=m)
@@ -143,7 +219,7 @@ def reference_gamma_search(space, n, m, p, q, budget, seed, initial=()):
         return -math.inf if rep.degenerate else rep.gamma_hat
 
     witness = GridFunction.points(
-        dom, cotype._hill_climb(dom, space.size, score, budget, seed, initial))
+        dom, sequential_climb(dom, space.size, score, budget, seed, initial))
     return replace(cotype_functionals(witness, space, p, q),
                    seed=seed, budget=budget, witness=witness)
 
@@ -156,7 +232,7 @@ def reference_b_search(space, n, ell, m, budget, seed, initial=()):
         return -math.inf if rep.degenerate else rep.b_hat
 
     witness = GridFunction.points(
-        dom, cotype._hill_climb(dom, space.size, score, budget, seed, initial))
+        dom, sequential_climb(dom, space.size, score, budget, seed, initial))
     return replace(b_functionals(witness, space, ell),
                    seed=seed, budget=budget, witness=witness)
 
@@ -198,13 +274,13 @@ def test_b_search_matches_the_full_evaluation_climb(space, n, ell, m):
 ])
 def test_fallback_scores_with_the_full_evaluation(monkeypatch, search):
     def refuse(*args):
-        raise AssertionError("incremental sums on an inexact case")
+        raise AssertionError("exact shift sums on an inexact case")
 
     monkeypatch.setattr(cotype, "ShiftSums", refuse)
     search()
 
 
-def test_exact_search_runs_one_full_pass_per_restart(monkeypatch):
+def test_exact_search_runs_one_full_pass_per_chunk(monkeypatch):
     calls = {"shift_energy": 0, "shift_sums": 0}
 
     def counted(name, fn):
@@ -215,8 +291,101 @@ def test_exact_search_runs_one_full_pass_per_restart(monkeypatch):
 
     monkeypatch.setattr(cotype, "shift_energy", counted("shift_energy", shift_energy))
     monkeypatch.setattr(gridops, "shift_sums", counted("shift_sums", gridops.shift_sums))
-    budget, N = 2000, 36
-    gamma_search(two_point_space(), 2, 6, 2.0, 2.0, budget, 1)
-    restarts = math.ceil(budget / N)
-    assert calls["shift_energy"] == 1  # the final report
-    assert 1 <= calls["shift_sums"] <= restarts
+    gamma_search(two_point_space(), 2, 6, 2.0, 2.0, 2000, 1)  # 56 restarts
+    assert calls == {"shift_energy": 1, "shift_sums": 1}  # the report; the chunk
+    calls.update(shift_energy=0, shift_sums=0)
+    monkeypatch.setattr(cotype, "WITNESS_CHUNK", 10)
+    gamma_search(two_point_space(), 2, 6, 2.0, 2.0, 2000, 1)
+    assert calls == {"shift_energy": 1, "shift_sums": 6}
+
+
+# ------------------------------------------- lockstep against the oracle
+
+CHUNK_BUDGET = 2 * cotype.WITNESS_CHUNK + 3  # at (1, 2): 4098 restarts
+
+
+def test_seed_children_spawned_in_pieces_equal_one_spawn():
+    whole = np.random.SeedSequence(5).spawn(10)
+    pieces = np.random.SeedSequence(5)
+    parts = pieces.spawn(4) + pieces.spawn(1) + pieces.spawn(5)
+    assert [s.generate_state(4).tolist() for s in parts] == \
+        [s.generate_state(4).tolist() for s in whole]
+
+
+@pytest.mark.parametrize("name", ["two-point", "path3", "uneven"])
+def test_more_restarts_than_a_chunk(name):
+    # 4098 restarts; the last has no step left, so its start is scored only
+    if name == "path3":
+        got = b_quantity_search(SPACES[name], 1, 2, 2, CHUNK_BUDGET, 4)
+        want = reference_b_search(SPACES[name], 1, 2, 2, CHUNK_BUDGET, 4)
+    else:
+        space = SPACES.get(name, UNEVEN)
+        got = gamma_search(space, 1, 2, 2.0, 2.0, CHUNK_BUDGET, 3, [[1, 0]])
+        want = reference_gamma_search(space, 1, 2, 2.0, 2.0, CHUNK_BUDGET, 3, [[1, 0]])
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_small_chunks_match_the_oracle(monkeypatch, chunk):
+    # 25 restarts at (2, 4): every chunk boundary falls inside the search
+    monkeypatch.setattr(cotype, "WITNESS_CHUNK", chunk)
+    for space in (SPACES["torus16"], SPACES["path3"], UNEVEN):
+        start = np.arange(16) % space.size
+        got = gamma_search(space, 2, 4, 1.0, 2.0, 400, chunk, [start])
+        want = reference_gamma_search(space, 2, 4, 1.0, 2.0, 400, chunk, [start])
+        assert got.to_json_dict() == want.to_json_dict()
+        got = b_quantity_search(space, 2, 2, 4, 400, chunk)
+        want = reference_b_search(space, 2, 2, 4, 400, chunk)
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("budget", [16 * 3 + 1, 16 * 3 + 5, 16 * 4 - 1])
+def test_a_truncated_last_restart(budget):
+    space = SPACES["torus16"]
+    got = gamma_search(space, 2, 4, 1.0, 2.0, budget, 8)
+    want = reference_gamma_search(space, 2, 4, 1.0, 2.0, budget, 8)
+    assert got.to_json_dict() == want.to_json_dict()
+    got = b_quantity_search(space, 2, 2, 4, budget, 9)
+    want = reference_b_search(space, 2, 2, 4, budget, 9)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("n,m,budget", [(2, 4, 100), (1, 2, CHUNK_BUDGET)])
+def test_every_restart_degenerate_reports_the_first_table(n, m, budget):
+    # a one-point codomain, and a two-point one from a constant start with no
+    # step to leave it
+    got = gamma_search(ONE_POINT, n, m, 2.0, 2.0, budget, 2)
+    want = reference_gamma_search(ONE_POINT, n, m, 2.0, 2.0, budget, 2)
+    assert got.degenerate and got.to_json_dict() == want.to_json_dict()
+    start = [[0] * m**n]
+    got = b_quantity_search(SPACES["two-point"], n, 2, m, 1, 2, start)
+    want = reference_b_search(SPACES["two-point"], n, 2, m, 1, 2, start)
+    assert got.degenerate and got.to_json_dict() == want.to_json_dict()
+
+
+def test_the_b_ceiling_still_raises(monkeypatch):
+    real = cotype._b_ratio
+    monkeypatch.setattr(cotype, "_b_ratio", lambda *a: replace(real(*a), ceiling=0.5))
+    space = SPACES["torus16"]
+    with pytest.raises(InvariantViolationError):
+        reference_b_search(space, 2, 2, 4, 300, 7)
+    with pytest.raises(InvariantViolationError):
+        b_quantity_search(space, 2, 2, 4, 300, 7)
+
+
+def search_peak(budget):
+    tracemalloc.start()
+    try:
+        gamma_search(two_point_space(), 1, 2, 2.0, 2.0, budget, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_search_holds_one_chunk_at_a_time(monkeypatch):
+    # at (1, 2) a restart spends 2 evaluations: four chunks against one.
+    # Spawning every restart's seed up front grew the peak about fourfold.
+    monkeypatch.setattr(cotype, "WITNESS_CHUNK", 512)
+    one = search_peak(2 * 512)
+    four = search_peak(8 * 512)
+    assert four < 1.25 * one, (one, four)
