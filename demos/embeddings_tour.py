@@ -41,7 +41,7 @@ def diagonal_walks() -> None:
         path = diag_geodesic_through(np.array(x), np.array(y), 4, dom)
         d = diag_distance(dom, np.array(x), np.array(y))
         route = " -> ".join(str(tuple(int(c) for c in s)) for s in path.steps)
-        print(f"  {x} to {y}: bfs {d}, hit at step {path.through_index}")
+        print(f"  {x} to {y}: distance {d}, hit at step {path.through_index}")
         print(f"    {route}")
 
 

@@ -325,25 +325,13 @@ def _bit_rows(start: int, stop: int, width: int) -> np.ndarray:
     return np.unpackbits(idx, axis=1, bitorder="little")[:, :width]
 
 
-def _side_sums(witnesses: np.ndarray, target, table: np.ndarray, n: int,
-               p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per witness row, its means over the first n shift rows of table and
-    over the other rows, each pair of sums added in row order."""
-    lhs, rhs = np.zeros(len(witnesses)), np.zeros(len(witnesses))
-    for w0 in range(0, len(witnesses), WITNESS_CHUNK):
-        chunk = slice(w0, w0 + WITNESS_CHUNK)
-        means = shift_energy_batch(witnesses[chunk], target, table, p)
-        for s in range(len(table)):
-            (lhs if s < n else rhs)[chunk] += means[:, s]
-    return lhs, rhs
-
-
 def _xor_sides(witnesses: np.ndarray, table: np.ndarray,
                n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_side_sums of 0/1 witness rows into the unit two-point space. Each
-    block of rows is transposed to (N, W) bit planes, whose rows gathered by
-    each shift are xored with them and counted over the leading point axis.
-    A block gathers at most SHIFT_BLOCK_ELEMENTS entries (or one row)."""
+    """Per 0/1 witness row into the unit two-point space, its means over the
+    first n shift rows of table and over the others, each added in row order.
+    Each block of rows is transposed to (N, W) bit planes, whose rows gathered
+    by each shift are xored with them and counted over the leading point
+    axis. A block gathers at most SHIFT_BLOCK_ELEMENTS entries (or one row)."""
     N = witnesses.shape[1]
     lhs, rhs = np.zeros(len(witnesses)), np.zeros(len(witnesses))
     w_step = max(1, SHIFT_BLOCK_ELEMENTS // N)
@@ -380,7 +368,7 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     The unit two-point space enumerates the bit tables of the witness
     indices on bit planes (m^n <= 20, point 0 the lowest bit); any other
     space enumerates assignments in mixed radix (point 0 the highest
-    digit), at most GENERAL_ENUM_CAP of them.
+    digit), at most GENERAL_ENUM_CAP of them, summed by row_sides.
     """
     N, K = dom.points, space.size
     bits = K == 2 and float(space.dist[0, 1]) == 1.0
@@ -391,16 +379,20 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
         if 2**N > budget:
             raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
         lhs, rhs = _two_point_sides(dom.n, dom.m, ratio.family, ratio.amount)
+        rhs = rhs / ratio.patterns
     else:
-        if N > 20 or K**N > min(budget, GENERAL_ENUM_CAP):
+        # K^N > 2^16 when K > 1 and N > 20, without forming the power
+        if (K > 1 and N > 20) or K**N > min(budget, GENERAL_ENUM_CAP):
             raise BudgetExceededError(
                 f"{K}^{N} witnesses exceed the exhaustive cap"
             )
         idx = np.arange(K**N, dtype=np.int64)
         F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
-        lhs, rhs = _side_sums(F, MetricTarget(space), ratio.table(dom),
-                              dom.n, ratio.p)
-    rhs = rhs / ratio.patterns
+        target, table = MetricTarget(space), ratio.table(dom)
+        sides = [ratio.row_sides(shift_energy_batch(
+            F[w0:w0 + WITNESS_CHUNK], target, table, ratio.p))
+            for w0 in range(0, len(F), WITNESS_CHUNK)]
+        lhs, rhs = (np.concatenate(side) for side in zip(*sides))
     best = int(np.argmax(ratio.values(lhs, rhs)))
     witness = _bit_rows(best, best + 1, N)[0] if bits else F[best]
     lhs, rhs = float(lhs[best]), float(rhs[best])

@@ -31,7 +31,6 @@ from .gridops import (
 from .harmonic import GridFunction, _axis_window_sum
 from .spaces import (
     EmbeddingRecord,
-    FiniteMetricSpace,
     TorusDomain,
     distortion,
     grid_points,
@@ -41,7 +40,7 @@ from .spaces import (
     snowflake,
     torus_space,
 )
-from .targets import as_target, require_indices
+from .targets import MetricTarget, as_target, require_indices
 
 # transition-point terms of one geodesic-defect sum; each costs about 10 ns
 # (2-core x86 desk machine, numpy 2.4), so the cap is about 1.5 s of work
@@ -72,15 +71,8 @@ class VSet:
 
     @classmethod
     def of(cls, s: int, n: int) -> "VSet":
-        if s % 4 != 0 or s < 4:
-            raise PreconditionViolationError(
-                f"the extraction scale must be divisible by 4, got s={s}"
-            )
-        axis = np.arange(0, s // 2 + 1, 2, dtype=np.int64)
-        grids = np.meshgrid(*([axis] * n), indexing="ij")
-        members = np.stack([g.ravel() for g in grids], axis=-1)
-        assert members.shape[0] == (s // 4 + 1) ** n
-        return cls(s=s, n=n, members=members)
+        _require_extraction_scale(s, 2 * s)  # m = 2s leaves only the s check
+        return cls(s=s, n=n, members=2 * grid_points(n, s // 4))
 
     def __contains__(self, point) -> bool:
         pt = np.asarray(point, dtype=np.int64)
@@ -249,10 +241,7 @@ def _edge_table(f: GridFunction, target) -> np.ndarray:
 def _edge_activity(edge: np.ndarray) -> np.ndarray:
     """E over full sign patterns of d(f(x+eps), f(x))^2, per point, from
     the edge table of _edge_table."""
-    acc = np.zeros(edge.shape[1])
-    for d in edge:
-        acc += d ** 2
-    return acc / len(edge)
+    return (edge ** 2).mean(axis=0)
 
 
 def _ball_sum(domain: TorusDomain, values: np.ndarray,
@@ -416,25 +405,12 @@ def extract_grid(f: GridFunction, space, s: int):
     mapped_points = (y0c[None, :] + sigma[None, :] * vset.members) % m
     mapped_idx = np.ravel_multi_index(tuple(mapped_points.T), dom.shape)
 
-    if hasattr(target, "space") and isinstance(getattr(target, "space", None),
-                                               FiniteMetricSpace):
+    if isinstance(target, MetricTarget):
         tgt_space = target.space
         mapping = np.asarray(f.values, dtype=np.int64)[mapped_idx]
     else:
-        values = f.values[mapped_idx]
-        k = values.shape[0]
-        table = np.zeros((k, k))
-        for i in range(k):
-            table[i] = target.pairwise(
-                np.broadcast_to(values[i], values.shape), values
-            )
-        table = (table + table.T) / 2.0
-        np.fill_diagonal(table, 0.0)
-        tgt_space = FiniteMetricSpace(
-            labels=tuple(str(i) for i in range(k)),
-            dist=table,
-        )
-        mapping = np.arange(k, dtype=np.int64)
+        tgt_space = points_space(f.values[mapped_idx], target.p)
+        mapping = np.arange(len(mapped_idx), dtype=np.int64)
 
     record = distortion(mapping, src, tgt_space)
     report = {

@@ -9,7 +9,6 @@ report contract.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -339,8 +338,7 @@ def torus_space(domain: TorusDomain) -> FiniteMetricSpace:
 
 def grid_points(n: int, m: int) -> np.ndarray:
     """All points of {0,...,m}^n as an ((m+1)^n, n) array, row-major."""
-    grids = np.indices(((m + 1),) * n).reshape(n, (m + 1) ** n)
-    return grids.T.copy()
+    return TorusDomain(n, m + 1).coords()
 
 
 def points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
@@ -351,58 +349,30 @@ def points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(coords=points, p=p)
 
 
-DIAG_BFS_BUDGET = 10**6
-
-
 def diag_distance(domain: TorusDomain, x, y) -> int:
     """Graph distance on Z_m^n where a step moves every coordinate by +/-1.
 
-    Breadth-first search over at most DIAG_BFS_BUDGET points; requires
-    even m. Points whose coordinate differences have mixed parity are
-    unreachable.
+    Requires even m. Points whose coordinate differences have mixed parity
+    are unreachable. Otherwise every circular gap min(g, m - g) has the
+    parity of the largest, so each coordinate covers its gap and pads with
+    back-and-forth steps: the distance is the torus word metric.
     """
     if domain.m % 2 != 0:
         raise OddMError(f"even side length required, got m={domain.m}")
-    domain.require_points(DIAG_BFS_BUDGET)
     xs = np.mod(np.asarray(x, dtype=np.int64), domain.m)
     ys = np.mod(np.asarray(y, dtype=np.int64), domain.m)
     if xs.shape != (domain.n,) or ys.shape != (domain.n,):
         raise DimensionMismatchError(
             f"points must have shape ({domain.n},), got {xs.shape} {ys.shape}"
         )
-    par = np.mod(ys - xs, 2)
-    if par.size and int(par.min()) != int(par.max()):
+    gap = np.mod(ys - xs, domain.m)  # even m keeps each difference's parity
+    par = gap % 2
+    if par.min() != par.max():
         raise UnreachableError(
             f"{tuple(int(v) for v in xs)} and {tuple(int(v) for v in ys)} "
             "lie in different parity classes"
         )
-    start = int(np.ravel_multi_index(tuple(xs), domain.shape))
-    goal = int(np.ravel_multi_index(tuple(ys), domain.shape))
-    if start == goal:
-        return 0
-    deltas = np.array(list(itertools.product((-1, 1), repeat=domain.n)),
-                      dtype=np.int64)
-    visited = np.zeros(domain.points, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        depth += 1
-        coords = np.stack(np.unravel_index(frontier, domain.shape), axis=1)
-        nbrs = np.mod(coords[None, :, :] + deltas[:, None, :], domain.m)
-        idx = np.ravel_multi_index(
-            tuple(nbrs.reshape(-1, domain.n).T), domain.shape
-        )
-        idx = np.unique(idx[~visited[idx]])
-        if idx.size == 0:
-            break
-        if goal in idx:
-            return depth
-        visited[idx] = True
-        frontier = idx
-    raise UnreachableError(
-        f"no diagonal path joins the given points in Z_{domain.m}^{domain.n}"
-    )
+    return int(np.minimum(gap, domain.m - gap).max())
 
 
 @dataclass(frozen=True)

@@ -370,9 +370,10 @@ def embeddings_suite(seed: int = 17, trials: int = 20) -> list[InequalityCheck]:
         checks.append(_residual_check(
             "diag-geodesic-through", params, hit, 1.0))
         if not np.array_equal(np.array(x), np.array(y)):
-            bfs = diag_distance(dom, np.array(x), np.array(y))
+            distance = diag_distance(dom, np.array(x), np.array(y))
             checks.append(_residual_check(
-                "diag-geodesic-minimal", params, float(abs(bfs - t)), 1.0))
+                "diag-geodesic-minimal", params, float(abs(distance - t)),
+                1.0))
 
     dom = TorusDomain(n=2, m=8)
     ident = GridFunction.points(dom, np.arange(dom.points))

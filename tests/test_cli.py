@@ -122,11 +122,32 @@ def test_bq_exhaustive_keeps_the_two_point_gap(capsys, tmp_path):
     assert got["b_hat"] == math.sqrt(0.5)
 
 
+def test_bq_exhaustive_counts_the_witnesses_of_a_one_point_space(capsys,
+                                                                  tmp_path):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"dist": [[0]]}))
+    # 22 points, but 1^22 = 1 witness, well within the cap
+    code, doc, _ = run_main(capsys, ["bq", "--n", "1", "--m", "22", "--ell",
+                                     "2", "--exhaustive", "--space", str(one)])
+    assert code == 0 and doc["mode"] == "exact"
+    got = doc["results"]
+    assert got["degenerate"] is True and got["b_hat"] == 0.0
+    assert got["witness"] == [0] * 22
+
+
 def test_bq_exhaustive_past_the_cap_exits_2(capsys):
     code, doc, err = run_main(capsys, ["bq", "--n", "2", "--m", "4", "--ell",
                                        "2", "--exhaustive", "--space", PATH4])
     assert code == 2 and doc is None
     assert "4^16 witnesses exceed the exhaustive cap" in err
+
+
+def test_bq_exhaustive_refuses_10_to_the_8_points_at_once(capsys):
+    # the refusal must not form 4^(10^8), a 200-million-bit integer
+    code, doc, err = run_main(capsys, ["bq", "--n", "4", "--m", "100", "--ell",
+                                       "2", "--exhaustive", "--space", PATH4])
+    assert code == 2 and doc is None
+    assert "4^100000000 witnesses exceed the exhaustive cap" in err
 
 
 def test_mod_check_all_pass(capsys):

@@ -15,6 +15,7 @@ from cotypelab import (
     coarse_obstruction_check,
     diag_distance,
     diag_geodesic_through,
+    distortion,
     extract_grid,
     frechet_cycle,
     grid_lower_bound_check,
@@ -29,6 +30,7 @@ from cotypelab import (
 )
 from cotypelab import embeddings
 from cotypelab.gridops import axis_shift, roll_values
+from cotypelab.spaces import FiniteMetricSpace
 from cotypelab.targets import as_target
 
 
@@ -197,6 +199,47 @@ class TestExtractGrid:
         with pytest.raises(PreconditionViolationError,
                            match=f"value {bad} at point 5 is not a point index"):
             extract_grid(f, torus_space(self.dom), 4)
+
+
+def pairwise_row_table(values, target):
+    """Reference for extract_grid's target space on vector values: the
+    (k, k) table of target.pairwise one row at a time, symmetrised, with a
+    zero diagonal."""
+    k = len(values)
+    table = np.zeros((k, k))
+    for i in range(k):
+        table[i] = target.pairwise(np.broadcast_to(values[i], values.shape),
+                                   values)
+    table = (table + table.T) / 2.0
+    np.fill_diagonal(table, 0.0)
+    return table
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_points_space_matches_the_row_table_bit_for_bit(p):
+    # k = (s/4 + 1)^n members of V at (n, s) = (2, 4), (3, 8), (4, 8), (3, 16)
+    rng = np.random.default_rng(int(p) if math.isfinite(p) else 0)
+    target = NormTarget(p=p)
+    for scale in 10.0 ** np.arange(-3, 4):
+        for k, d in ((4, 1), (27, 2), (81, 3), (125, 2)):
+            values = scale * (rng.standard_normal((k, d))
+                              + 1j * rng.standard_normal((k, d)))
+            got = points_space(values, p).dist
+            assert got.tobytes() == pairwise_row_table(values, target).tobytes()
+    # and extract_grid measures its recovered box in that space
+    dom = TorusDomain(n=2, m=16)
+    f = GridFunction.vector(dom, rng.standard_normal((dom.points, 2))
+                            + 1j * rng.standard_normal((dom.points, 2)))
+    rec, report = extract_grid(f, target, 8)
+    members = VSet.of(8, 2).members
+    box = (np.array(report["y0"]) + np.array(report["sigma"]) * members) % 16
+    values = f.values[np.ravel_multi_index(tuple(box.T), dom.shape)]
+    k = len(values)
+    want = distortion(np.arange(k), points_space(members // 2, math.inf),
+                      FiniteMetricSpace(labels=tuple(map(str, range(k))),
+                                        dist=pairwise_row_table(values, target)))
+    assert (rec.lip, rec.colip, rec.lip_pair, rec.colip_pair) == \
+        (want.lip, want.colip, want.lip_pair, want.colip_pair)
 
 
 def _balanced_sign_rows(s):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -244,6 +245,30 @@ def test_points_space_norms():
     assert cx.dist[0, 1] == 5.0
 
 
+def bfs_diag_depths(domain, start):
+    """Reference for diag_distance: breadth-first search from start over
+    the steps that move every coordinate by +/-1. The depth of every point
+    in linear-index order, -1 where no walk reaches it."""
+    deltas = np.array(list(itertools.product((-1, 1), repeat=domain.n)))
+    depth = np.full(domain.points, -1)
+    frontier = np.array([np.ravel_multi_index(tuple(start), domain.shape)])
+    depth[frontier] = 0
+    while frontier.size:
+        coords = np.stack(np.unravel_index(frontier, domain.shape), axis=1)
+        nbrs = np.mod(coords[None] + deltas[:, None], domain.m)
+        idx = np.ravel_multi_index(tuple(nbrs.reshape(-1, domain.n).T),
+                                   domain.shape)
+        idx = np.unique(idx[depth[idx] < 0])
+        depth[idx] = depth[frontier[0]] + 1
+        frontier = idx
+    return depth
+
+
+# every cell with n <= 5, even m <= 10 and m^n <= 60,000: 59,314 points
+DIAG_CELLS = [(n, m) for n in range(1, 6) for m in range(2, 11, 2)
+              if m**n <= 60_000]
+
+
 class TestDiagDistance:
     dom = TorusDomain(n=2, m=8)
 
@@ -281,10 +306,19 @@ class TestDiagDistance:
         with pytest.raises(DimensionMismatchError):
             diag_distance(self.dom, (0, 0, 0), (1, 1, 1))
 
-    def test_budget(self, monkeypatch):
-        monkeypatch.setattr(spaces, "DIAG_BFS_BUDGET", 100)
-        with pytest.raises(BudgetExceededError):
-            diag_distance(TorusDomain(n=8, m=10), (0,) * 8, (2,) * 8)
+    @pytest.mark.parametrize("n,m", DIAG_CELLS)
+    def test_matches_the_breadth_first_search(self, n, m):
+        dom = TorusDomain(n=n, m=m)
+        origin = (0,) * n
+        for y, want in zip(dom.coords(), bfs_diag_depths(dom, origin)):
+            if want < 0:
+                with pytest.raises(UnreachableError):
+                    diag_distance(dom, origin, y)
+            else:
+                assert diag_distance(dom, origin, y) == want
+
+    def test_answers_on_a_domain_of_10_to_the_8_points(self):
+        assert diag_distance(TorusDomain(n=8, m=10), (0,) * 8, (2,) * 8) == 2
 
 
 def test_distortion_identity_and_scaling():

@@ -115,8 +115,12 @@ UNIT_TWO_POINT = SimpleNamespace(pairwise=np.bitwise_xor)  # 0/1 tables
 
 
 def side_sums_sides(witnesses, table, n):
-    """The two-point sides through shift_energy_batch, an xor per entry."""
-    return cotype._side_sums(witnesses, UNIT_TWO_POINT, table, n, 1.0)
+    """The two-point (lhs, rhs_raw) through the general kernel, as the
+    mixed-radix enumeration sums them: row_sides of shift_energy_batch with
+    an xor per entry, over one edge pattern so rhs_raw stays undivided."""
+    ratio = cotype._Ratio(n, "", 0, 1.0, 1, 1.0, 1.0)
+    return ratio.row_sides(
+        gridops.shift_energy_batch(witnesses, UNIT_TWO_POINT, table, 1.0))
 
 
 def rand_vec(dom, d, rng):
