@@ -551,17 +551,26 @@ class _FullSides:
 def _climb_chunk(tables: np.ndarray, rngs: list, steps: np.ndarray, K: int,
                  kernel, scores) -> tuple[float, np.ndarray]:
     """(score, table) of the best row of tables, the first winning ties,
-    each row w climbed in lockstep by steps[w] draws from rngs[w]: a point
-    x, then a new value at x among the other K - 1. kernel gives each
-    table's memo and moves it (gridops.ShiftSums), scores(memo) the rows'
-    scores, and a move is kept only when its score is higher."""
-    N, rows = tables.shape[1], np.arange(len(tables))
+    each row w climbed in lockstep by steps[w] steps drawn from rngs[w]: a
+    point x, then a new value at x among the other K - 1 (no draw when
+    K = 1). Row w's whole climb is drawn before the first step, in one
+    integers call whose bounds alternate [0, 1, ...] / [N, K, ...]; it gives
+    the values, and leaves the Generator in the state, of the alternating
+    scalar calls integers(N), integers(1, K). The draws are held in the
+    narrowest signed dtype holding max(N, K). kernel gives each table's memo
+    and moves it (gridops.ShiftSums), scores(memo) the rows' scores, and a
+    move is kept only when its score is higher."""
+    N, rows, most = tables.shape[1], np.arange(len(tables)), int(steps.max())
+    pair = 2 if K > 1 else 1  # draws per step
+    lows, highs = np.tile([0, 1][:pair], most), np.tile([N, K][:pair], most)
+    draws = np.zeros((len(tables), most, 2), np.min_scalar_type(-max(N, K)))
+    for g, w, row in zip(rngs, steps.tolist(), draws):
+        row[:w, :pair] = g.integers(lows[:pair * w], highs[:pair * w]).reshape(w, pair)
     memo = kernel(tables)
     best = scores(memo)
-    for t in range(int(steps.max())):
+    for t in range(most):
         live = int(np.count_nonzero(steps > t))  # a prefix of the rows
-        x, offset = np.array([(g.integers(N), g.integers(1, K) if K > 1 else 0)
-                              for g in rngs[:live]]).T
+        x, offset = draws[:live, t].T.astype(np.int64)
         b = (tables[rows[:live], x] + offset) % K
         moved = kernel.move(tables[:live], memo[:live], x, b)
         new = scores(moved)
@@ -580,7 +589,8 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     starting witnesses occupy the leading restarts, and constant random
     starts are resampled. Restart i draws from child i of SeedSequence(seed)
     alone, so restarts climb in lockstep, WITNESS_CHUNK at a time, with the
-    draws of one climb after another. The earliest restart wins ties; when
+    draws of one climb after another, each climb drawn up front
+    (_climb_chunk). The earliest restart wins ties; when
     every restart scores -inf, the first restart's table is returned.
 
     A table's (lhs, rhs_raw) come from sides(table) when given, else from

@@ -389,3 +389,49 @@ def test_a_search_holds_one_chunk_at_a_time(monkeypatch):
     one = search_peak(2 * 512)
     four = search_peak(8 * 512)
     assert four < 1.25 * one, (one, four)
+
+
+# ------------------------------------------------- pre-drawn climbs
+
+def drawn_climb(rng, N, K, steps):
+    """One restart's whole climb as _climb_chunk draws it: one integers call
+    with alternating [0, 1] / [N, K] bounds, points only when K = 1."""
+    if K > 1:
+        return rng.integers(np.tile([0, 1], steps), np.tile([N, K], steps))
+    return rng.integers(np.zeros(steps, dtype=np.int64), N)
+
+
+def scalar_climb(rng, N, K, steps):
+    """The same climb as gridops.climb draws it: a point, then an offset."""
+    out = []
+    for _ in range(steps):
+        out.append(rng.integers(N))
+        if K > 1:
+            out.append(rng.integers(1, K))
+    return out
+
+
+@pytest.mark.parametrize("N,K", [(16, 2), (216, 3), (4, 1), (2, 2**33)])
+@pytest.mark.parametrize("steps", ["none", "one", "N-1"])
+def test_a_pre_drawn_climb_equals_the_alternating_scalar_draws(N, K, steps):
+    # the search's report rests on this property of numpy's integers: a
+    # release that changes its broadcast path fails here
+    steps = {"none": 0, "one": 1, "N-1": N - 1}[steps]
+    for seed in range(5):
+        block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert drawn_climb(block, N, K, steps).tolist() == scalar_climb(scalar, N, K, steps)
+        assert block.integers(2**62) == scalar.integers(2**62)  # the same state
+
+
+def test_the_pre_drawn_steps_hold_less_than_the_tables():
+    # one full chunk: 4096 restarts of 63 steps at (2, 8), 2 MiB of tables.
+    # Drawing step by step peaked at 10.0 MiB; pre-drawn int64 draws would
+    # add 4 MiB, the narrow dtype adds 0.5 MiB.
+    assert cotype.WITNESS_CHUNK == 4096
+    tracemalloc.start()
+    try:
+        gamma_search(two_point_space(), 2, 8, 2.0, 2.0, 2**18, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak / 2**20
