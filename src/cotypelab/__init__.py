@@ -69,14 +69,7 @@ from .errors import (
     UnreachableError,
     ZeroOffDiagonalError,
 )
-from .gridops import (
-    axis_shift,
-    random_point_values,
-    random_vector_values,
-    roll_values,
-    sign_patterns,
-    three_patterns,
-)
+from .gridops import random_point_values, random_vector_values, sign_patterns
 from .harmonic import (
     GridFunction,
     SpectralCoefficients,

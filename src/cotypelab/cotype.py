@@ -105,6 +105,13 @@ def _with_run_fields(report, out: dict) -> dict:
         out["witness"] = [int(v) for v in report.witness.values]
     return out
 
+
+def _sides(means, n: int, patterns: int) -> tuple[float, float]:
+    """(lhs, rhs_raw) of one witness's per-shift means: the first n added,
+    and the rest added and divided by the pattern count, in row order."""
+    return ordered_sum(means[:n]), ordered_sum(means[n:]) / patterns
+
+
 def _require_even_m(m: int) -> None:
     if m % 2 != 0:
         raise OddMError(f"even m required, got {m}")
@@ -132,9 +139,7 @@ class _Ratio:
         return family_table(dom, self.family, self.amount)
 
     def sides(self, means) -> tuple[float, float]:
-        """(lhs, rhs_raw) of one witness's per-shift means, in row order."""
-        n = self.n
-        return ordered_sum(means[:n]), ordered_sum(means[n:]) / self.patterns
+        return _sides(means, self.n, self.patterns)
 
     def row_sides(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sides of each row of (W, S) means, added left to right from the
@@ -306,9 +311,10 @@ def hilbert_gamma_power_iteration(n: int, m: int) -> float:
     N = dom.points
     if N > 4096:
         raise BudgetExceededError(f"dense oracle capped at 4096 points, got {N}")
-    # a shift's permutation matrix P adds (P - I)^T (P - I) = 2I - P - P^T
+    # a shift's permutation matrix P adds (P - I)^T (P - I) = 2I - P - P^T,
+    # which is 0 for the zero pattern, so B sums the other edges
     eye = np.eye(N)
-    table = family_table(dom, "three", m // 2)
+    table = family_table(dom, "edges", m // 2)
     A = sum(2.0 * eye - eye[row] - eye[row].T for row in table[:n])
     B = sum(2.0 * eye - eye[row] - eye[row].T for row in table[n:]) / 3**n
 
@@ -699,9 +705,7 @@ def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
         raise PreconditionViolationError(f"need a >= 0, got a={a}")
     target = _as_target(space_or_norm)
     table = family_table(dom, "signs", a * m + r)
-    means = shift_energy(f.values, target, table, 2.0)
-    lhs = ordered_sum(means[:n])
-    edge = ordered_sum(means[n:]) / 2**n
+    lhs, edge = _sides(shift_energy(f.values, target, table, 2.0), n, 2**n)
     rhs = min(r**2, (m - r) ** 2) * n * edge
     return make_check(
         "shift-mod-bound",
@@ -715,17 +719,18 @@ def edge_sum_check(f: GridFunction, space_or_norm,
                    p: float) -> InequalityCheck:
     """Per-coordinate edge sum against 3 * 2^(p-1) * n times the eps average.
 
-    The eps average runs over the full three-letter measure, zero
-    pattern included, exactly as in the cotype denominator.
+    The eps average runs over the full three-letter measure, exactly as in
+    the cotype denominator: the zero pattern's mean is 0 and is left out of
+    the sum, not of the count.
     """
     dom = f.domain
     n = dom.n
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     target = _as_target(space_or_norm)
-    means = shift_energy(f.values, target, family_table(dom, "three", 1), p)
-    lhs = ordered_sum(means[:n])
-    rhs = 3.0 * 2.0 ** (p - 1.0) * n * (ordered_sum(means[n:]) / 3**n)
+    lhs, edge = _sides(
+        shift_energy(f.values, target, family_table(dom, "edges", 1), p), n, 3**n)
+    rhs = 3.0 * 2.0 ** (p - 1.0) * n * edge
     return make_check("edge-sum-bound", {"n": n, "m": dom.m, "p": p}, lhs, rhs)
 
 
@@ -745,18 +750,21 @@ def contraction_principle_check(vectors, scalars, p: float,
         raise PreconditionViolationError("scalars must satisfy |a_j| <= 1")
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
+    return make_check(
+        "sign-contraction",
+        {"n": X.shape[0], "p": p, "norm_p": norm.p},
+        _sign_average(a[:, None] * X, p, norm),
+        _sign_average(X, p, norm),
+    )
+
+
+def _sign_average(X: np.ndarray, p: float, norm: NormTarget) -> float:
+    """E_eps ||sum_j eps_j x_j||^p over the 2^n full sign patterns, n <= 20."""
     n = X.shape[0]
     if n > 20:
         raise BudgetExceededError(f"sign enumeration capped at n=20, got {n}")
     signs = sign_patterns(n).astype(np.float64)
-    lhs = float(np.mean(norm.norm(signs @ (a[:, None] * X)) ** p))
-    rhs = float(np.mean(norm.norm(signs @ X) ** p))
-    return make_check(
-        "sign-contraction",
-        {"n": n, "p": p, "norm_p": norm.p},
-        lhs,
-        rhs,
-    )
+    return float(np.mean(norm.norm(signs @ X) ** p))
 
 
 def exhaustive_b_two_point(n: int, ell: int, m: int,
@@ -817,9 +825,7 @@ def contraction_rhs_bound(vectors, m: int, p: float,
                           norm: NormTarget) -> float:
     """(4 pi / m)^p * E_eps || sum_j eps_j v_j ||^p over full signs."""
     X = np.asarray(vectors, dtype=np.complex128)
-    signs = sign_patterns(X.shape[0]).astype(np.float64)
-    sums = signs @ X
-    return (4.0 * np.pi / m) ** p * float(np.mean(norm.norm(sums) ** p))
+    return (4.0 * np.pi / m) ** p * _sign_average(X, p, norm)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,7 @@ from .errors import (
     HypothesisFailedError,
     PreconditionViolationError,
 )
-from .gridops import (
-    axis_shift,
-    climb,
-    family_table,
-    ordered_sum,
-    roll_values,
-    shift_energy,
-)
+from .gridops import climb, family_table, ordered_sum, shift_energy
 from .harmonic import GridFunction, _axis_window_sum
 from .spaces import (
     EmbeddingRecord,
@@ -42,8 +35,8 @@ from .spaces import (
 )
 from .targets import MetricTarget, as_target, require_indices
 
-# transition-point terms of one geodesic-defect sum; each costs about 10 ns
-# (2-core x86 desk machine, numpy 2.4), so the cap is about 1.5 s of work
+# transition-point terms of one geodesic-defect sum; each costs 2-3 ns
+# (2-core x86 desk machine, numpy 2.4), so the cap is about 0.3 s of work
 DEFECT_BUDGET = 1 << 27
 
 
@@ -53,7 +46,6 @@ class GeodesicPath:
 
     steps: np.ndarray  # (s+1, n) points mod m
     j: int
-    sign: int
     through_index: int  # step at which the second prescribed point appears
 
     @property
@@ -228,7 +220,7 @@ def diag_geodesic_through(x, y, s: int, domain: TorusDomain) -> GeodesicPath:
     arr = np.array(steps, dtype=np.int64) % domain.m
     diffs = (np.diff(np.array(steps, dtype=np.int64), axis=0))
     assert np.all(np.abs(diffs) == 1) and arr.shape[0] == s + 1
-    return GeodesicPath(steps=arr, j=j, sign=1, through_index=t)
+    return GeodesicPath(steps=arr, j=j, through_index=t)
 
 
 def _edge_table(f: GridFunction, target) -> np.ndarray:
@@ -318,10 +310,9 @@ def _geodesic_defects(f: GridFunction, target, s: int,
     for j in range(n):
         rest = [ax for ax in range(n) if ax != j]
         for sign in (1, -1):
-            base = target.pairwise(
-                roll_values(dom, f.values, axis_shift(dom, j, sign * s)),
-                f.values,
-            ).astype(np.float64).reshape(dom.shape) / s
+            far = family_table(dom, "axes", sign * s)[j]  # x + sign*s*e_j
+            base = target.pairwise(f.values[far], f.values).astype(
+                np.float64).reshape(dom.shape) / s
             for ell in range(1, s + 1):
                 for combo in itertools.product(_axis_transitions(s, ell),
                                                repeat=n - 1):
@@ -348,11 +339,13 @@ def extract_grid(f: GridFunction, space, s: int):
     Measures the deficiency eta of the witness, locates the basepoint
     pair by the averaged-defect functional, normalizes edge activity,
     reflects the coordinates, and maps x -> f(2x) on the even sub-box.
-    When eta = 0 the returned map has distortion 1 (within 1e-9).
+    When eta = 0 the returned map has distortion 1 (within 1e-9). A scale
+    whose defect sum exceeds DEFECT_BUDGET is refused before anything is built.
     """
     dom = f.domain
     n, m = dom.n, dom.m
     _require_extraction_scale(s, m)
+    require_defect_budget(dom, s)
     target = as_target(space)
     require_indices(f.values, target)
 

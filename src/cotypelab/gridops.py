@@ -10,46 +10,15 @@ import numpy as np
 from .spaces import TorusDomain
 
 
-def roll_values(domain: TorusDomain, values: np.ndarray, shift) -> np.ndarray:
-    """Values of x -> f(x + shift) given the value table of f.
-
-    values has shape (m^n,) or (m^n, d); shift is an n-vector of integers
-    (entries may be negative or exceed m).
-    """
-    s = np.asarray(shift, dtype=np.int64)
-    if s.shape != (domain.n,):
-        s = np.broadcast_to(s, (domain.n,))
-    vec = values.ndim == 2
-    shape = domain.shape + ((values.shape[1],) if vec else ())
-    grid = values.reshape(shape)
-    rolled = np.roll(grid, tuple(-int(v) for v in s), axis=tuple(range(domain.n)))
-    return rolled.reshape(values.shape)
-
-
 def ordered_sum(values) -> float:
     """Left-to-right float sum from 0.0, as += adds; sum() compensates
     from Python 3.12 on."""
     return functools.reduce(operator.add, np.asarray(values).tolist(), 0.0)
 
 
-def axis_shift(domain: TorusDomain, j: int, amount: int = 1) -> np.ndarray:
-    """The shift vector amount * e_j (0-based axis j)."""
-    if not 0 <= j < domain.n:
-        raise IndexError(f"axis {j} out of range for n={domain.n}")
-    s = np.zeros(domain.n, dtype=np.int64)
-    s[j] = amount
-    return s
-
-
 def sign_patterns(n: int) -> np.ndarray:
     """All of {-1, 1}^n as a (2^n, n) array, row-major from (-1,...,-1)."""
     return np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int64)
-
-
-def three_patterns(n: int) -> np.ndarray:
-    """All of {-1, 0, 1}^n as a (3^n, n) array, row-major."""
-    return np.array(list(itertools.product((-1, 0, 1), repeat=n)),
-                    dtype=np.int64)
 
 
 def random_vector_values(domain: TorusDomain, d: int,
@@ -118,8 +87,8 @@ def shift_table(domain: TorusDomain, shifts) -> np.ndarray:
 _FAMILIES = {
     "axes": lambda n: np.zeros((0, n), dtype=np.int64),  # no patterns
     "signs": sign_patterns,  # {-1,1}^n
-    "three": three_patterns,  # {-1,0,1}^n
-    "edges": lambda n: three_patterns(n)[np.any(three_patterns(n), axis=1)],
+    "edges": lambda n: np.array(  # {-1,0,1}^n without its zero pattern
+        [e for e in itertools.product((-1, 0, 1), repeat=n) if any(e)], dtype=np.int64),
 }
 
 
@@ -127,9 +96,9 @@ _FAMILIES = {
 def family_table(domain: TorusDomain, family: str,
                  amount: int | None = None) -> np.ndarray:
     """Cached shift_table of amount * e_j for each axis j (no such rows when
-    amount is None), then the patterns of one family; "edges" is {-1,0,1}^n
-    without its zero pattern. A table at the exact-mode limit of the cotype
-    functional (3^n m^n = 2^22) takes 32 MiB, so few are kept."""
+    amount is None), then the patterns of one family in row-major order. A
+    table at the exact-mode limit of the cotype functional (3^n m^n = 2^22)
+    takes 32 MiB, so few are kept."""
     pats = _FAMILIES[family](domain.n)
     if amount is not None:
         pats = np.vstack([amount * np.eye(domain.n, dtype=np.int64), pats])

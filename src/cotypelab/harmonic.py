@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteValuesError,
     PreconditionViolationError,
 )
-from .gridops import family_table, roll_values, sign_patterns
+from .gridops import family_table, shift_table, sign_patterns
 from .spaces import TorusDomain
 
 RESIDUAL_BUDGET = 1 << 24
@@ -198,7 +198,7 @@ def edge_diff(f: GridFunction, eps) -> GridFunction:
         )
     if np.abs(e).max(initial=0) > 1:
         raise PreconditionViolationError("pattern entries must be in {-1,0,1}")
-    return GridFunction(f.domain, roll_values(f.domain, f.values, e) - f.values)
+    return GridFunction(f.domain, f.values[shift_table(f.domain, e)[0]] - f.values)
 
 
 def symbol_central_diff(domain: TorusDomain, j: int) -> np.ndarray:

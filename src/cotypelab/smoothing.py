@@ -111,12 +111,6 @@ def _norm_of(target):
     return norm
 
 
-def _edge_energy(f: GridFunction, target, p: float) -> float:
-    """E over full sign patterns of avg_x d(f(x+eps), f(x))^p."""
-    table = family_table(f.domain, "signs")
-    return ordered_sum(shift_energy(f.values, target, table, p)) / len(table)
-
-
 @functools.lru_cache(maxsize=4)
 def _update_tables(dom: TorusDomain) -> tuple:
     """Per axis, shift_table rows whose entries at a changed point x's
@@ -138,10 +132,11 @@ def _words(values: np.ndarray) -> np.ndarray:
 
 
 class _Witness:
-    """The p-free arrays of one vector witness, each built on first use. sync
-    moves them to a table that differs at no more than INCREMENTAL_POINTS
-    points: it recomputes just the moved distance entries with the same
-    elementwise kernel, so each keeps a full pass's bits, and drops the rest."""
+    """The p-free arrays of one witness, each built on first use (a point-
+    valued witness reads only its distance rows). sync moves them to a table
+    that differs at no more than INCREMENTAL_POINTS points: it recomputes
+    just the moved distance entries with the same elementwise kernel, so
+    each keeps a full pass's bits, and drops the rest."""
 
     def __init__(self, key: tuple, values: np.ndarray):
         self.key, self.values = key, values.copy()  # never the caller's table
@@ -200,7 +195,7 @@ class _Witness:
             for j in range(self.dom.n)])
 
 
-_MEMO = threading.local()  # the last vector witness checked, per thread
+_MEMO = threading.local()  # the last witness checked, per thread
 
 
 def _witness(f: GridFunction, target, k: int) -> _Witness:
@@ -225,28 +220,23 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
     """
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
-    dom = f.domain
+    dom, n = f.domain, f.domain.n
     target = as_target(space)
+    w = _witness(f, target, k)
     if f.is_vector:
         norm = _norm_of(target)
-        w = _witness(f, target, k)
         gap = w.built(("gap", j), lambda: norm(w.average(j) - f.values))
         lhs = float(mean_power(gap, p))
-        rows, n = w.distances(), dom.n
-        ej = rows[j]
-        edge = ordered_sum(mean_power(rows[n:n + 2**n], p)) / 2**n
     else:
         sset = smoothing_set(j, k, dom)
         table = shift_table(dom, sset.members)
         lhs = ordered_sum(shift_energy(f.values, target, table, p)) / sset.size
-        ej = target.pairwise(
-            np.take(f.values, family_table(dom, "axes", 1)[j], axis=0), f.values)
-        edge = _edge_energy(f, target, p)
-    ej_term = float(mean_power(ej, p))
-    rhs = 2.0**p * k**p * edge + 2.0 ** (p - 1) * ej_term
+    rows = w.distances()
+    edge = ordered_sum(mean_power(rows[n:n + 2**n], p)) / 2**n
+    rhs = 2.0**p * k**p * edge + 2.0 ** (p - 1) * float(mean_power(rows[j], p))
     return make_check(
         "smoothing-approximation",
-        {"n": dom.n, "m": dom.m, "j": j, "k": k, "p": p},
+        {"n": n, "m": dom.m, "j": j, "k": k, "p": p},
         lhs,
         rhs,
     )

@@ -462,6 +462,15 @@ def test_exponential_witness_contraction_bound():
         linear_exponential_witness(np.zeros(3), 4)
 
 
+def test_contraction_rhs_bound_refuses_n_over_20(monkeypatch):
+    def no_patterns(n):
+        raise AssertionError(f"2^{n} sign patterns built before the cap")
+
+    monkeypatch.setattr(cotype, "sign_patterns", no_patterns)
+    with pytest.raises(BudgetExceededError, match="capped at n=20, got 21"):
+        contraction_rhs_bound(np.ones((21, 1)), 8, 2.0, NormTarget(p=2.0))
+
+
 class TestTensorSubmultiplicativity:
     def test_exhaustive_cell(self):
         chk = tensor_submultiplicativity_check(two_point_space(), 1, 1, 2, 2,

@@ -29,9 +29,9 @@ from cotypelab import (
     two_point_space,
 )
 from cotypelab import embeddings
-from cotypelab.gridops import axis_shift, roll_values
 from cotypelab.spaces import FiniteMetricSpace
 from cotypelab.targets import as_target
+from shift_reference import axis_shift, roll_values
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
@@ -329,7 +329,9 @@ class TestGeodesicDefects:
     @pytest.mark.parametrize(
         "n,m,s,kind",
         DEFECT_CASES + [(2, 16, 8, "snowflake"), (3, 8, 4, "snowflake"),
-                        (2, 16, 8, "vector"), (3, 8, 4, "vector")])
+                        (2, 16, 8, "vector"), (3, 8, 4, "vector"),
+                        # m > 2s, where x + s e_j and x - s e_j differ
+                        (2, 12, 4, "random"), (2, 12, 4, "vector")])
     def test_transition_sum_matches_the_path_walk(self, n, m, s, kind,
                                                   monkeypatch):
         f, space = _defect_case(n, m, s, kind)
@@ -376,6 +378,17 @@ class TestGeodesicDefects:
         monkeypatch.setattr(embeddings, "DEFECT_BUDGET", work - 1)
         with pytest.raises(BudgetExceededError):
             embeddings._geodesic_defects(f, target, 4, edge)
+
+    def test_extract_grid_refuses_an_over_budget_scale_first(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the edge table is built before the guard")
+
+        monkeypatch.setattr(embeddings, "_edge_table", no_table)
+        dom = TorusDomain(n=4, m=16)  # 8.4e8 defect terms at s = 8
+        # a constant witness is refused for its budget too, not for its energy
+        for values in (np.arange(dom.points), np.zeros(dom.points, np.int64)):
+            with pytest.raises(BudgetExceededError, match=f"budget is {1 << 27}"):
+                extract_grid(GridFunction.points(dom, values), torus_space(dom), 8)
 
 
 def roll_ball_sum(domain, values, radius):

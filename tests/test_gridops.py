@@ -3,13 +3,11 @@ import pytest
 
 from cotypelab import (
     TorusDomain,
-    axis_shift,
     random_point_values,
     random_vector_values,
-    roll_values,
     sign_patterns,
-    three_patterns,
 )
+from shift_reference import axis_shift, roll_values, three_patterns
 
 
 def test_roll_values_scalar_table():

@@ -10,14 +10,12 @@ from cotypelab import (
     PreconditionViolationError,
     TorusDomain,
     avg_others,
-    axis_shift,
     central_diff,
     edge_diff,
     fourier_forward,
     fourier_inverse,
     parseval_residual,
     rad_identity_residual,
-    roll_values,
     roundtrip_residual,
     scale_of,
     symbol_avg_others,
@@ -26,6 +24,7 @@ from cotypelab import (
     walsh_char,
 )
 from cotypelab.harmonic import _direct_transform
+from shift_reference import axis_shift, roll_values
 
 
 def character(domain, k):

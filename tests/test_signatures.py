@@ -4,6 +4,7 @@ demo sets; each decision that nothing varies is a module constant.
 A parameter or method added back here changes a pinned signature or
 member list, and this file fails until the pin is argued for.
 """
+import dataclasses
 import inspect
 
 import pytest
@@ -40,6 +41,10 @@ ABSENT_METHODS = {
     "TorusDomain": ("lin",),
 }
 
+# translates are gathers through gridops.shift_table; the np.roll form and
+# the {-1,0,1}^n enumeration are the tests' oracle (tests/shift_reference.py)
+ABSENT_NAMES = ("roll_values", "axis_shift", "three_patterns")
+
 
 def _bare(fn) -> str:
     sig = inspect.signature(fn)
@@ -56,3 +61,14 @@ def test_signature_is_pinned(name):
 def test_deleted_methods_stay_deleted(cls):
     for attr in ABSENT_METHODS[cls]:
         assert not hasattr(getattr(cl, cls), attr), f"{cls}.{attr}"
+
+
+@pytest.mark.parametrize("name", ABSENT_NAMES)
+def test_deleted_names_stay_deleted(name):
+    assert name not in cl.__all__
+    assert not hasattr(cl, name) and not hasattr(cl.gridops, name)
+
+
+def test_geodesic_path_fields():
+    assert [f.name for f in dataclasses.fields(cl.GeodesicPath)] == \
+        ["steps", "j", "through_index"]

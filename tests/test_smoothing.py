@@ -18,7 +18,6 @@ from cotypelab import (
     check_lemma_cancellation_all,
     fourier_forward,
     fourier_inverse,
-    roll_values,
     scale_of,
     sign_patterns,
     smoothing_apply,
@@ -26,6 +25,7 @@ from cotypelab import (
     two_point_space,
     walsh_char,
 )
+from shift_reference import roll_values
 
 
 def rand_vec(dom, d, seed):

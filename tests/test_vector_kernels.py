@@ -24,15 +24,15 @@ from cotypelab import (
     check_lemma_cancellation,
     check_lemma_cancellation_all,
     random_two_point_mc,
-    roll_values,
     sign_patterns,
     smoothing_apply,
     smoothing_set,
     torus_space,
 )
 from cotypelab import cotype, gridops, smoothing
-from cotypelab.gridops import SHIFT_BLOCK_ELEMENTS, axis_shift, family_table
+from cotypelab.gridops import SHIFT_BLOCK_ELEMENTS, family_table
 from cotypelab.targets import MetricTarget
+from shift_reference import axis_shift, roll_values
 
 # ------------------------------------------------------------- oracles
 
