@@ -16,7 +16,7 @@ from .cotype import (
     contraction_rhs_bound,
     cotype_functionals,
     edge_sum_check,
-    exhaustive_b_two_point,
+    exhaustive_b,
     expected_random_gamma,
     gamma_exhaustive_two_point,
     gamma_hilbert_exact,
@@ -114,7 +114,7 @@ from .spaces import (
     two_point_space,
     validate_metric,
 )
-from .targets import MetricTarget, NormTarget, as_target
+from .targets import NormTarget, as_target
 from .verify import (
     cotype_suite,
     embeddings_suite,

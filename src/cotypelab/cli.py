@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .checks import CSV_COLUMNS, InequalityCheck, check_order
 from .cotype import (
-    _exhaustive_b_space,
     b_quantity_search,
+    exhaustive_b,
     gamma_exhaustive_two_point,
     gamma_hilbert_exact,
     gamma_search,
@@ -228,7 +228,7 @@ def _gamma_search(cfg: ExperimentConfig, n, m, p, q, space):
 def _bq(cfg: ExperimentConfig, n, m, ell, space, exhaustive):
     space = _load_space(space)
     if exhaustive:
-        rep = _exhaustive_b_space(space, n, ell, m, cfg.budget)
+        rep = exhaustive_b(space, n, ell, m, cfg.budget)
         return rep.to_json_dict(), [], "exact"
     rep = b_quantity_search(space, n, ell, m, cfg.budget, cfg.seed)
     return rep.to_json_dict(), [], "lower-bound"

@@ -56,12 +56,7 @@ from .gridops import (
 )
 from .harmonic import GridFunction
 from .spaces import FiniteMetricSpace, TorusDomain, two_point_space
-from .targets import (
-    MetricTarget,
-    NormTarget,
-    as_target as _as_target,
-    require_indices,
-)
+from .targets import NormTarget, as_target as _as_target, require_indices
 
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
@@ -394,9 +389,9 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
             )
         idx = np.arange(K**N, dtype=np.int64)
         F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
-        target, table = MetricTarget(space), ratio.table(dom)
+        table = ratio.table(dom)
         sides = [ratio.row_sides(shift_energy_batch(
-            F[w0:w0 + WITNESS_CHUNK], target, table, ratio.p))
+            F[w0:w0 + WITNESS_CHUNK], space, table, ratio.p))
             for w0 in range(0, len(F), WITNESS_CHUNK)]
         lhs, rhs = (np.concatenate(side) for side in zip(*sides))
     best = int(np.argmax(ratio.values(lhs, rhs)))
@@ -610,7 +605,7 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     exact = kernel is not None
     if not exact:  # a table's memo is its (lhs, rhs_raw)
         kernel = _FullSides(sides or (lambda v: ratio.sides(
-            shift_energy(v, _as_target(space), table, ratio.p))))
+            shift_energy(v, space, table, ratio.p))))
 
     def scores(memo):  # value takes Python floats, and powers with libm
         lhs, rhs = ratio.row_sides(memo / N) if exact else memo.T
@@ -704,6 +699,7 @@ def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
     if a < 0:
         raise PreconditionViolationError(f"need a >= 0, got a={a}")
     target = _as_target(space_or_norm)
+    require_indices(f.values, target)
     table = family_table(dom, "signs", a * m + r)
     lhs, edge = _sides(shift_energy(f.values, target, table, 2.0), n, 2**n)
     rhs = min(r**2, (m - r) ** 2) * n * edge
@@ -728,6 +724,7 @@ def edge_sum_check(f: GridFunction, space_or_norm,
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     target = _as_target(space_or_norm)
+    require_indices(f.values, target)
     lhs, edge = _sides(
         shift_energy(f.values, target, family_table(dom, "edges", 1), p), n, 3**n)
     rhs = 3.0 * 2.0 ** (p - 1.0) * n * edge
@@ -767,14 +764,8 @@ def _sign_average(X: np.ndarray, p: float, norm: NormTarget) -> float:
     return float(np.mean(norm.norm(signs @ X) ** p))
 
 
-def exhaustive_b_two_point(n: int, ell: int, m: int,
-                           budget: int = TWO_POINT_BUDGET) -> BReport:
-    """Exact maximum of b_hat over all two-point witnesses on Z_m^n."""
-    return _exhaustive_b_space(two_point_space(), n, ell, m, budget)
-
-
-def _exhaustive_b_space(space: FiniteMetricSpace, n: int, ell: int, m: int,
-                        budget: int = TWO_POINT_BUDGET) -> BReport:
+def exhaustive_b(space: FiniteMetricSpace, n: int, ell: int, m: int,
+                 budget: int = TWO_POINT_BUDGET) -> BReport:
     """Exact maximum of b_hat over all maps Z_m^n -> space (see _enumerate)."""
     ratio = _b_ratio(n, m, ell)
     lhs, rhs_raw, b_hat, witness = _enumerate(
@@ -795,9 +786,9 @@ def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
     for name, v in (("ell", ell), ("k", k)):
         if v < 1:
             raise PreconditionViolationError(f"{name} must be >= 1, got {v}")
-    comp1 = _exhaustive_b_space(space, ell, s, m, TWO_POINT_BUDGET)
-    comp2 = _exhaustive_b_space(space, k, t, m, TWO_POINT_BUDGET)
-    full = _exhaustive_b_space(space, ell * k, s * t, m, TWO_POINT_BUDGET)
+    comp1 = exhaustive_b(space, ell, s, m)
+    comp2 = exhaustive_b(space, k, t, m)
+    full = exhaustive_b(space, ell * k, s * t, m)
     params = {"ell": ell, "k": k, "s": s, "t": t, "m": m, "mode": "exhaustive"}
     return make_check("b-tensor-submultiplicative", params, full.b_hat,
                       comp1.b_hat * comp2.b_hat)

@@ -24,6 +24,7 @@ from .gridops import climb, family_table, ordered_sum, shift_energy
 from .harmonic import GridFunction, _axis_window_sum
 from .spaces import (
     EmbeddingRecord,
+    FiniteMetricSpace,
     TorusDomain,
     distortion,
     grid_points,
@@ -33,7 +34,7 @@ from .spaces import (
     snowflake,
     torus_space,
 )
-from .targets import MetricTarget, as_target, require_indices
+from .targets import as_target, require_indices
 
 # transition-point terms of one geodesic-defect sum; each costs 2-3 ns
 # (2-core x86 desk machine, numpy 2.4), so the cap is about 0.3 s of work
@@ -162,14 +163,21 @@ def _require_extraction_scale(s: int, m: int) -> None:
 def diag_geodesic_through(x, y, s: int, domain: TorusDomain) -> GeodesicPath:
     """A length-s all-diagonal walk from z in {x, y} to z + s e_j through both.
 
-    j maximizes the coordinate gap |x_j - y_j| (smallest j on ties) and z
-    is whichever of the two points has the smaller j-th coordinate. The
-    walk reaches the other point at step max|x_j - y_j|, doubles back to
-    z + 2t e_j, and then alternates fully diagonal steps to z + s e_j.
+    j maximizes the coordinate gap |x_j - y_j| (smallest j on ties), t is
+    that gap, and z is whichever of the two points has the smaller j-th
+    coordinate; w is the other. At step k = 0..s axis j stands at z_j + k,
+    and every other axis i, with gap a = |w_i - z_i|, stands walk(k) from z_i
+    towards w_i (a zero gap counts as the + direction), where
+
+        base = clip(min(k, t + a - k), 0, a),  walk = base + (k - base) % 2:
+
+    it walks out a steps, steps one further and back while it waits, walks
+    back by step t + a <= s and then steps out and back from z_i, so the
+    walk meets w at step t and ends at z + s e_j (s is even). All gaps are
+    even, so every step moves every coordinate by +/-1.
     """
     _require_extraction_scale(s, domain.m)
-    n = domain.n
-    vset = VSet.of(s, n)
+    vset = VSet.of(s, domain.n)
     xv = np.asarray(x, dtype=np.int64)
     yv = np.asarray(y, dtype=np.int64)
     for label, pt in (("x", xv), ("y", yv)):
@@ -180,47 +188,13 @@ def diag_geodesic_through(x, y, s: int, domain: TorusDomain) -> GeodesicPath:
     gaps = np.abs(yv - xv)
     t = int(gaps.max())
     j = int(np.argmax(gaps))
-    if yv[j] >= xv[j]:
-        z, w = xv, yv
-    else:
-        z, w = yv, xv
-
-    steps = [z.copy()]
-    cur = z.copy()
-    eps_hist = []
-    delta_hist = []
-    for _ in range(t // 2):
-        eps = np.where(cur > w, -1, 1).astype(np.int64)
-        delta = np.where(cur < w, 1, -1).astype(np.int64)
-        cur = cur + eps
-        steps.append(cur.copy())
-        cur = cur + delta
-        steps.append(cur.copy())
-        eps_hist.append(eps)
-        delta_hist.append(delta)
-    assert np.array_equal(cur, w)
-
-    ej2 = np.zeros(n, dtype=np.int64)
-    ej2[j] = 2
-    for eps, delta in zip(eps_hist, delta_hist):
-        cur = cur + (ej2 - eps)
-        steps.append(cur.copy())
-        cur = cur + (ej2 - delta)
-        steps.append(cur.copy())
-    assert np.array_equal(cur, z + 2 * t * np.eye(n, dtype=np.int64)[j])
-
-    up = np.ones(n, dtype=np.int64)
-    down = 2 * np.eye(n, dtype=np.int64)[j] - up
-    for _ in range((s - 2 * t) // 2):
-        cur = cur + up
-        steps.append(cur.copy())
-        cur = cur + down
-        steps.append(cur.copy())
-
-    arr = np.array(steps, dtype=np.int64) % domain.m
-    diffs = (np.diff(np.array(steps, dtype=np.int64), axis=0))
-    assert np.all(np.abs(diffs) == 1) and arr.shape[0] == s + 1
-    return GeodesicPath(steps=arr, j=j, through_index=t)
+    z, w = (xv, yv) if yv[j] >= xv[j] else (yv, xv)
+    k = np.arange(s + 1, dtype=np.int64)[:, None]
+    base = np.clip(np.minimum(k, t + gaps - k), 0, gaps)
+    walk = base + (k - base) % 2
+    walk[:, j] = k[:, 0]
+    steps = (z + np.where(w >= z, 1, -1) * walk) % domain.m
+    return GeodesicPath(steps=steps, j=j, through_index=t)
 
 
 def _edge_table(f: GridFunction, target) -> np.ndarray:
@@ -296,12 +270,11 @@ def _geodesic_defects(f: GridFunction, target, s: int,
         W = prod_{a != j} walks(ell-1, o_a) * walks(s-ell, -(o_a+delta_a)),
 
     with walks(k, v) = C(k, (k+v)/2) (0 for the wrong parity or |v| > k).
-    Every term reads the edge table d(f(y+delta), f(y)) of _edge_table.
-    Raises BudgetExceededError when require_defect_budget does.
+    Every term reads the edge table d(f(y+delta), f(y)) of _edge_table;
+    extract_grid checks the scale against DEFECT_BUDGET before calling.
     """
     dom = f.domain
     n, m = dom.n, dom.m
-    require_defect_budget(dom, s)
     # roll(edge[delta], o) is a window of the table padded cyclically by s
     edge = edge.astype(np.float64)
     pad = np.pad(edge.reshape((len(edge),) + dom.shape),
@@ -398,8 +371,8 @@ def extract_grid(f: GridFunction, space, s: int):
     mapped_points = (y0c[None, :] + sigma[None, :] * vset.members) % m
     mapped_idx = np.ravel_multi_index(tuple(mapped_points.T), dom.shape)
 
-    if isinstance(target, MetricTarget):
-        tgt_space = target.space
+    if isinstance(target, FiniteMetricSpace):
+        tgt_space = target
         mapping = np.asarray(f.values, dtype=np.int64)[mapped_idx]
     else:
         tgt_space = points_space(f.values[mapped_idx], target.p)

@@ -37,7 +37,7 @@ from .gridops import (
 )
 from .harmonic import GridFunction, _window_average, central_diff
 from .spaces import TorusDomain
-from .targets import as_target
+from .targets import as_target, require_indices
 
 ADVERSARIAL_DIM = 2  # the adversarial climbs' witnesses take values in C^2
 
@@ -222,6 +222,7 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     dom, n = f.domain, f.domain.n
     target = as_target(space)
+    require_indices(f.values, target)
     w = _witness(f, target, k)
     if f.is_vector:
         norm = _norm_of(target)

@@ -46,7 +46,7 @@ class FiniteMetricSpace:
 
     Coordinate distances are the l_p norm (max for p = inf) of the gaps
     g = |c_i - c_j|, or, with a period m, of the circular gaps
-    min(g, m - g). Every reader goes through pairs (elementwise) or block
+    min(g, m - g). Every reader goes through pairwise (elementwise) or block
     (outer); .dist is the whole table. A coordinate space without given
     labels builds them on first read: "a,b,c" from a torus point's
     coordinates, the index otherwise.
@@ -84,7 +84,7 @@ class FiniteMetricSpace:
         out.flags.writeable = False
         return out
 
-    def pairs(self, a, b) -> np.ndarray:
+    def pairwise(self, a, b) -> np.ndarray:
         """d(a, b) for index arrays a and b, elementwise (broadcast), as
         float64. Integer coordinates are summed in their own exact dtype,
         so the float64 sums, and their roots, are those of a float64 loop."""
@@ -118,7 +118,7 @@ class FiniteMetricSpace:
         """The fresh array of d(i, j) over i in rows and j in cols, each an
         index array or a slice."""
         idx = np.arange(self.size)
-        return self.pairs(idx[rows][:, None], idx[cols][None])
+        return self.pairwise(idx[rows][:, None], idx[cols][None])
 
 
 def _int_power(gap: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -131,7 +131,7 @@ def _int_power(gap: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
 
 
 def _working_dtype(coords, p, period) -> np.dtype:
-    """The dtype pairs measures coordinates in: the narrowest signed
+    """The dtype pairwise measures coordinates in: the narrowest signed
     integer dtype holding every coordinate, gap, period and sum of k gap
     powers when the coordinates are integers, p is an integer in [1, 52]
     or inf and all of those are below 2^53 (where float64 is exact too);
@@ -520,8 +520,8 @@ def moduli(mapping, source: FiniteMetricSpace,
         )
     require_table(ns)  # the pair arrays hold ns^2 / 2 entries each
     iu, ju = np.triu_indices(ns, k=1)
-    ds = source.pairs(iu, ju)
-    dt = target.pairs(f[iu], f[ju])
+    ds = source.pairwise(iu, ju)
+    dt = target.pairwise(f[iu], f[ju])
     ts, inv = np.unique(ds, return_inverse=True)
     gmax = np.full(ts.shape, -np.inf)
     np.maximum.at(gmax, inv, dt)

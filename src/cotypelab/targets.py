@@ -1,8 +1,8 @@
 """Codomain abstractions: where function values live and how far apart they are.
 
-Every functional in this package consumes distances through one of these
-callbacks, so metric-space-valued and norm-valued witnesses share the
-same evaluation paths.
+Every functional in this package consumes distances through a pairwise
+callback: a FiniteMetricSpace's own for point-valued witnesses, or a
+NormTarget's l_p norm for vectors, so both share the same evaluation paths.
 """
 from __future__ import annotations
 
@@ -19,18 +19,6 @@ from .errors import (
     SchemaViolationError,
 )
 from .spaces import FiniteMetricSpace
-
-
-@dataclass(frozen=True)
-class MetricTarget:
-    """Values are integer indices into a finite metric space."""
-
-    space: FiniteMetricSpace
-
-    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ai = np.asarray(a, dtype=np.int64)
-        bi = np.asarray(b, dtype=np.int64)
-        return self.space.pairs(ai, bi)
 
 
 @dataclass(frozen=True)
@@ -69,9 +57,8 @@ class NormTarget:
 
 
 def as_target(space_or_norm):
-    """Coerce a FiniteMetricSpace or an existing target into a target."""
-    if isinstance(space_or_norm, FiniteMetricSpace):
-        return MetricTarget(space_or_norm)
+    """The codomain itself when it measures pairs: a FiniteMetricSpace, whose
+    values are point indices, or a NormTarget."""
     if hasattr(space_or_norm, "pairwise"):
         return space_or_norm
     raise SchemaViolationError(
@@ -81,9 +68,9 @@ def as_target(space_or_norm):
 
 def require_indices(values: np.ndarray, codomain) -> None:
     """Raise PreconditionViolationError unless every value is a point index
-    of codomain, a point count or a MetricTarget, naming the first value
-    that is not. Other targets take vectors and pass unchecked."""
-    size = codomain.space.size if isinstance(codomain, MetricTarget) else codomain
+    of codomain, a point count or a FiniteMetricSpace, naming the first
+    value that is not. Other targets take vectors and pass unchecked."""
+    size = codomain.size if isinstance(codomain, FiniteMetricSpace) else codomain
     if not isinstance(size, (int, np.integer)):
         return
     if values.size and (values.min() < 0 or values.max() >= size):

@@ -18,7 +18,7 @@ from .cotype import (
     contraction_rhs_bound,
     cotype_functionals,
     edge_sum_check,
-    exhaustive_b_two_point,
+    exhaustive_b,
     expected_random_gamma,
     gamma_exhaustive_two_point,
     gamma_hilbert_exact,
@@ -205,7 +205,7 @@ def cotype_suite(seed: int = 11, trials: int = 50) -> list[InequalityCheck]:
         "random-witness-formula", {"n": 2, "m": 4},
         abs(expected_random_gamma(2, 4, 2.0, 2.0) - 0.375), 1.0))
 
-    b = exhaustive_b_two_point(1, 2, 4)
+    b = exhaustive_b(two_point_space(), 1, 2, 4)
     checks.append(make_check("b-ceiling", {"n": 1, "ell": 2, "m": 4},
                              b.b_hat, 1.0, rel_tol=1e-9))
     checks.append(tensor_submultiplicativity_check(

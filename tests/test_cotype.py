@@ -15,11 +15,12 @@ from cotypelab import (
     TorusDomain,
     b_functionals,
     b_quantity_search,
+    check_lemma_approx,
     contraction_principle_check,
     contraction_rhs_bound,
     cotype_functionals,
     edge_sum_check,
-    exhaustive_b_two_point,
+    exhaustive_b,
     expected_random_gamma,
     gamma_exhaustive_two_point,
     gamma_hilbert_exact,
@@ -264,7 +265,7 @@ class TestBQuantity:
         assert not rep.degenerate
 
     def test_frozen_two_point_maximum(self):
-        rep = exhaustive_b_two_point(1, 2, 4)
+        rep = exhaustive_b(two_point_space(), 1, 2, 4)
         assert rep.b_hat == pytest.approx(1.0 / SQ2, rel=1e-12)
         again = b_functionals(rep.witness, two_point_space(), 2)
         assert again.b_hat == pytest.approx(rep.b_hat, rel=1e-12)
@@ -272,7 +273,7 @@ class TestBQuantity:
     @pytest.mark.parametrize("n,ell,m", [(1, 2, 4), (1, 2, 8), (2, 2, 4),
                                          (1, 4, 8)])
     def test_never_exceeds_one(self, n, ell, m):
-        rep = exhaustive_b_two_point(n, ell, m)
+        rep = exhaustive_b(two_point_space(), n, ell, m)
         assert rep.b_hat <= 1.0 + 1e-9
 
     def test_guards(self):
@@ -287,9 +288,9 @@ class TestBQuantity:
         rep = b_functionals(const, two_point_space(), 2)
         assert rep.degenerate and rep.b_hat == 0.0
         with pytest.raises(OddEllError):
-            exhaustive_b_two_point(1, 3, 4)
+            exhaustive_b(two_point_space(), 1, 3, 4)
         with pytest.raises(BudgetExceededError):
-            exhaustive_b_two_point(1, 2, 16, budget=2**8)
+            exhaustive_b(two_point_space(), 1, 2, 16, budget=2**8)
 
 
 class TestSearches:
@@ -499,7 +500,7 @@ def test_zero_shift_is_a_typed_error():
     f = GridFunction.points(TorusDomain(n=2, m=4), np.arange(16) % 2)
     for call in (lambda: b_functionals(f, sp, 0),
                  lambda: b_quantity_search(sp, 2, 0, 4, 10, 0),
-                 lambda: exhaustive_b_two_point(1, 0, 4)):
+                 lambda: exhaustive_b(sp, 1, 0, 4)):
         with pytest.raises(PreconditionViolationError, match="ell=0"):
             call()
 
@@ -512,7 +513,11 @@ def test_point_values_outside_the_codomain_are_refused(bad):
     for call in (lambda: gamma_search(sp, 1, 4, 2, 2, 1, 0, [vals]),
                  lambda: b_quantity_search(sp, 1, 2, 4, 1, 0, [vals]),
                  lambda: cotype_functionals(f, sp, 2, 2),
-                 lambda: b_functionals(f, sp, 2)):
+                 lambda: b_functionals(f, sp, 2),
+                 # -1 would wrap to the last point, K be a bare IndexError
+                 lambda: mod_inequality_check(f, sp, 0, 2),
+                 lambda: edge_sum_check(f, sp, 2.0),
+                 lambda: check_lemma_approx(f, sp, 0, 1, 2.0)):
         with pytest.raises(PreconditionViolationError,
                            match=f"value {bad} at point 2 is not a point index"):
             call()

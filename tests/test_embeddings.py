@@ -139,6 +139,33 @@ class TestDiagGeodesic:
                                                        np.array(x),
                                                        np.array(y))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [4, 8, 12])
+    @pytest.mark.parametrize("extra", [0, 4])
+    def test_closed_form_walk_on_every_pair(self, n, s, extra):
+        dom = TorusDomain(n=n, m=2 * s + extra)
+        members = VSet.of(s, n).members
+        for x in members:
+            for y in members:
+                path = diag_geodesic_through(x, y, s, dom)
+                steps = path.steps
+                assert steps.shape == (s + 1, n)
+                assert steps.min() >= 0 and steps.max() < dom.m
+                diffs = np.diff(steps, axis=0) % dom.m
+                assert np.all((diffs == 1) | (diffs == dom.m - 1))
+                gaps = np.abs(y - x)
+                assert path.j == int(np.argmax(gaps))
+                assert path.through_index == int(gaps.max())
+                if not np.array_equal(x, y):
+                    assert path.through_index == diag_distance(dom, x, y)
+                start = steps[0]
+                assert np.array_equal(start, x) or np.array_equal(start, y)
+                other = y if np.array_equal(start, x) else x
+                np.testing.assert_array_equal(steps[path.through_index], other)
+                want_end = start.copy()
+                want_end[path.j] += s
+                np.testing.assert_array_equal(steps[-1], want_end % dom.m)
+
     def test_validation(self):
         with pytest.raises(PreconditionViolationError):
             diag_geodesic_through((0, 0), (2, 2), 6, self.dom)
@@ -365,19 +392,19 @@ class TestGeodesicDefects:
             assert not embeddings._geodesic_defects(f, target, s, edge).any()
 
     def test_budget_boundary(self, monkeypatch):
+        # extract_grid owns the budget check; the defect sum does not repeat it
         dom = TorusDomain(n=3, m=8)
         f = GridFunction.points(dom, np.arange(dom.points))
-        target = as_target(torus_space(dom))
-        edge = embeddings._edge_table(f, target)
+        space = torus_space(dom)
         work = embeddings.require_defect_budget(dom, 4)
         # transitions per step at s=4: 2, 4, 4, 2 per free axis, squared
         assert work == 2 * 3 * dom.points * (4 + 16 + 16 + 4)
         for budget in (work + 1, work):
             monkeypatch.setattr(embeddings, "DEFECT_BUDGET", budget)
-            embeddings._geodesic_defects(f, target, 4, edge)
+            extract_grid(f, space, 4)
         monkeypatch.setattr(embeddings, "DEFECT_BUDGET", work - 1)
         with pytest.raises(BudgetExceededError):
-            embeddings._geodesic_defects(f, target, 4, edge)
+            extract_grid(f, space, 4)
 
     def test_extract_grid_refuses_an_over_budget_scale_first(self, monkeypatch):
         def no_table(*args):

@@ -21,7 +21,7 @@ from cotypelab import (
     b_functionals,
     cotype_functionals,
     edge_sum_check,
-    exhaustive_b_two_point,
+    exhaustive_b,
     gamma_exhaustive_two_point,
     mod_inequality_check,
     random_two_point_mc,
@@ -30,7 +30,6 @@ from cotypelab import (
     two_point_space,
 )
 from cotypelab import cotype, gridops, smoothing
-from cotypelab.cotype import _exhaustive_b_space
 from cotypelab.embeddings import _edge_activity, _edge_table
 from cotypelab.errors import InvariantViolationError
 from cotypelab.gridops import (
@@ -41,7 +40,7 @@ from cotypelab.gridops import (
     shift_energy_batch,
     shift_table,
 )
-from cotypelab.targets import MetricTarget, as_target
+from cotypelab.targets import as_target
 from shift_reference import axis_shift, roll_values, three_patterns
 
 # ------------------------------------------------------------- reference
@@ -137,7 +136,7 @@ def witnesses(draw):
         return GridFunction.vector(dom, values), target
     space = CYCLE5 if kind == "cycle" else two_point_space(2.5)
     values = rng.integers(0, space.size, dom.points)
-    return GridFunction.points(dom, values), MetricTarget(space)
+    return GridFunction.points(dom, values), space
 
 
 P_VALUES = st.sampled_from((1.0, 1.5, 2.0))
@@ -364,7 +363,7 @@ def test_block_cap_does_not_change_values(monkeypatch):
     table = family_table(dom, "edges", 2)
     vecs = rng.standard_normal((5, dom.points, 3))
     pts = rng.integers(0, 5, (7, dom.points))
-    norm, cyc = NormTarget(p=2.0), MetricTarget(CYCLE5)
+    norm, cyc = NormTarget(p=2.0), CYCLE5
     whole_v = shift_energy_batch(vecs, norm, table, 1.5)
     whole_p = shift_energy_batch(pts, cyc, table, 2.0)
     for cap in (1, 17, 48, 200):
@@ -407,9 +406,7 @@ def test_exhaustive_b_matches_reference():
     for n, ell, m in ((1, 2, 4), (2, 2, 2), (1, 2, 6)):
         dom = TorusDomain(n=n, m=m)
         for space in (two_point_space(), CYCLE5):
-            rep = (exhaustive_b_two_point(n, ell, m) if space.size == 2
-                   else _exhaustive_b_space(space, n, ell, m))
-            target = MetricTarget(space)
+            rep = exhaustive_b(space, n, ell, m)
             best = -1.0
             for idx in range(space.size**dom.points):
                 if space.size == 2:  # bit tables: point 0 is the lowest bit
@@ -418,8 +415,8 @@ def test_exhaustive_b_matches_reference():
                     digits = [(idx // space.size**k) % space.size
                               for k in range(dom.points - 1, -1, -1)]
                 f = GridFunction.points(dom, digits)
-                lhs = ref_axis_sum(f, target, ell, 2.0)
-                rhs = ref_pattern_sum(f, target, sign_patterns(n), 2.0) / 2**n
+                lhs = ref_axis_sum(f, space, ell, 2.0)
+                rhs = ref_pattern_sum(f, space, sign_patterns(n), 2.0) / 2**n
                 b_hat = math.sqrt(lhs / (ell**2 * n * rhs)) if rhs > 0 else 0.0
                 if b_hat > best:
                     best, at = b_hat, (lhs, rhs, digits)

@@ -40,7 +40,7 @@ from cotypelab.gridops import (
     shift_sums,
 )
 from cotypelab.spaces import validate_metric
-from cotypelab.targets import MetricTarget, require_indices
+from cotypelab.targets import require_indices
 
 SPACES = {
     "two-point": two_point_space(),
@@ -57,7 +57,7 @@ TABLES = [(1, 2, "edges", 1), (2, 2, "edges", 1), (2, 6, "edges", 3),
 
 
 def full_means(values, space, p, table):
-    return shift_energy(values, MetricTarget(space), table, p)
+    return shift_energy(values, space, table, p)
 
 
 def moves(rng, N, K, W, steps):

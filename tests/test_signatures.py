@@ -31,10 +31,11 @@ SIGNATURES = {
     "coarse_obstruction_check": "(values, space, n, m, p, q, r, s_scale)",
     "frechet_cycle": "(m)",
     "sparse_frechet_cycle": "(m, eps)",
+    "exhaustive_b": "(space, n, ell, m, budget=1048576)",
 }
 
 ABSENT_METHODS = {
-    "FiniteMetricSpace": ("save", "to_json_dict", "diameter"),
+    "FiniteMetricSpace": ("save", "to_json_dict", "diameter", "pairs"),
     "ModuliTables": ("to_json_dict",),
     "SpectralCoefficients": ("coeff",),
     "GeodesicPath": ("to_json_dict",),
@@ -42,8 +43,10 @@ ABSENT_METHODS = {
 }
 
 # translates are gathers through gridops.shift_table; the np.roll form and
-# the {-1,0,1}^n enumeration are the tests' oracle (tests/shift_reference.py)
-ABSENT_NAMES = ("roll_values", "axis_shift", "three_patterns")
+# the {-1,0,1}^n enumeration are the tests' oracle (tests/shift_reference.py);
+# a finite metric space is its own target, and exhaustive_b takes any space
+ABSENT_NAMES = ("roll_values", "axis_shift", "three_patterns", "MetricTarget",
+                "exhaustive_b_two_point")
 
 
 def _bare(fn) -> str:

@@ -605,10 +605,10 @@ def _same_reads(space, want: np.ndarray, seed: int) -> None:
     """pairs, block and .dist of a coordinate space give the bytes of the
     table want, and pairs and block build no table."""
     N = want.shape[0]
-    assert space.pairs(0, N - 1).tobytes() == want[0, N - 1].tobytes()
+    assert space.pairwise(0, N - 1).tobytes() == want[0, N - 1].tobytes()
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, N, (2, 3, 50))
-    assert space.pairs(a, b).tobytes() == want[a, b].tobytes()
+    assert space.pairwise(a, b).tobytes() == want[a, b].tobytes()
     rows, cols = rng.integers(0, N, 40), rng.permutation(N)[:N // 2 + 1]
     assert space.block(rows, cols).tobytes() == want[rows][:, cols].tobytes()
     assert (space.block(slice(1, None), slice(None, -1)).tobytes()
@@ -816,7 +816,7 @@ def test_table_budget_boundary(build, points, monkeypatch):
         assert build(points).dist.nbytes == table
     monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", table - 1)
     space = build(points)  # the guard is on the table read, not the space
-    assert space.pairs(0, 1) > 0
+    assert space.pairwise(0, 1) > 0
     with pytest.raises(BudgetExceededError):
         space.dist
 

@@ -5,7 +5,6 @@ import pytest
 
 from cotypelab import (
     DimensionMismatchError,
-    MetricTarget,
     NormTarget,
     SchemaViolationError,
     TorusDomain,
@@ -16,7 +15,7 @@ from cotypelab import (
 
 
 def test_metric_target_pairwise():
-    t = MetricTarget(two_point_space(3.0))
+    t = two_point_space(3.0)  # a finite metric space is its own target
     got = t.pairwise(np.array([0, 0, 1]), np.array([0, 1, 1]))
     np.testing.assert_array_equal(got, [0.0, 3.0, 0.0])
 
@@ -51,7 +50,7 @@ def test_norm_target_dim_enforcement():
 
 def test_as_target_coercion():
     sp = torus_space(TorusDomain(n=1, m=4))
-    assert isinstance(as_target(sp), MetricTarget)
+    assert as_target(sp) is sp
     nt = NormTarget(p=2.0)
     assert as_target(nt) is nt
     with pytest.raises(SchemaViolationError):
