@@ -55,8 +55,8 @@ from .gridops import (
     sign_patterns,
 )
 from .harmonic import GridFunction
-from .spaces import FiniteMetricSpace, TorusDomain, two_point_space
-from .targets import NormTarget, as_target as _as_target, require_indices
+from .spaces import FiniteMetricSpace, TorusDomain, require_indices, two_point_space
+from .targets import NormTarget, as_target
 
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
@@ -207,8 +207,7 @@ def cotype_functionals(f: GridFunction, space_or_norm, p: float, q: float,
     estimated by stratified sampling over the number of zero entries of
     eps (the x average stays exact), with the standard error reported.
     """
-    target = _as_target(space_or_norm)
-    require_indices(f.values, target)
+    target = as_target(space_or_norm, f.values)
     dom = f.domain
     ratio = _gamma_ratio(dom.n, dom.m, p, q)
     exact = 3**dom.n * dom.points <= budget
@@ -504,8 +503,7 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int) -> BReport:
     Every witness satisfies b_hat <= 1; a numerical violation beyond
     1e-9 raises InvariantViolationError.
     """
-    target = _as_target(space_or_norm)
-    require_indices(f.values, target)
+    target = as_target(space_or_norm, f.values)
     dom = f.domain
     ratio = _b_ratio(dom.n, dom.m, ell)
     lhs, rhs_raw = ratio.sides(
@@ -698,8 +696,7 @@ def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
         raise PreconditionViolationError(f"need 0 <= r < m, got r={r} m={m}")
     if a < 0:
         raise PreconditionViolationError(f"need a >= 0, got a={a}")
-    target = _as_target(space_or_norm)
-    require_indices(f.values, target)
+    target = as_target(space_or_norm, f.values)
     table = family_table(dom, "signs", a * m + r)
     lhs, edge = _sides(shift_energy(f.values, target, table, 2.0), n, 2**n)
     rhs = min(r**2, (m - r) ** 2) * n * edge
@@ -723,8 +720,7 @@ def edge_sum_check(f: GridFunction, space_or_norm,
     n = dom.n
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
-    target = _as_target(space_or_norm)
-    require_indices(f.values, target)
+    target = as_target(space_or_norm, f.values)
     lhs, edge = _sides(
         shift_energy(f.values, target, family_table(dom, "edges", 1), p), n, 3**n)
     rhs = 3.0 * 2.0 ** (p - 1.0) * n * edge

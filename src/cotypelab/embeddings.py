@@ -34,7 +34,7 @@ from .spaces import (
     snowflake,
     torus_space,
 )
-from .targets import as_target, require_indices
+from .targets import as_target
 
 # transition-point terms of one geodesic-defect sum; each costs 2-3 ns
 # (2-core x86 desk machine, numpy 2.4), so the cap is about 0.3 s of work
@@ -319,8 +319,7 @@ def extract_grid(f: GridFunction, space, s: int):
     n, m = dom.n, dom.m
     _require_extraction_scale(s, m)
     require_defect_budget(dom, s)
-    target = as_target(space)
-    require_indices(f.values, target)
+    target = as_target(space, f.values)
 
     lhs_s = ordered_sum(
         shift_energy(f.values, target, family_table(dom, "axes", s), 2.0))

@@ -37,7 +37,7 @@ from .gridops import (
 )
 from .harmonic import GridFunction, _window_average, central_diff
 from .spaces import TorusDomain
-from .targets import as_target, require_indices
+from .targets import as_target
 
 ADVERSARIAL_DIM = 2  # the adversarial climbs' witnesses take values in C^2
 
@@ -100,15 +100,6 @@ def smoothing_apply(f: GridFunction, j: int, k: int) -> GridFunction:
         )
     axes = _window_axes(j, k, f.domain)
     return GridFunction(f.domain, _window_average(f.domain, f.values, axes))
-
-
-def _norm_of(target):
-    norm = getattr(target, "norm", None)
-    if norm is None:
-        raise PreconditionViolationError(
-            "this check needs a normed codomain for its left-hand side"
-        )
-    return norm
 
 
 @functools.lru_cache(maxsize=4)
@@ -221,12 +212,10 @@ def check_lemma_approx(f: GridFunction, space, j: int, k: int,
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     dom, n = f.domain, f.domain.n
-    target = as_target(space)
-    require_indices(f.values, target)
+    target = as_target(space, f.values)
     w = _witness(f, target, k)
     if f.is_vector:
-        norm = _norm_of(target)
-        gap = w.built(("gap", j), lambda: norm(w.average(j) - f.values))
+        gap = w.built(("gap", j), lambda: target.norm(w.average(j) - f.values))
         lhs = float(mean_power(gap, p))
     else:
         sset = smoothing_set(j, k, dom)
@@ -272,12 +261,11 @@ def check_lemma_cancellation(f: GridFunction, space, k: int, p: float,
             f"eps must be a full sign pattern of length {n}"
         )
     label = "".join("+" if e > 0 else "-" for e in ev.tolist())
-    target = as_target(space)
-    norm = _norm_of(target)
+    target = as_target(space, f.values)
     w = _witness(f, target, k)
 
     row = int(label.replace("+", "1").replace("-", "0"), 2)  # sign_patterns row
-    signed = w.built(("signed", row), lambda: norm(_signed_sum(ev, w.diffs())))
+    signed = w.built(("signed", row), lambda: target.norm(_signed_sum(ev, w.diffs())))
     lhs = float(mean_power(signed, p))
     rows = w.distances()
     eps_term = float(mean_power(rows[n + 2**n + row], p))

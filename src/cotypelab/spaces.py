@@ -161,6 +161,20 @@ def require_table(points: int) -> None:
         )
 
 
+def require_indices(values: np.ndarray, size: int) -> None:
+    """Raise PreconditionViolationError unless values are the point indices
+    of a size-point space, in a 1-D integer array, naming the first that is not."""
+    if values.dtype.kind not in "iu" or values.ndim != 1:
+        raise PreconditionViolationError(
+            f"{values.dtype} values of shape {values.shape} are not point indices")
+    if values.size and (values.min() < 0 or values.max() >= size):
+        bad = int(np.flatnonzero((values < 0) | (values >= size))[0])
+        raise PreconditionViolationError(
+            f"value {int(values[bad])} at point {bad} is not a point index "
+            f"of a {size}-point space"
+        )
+
+
 @dataclass(frozen=True)
 class TorusDomain:
     """The group Z_m^n as an indexing domain.
@@ -431,10 +445,7 @@ def distortion(mapping, source: FiniteMetricSpace,
             f"mapping must have shape ({ns},), got {f.shape}"
         )
     require_table(ns)  # the scan reads ns^2 / 2 pairs
-    if ns and (f.min() < 0 or f.max() >= target.size):
-        raise PreconditionViolationError(
-            "mapping contains an out-of-range target index"
-        )
+    require_indices(f, target.size)
     order = np.argsort(f, kind="stable")
     fs = f[order]
     dup = np.flatnonzero(fs[1:] == fs[:-1])
@@ -519,6 +530,7 @@ def moduli(mapping, source: FiniteMetricSpace,
             f"mapping must have shape ({ns},), got {f.shape}"
         )
     require_table(ns)  # the pair arrays hold ns^2 / 2 entries each
+    require_indices(f, target.size)
     iu, ju = np.triu_indices(ns, k=1)
     ds = source.pairwise(iu, ju)
     dt = target.pairwise(f[iu], f[ju])

@@ -18,7 +18,7 @@ from .errors import (
     PreconditionViolationError,
     SchemaViolationError,
 )
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, require_indices
 
 
 @dataclass(frozen=True)
@@ -56,26 +56,15 @@ class NormTarget:
         return self.norm(np.asarray(a) - np.asarray(b))
 
 
-def as_target(space_or_norm):
-    """The codomain itself when it measures pairs: a FiniteMetricSpace, whose
-    values are point indices, or a NormTarget."""
-    if hasattr(space_or_norm, "pairwise"):
-        return space_or_norm
-    raise SchemaViolationError(
-        f"cannot interpret {type(space_or_norm).__name__} as a codomain"
-    )
-
-
-def require_indices(values: np.ndarray, codomain) -> None:
-    """Raise PreconditionViolationError unless every value is a point index
-    of codomain, a point count or a FiniteMetricSpace, naming the first
-    value that is not. Other targets take vectors and pass unchecked."""
-    size = codomain.size if isinstance(codomain, FiniteMetricSpace) else codomain
-    if not isinstance(size, (int, np.integer)):
-        return
-    if values.size and (values.min() < 0 or values.max() >= size):
-        bad = int(np.flatnonzero((values < 0) | (values >= size))[0])
+def as_target(space_or_norm, values: np.ndarray):
+    """The codomain, once values fit it: a FiniteMetricSpace takes point
+    indices, a NormTarget an (N, d) vector table."""
+    if isinstance(space_or_norm, FiniteMetricSpace):
+        require_indices(values, space_or_norm.size)
+    elif not isinstance(space_or_norm, NormTarget):
+        raise SchemaViolationError(
+            f"cannot interpret {type(space_or_norm).__name__} as a codomain")
+    elif values.ndim != 2:
         raise PreconditionViolationError(
-            f"value {int(values[bad])} at point {bad} is not a point index "
-            f"of a {size}-point space"
-        )
+            f"a normed codomain takes (N, d) vectors, got shape {values.shape}")
+    return space_or_norm

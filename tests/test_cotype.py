@@ -16,12 +16,14 @@ from cotypelab import (
     b_functionals,
     b_quantity_search,
     check_lemma_approx,
+    check_lemma_cancellation,
     contraction_principle_check,
     contraction_rhs_bound,
     cotype_functionals,
     edge_sum_check,
     exhaustive_b,
     expected_random_gamma,
+    extract_grid,
     gamma_exhaustive_two_point,
     gamma_hilbert_exact,
     gamma_search,
@@ -523,13 +525,42 @@ def test_point_values_outside_the_codomain_are_refused(bad):
             call()
 
 
+WITNESS_ENTRIES = {
+    "cotype_functionals": lambda f, c: cotype_functionals(f, c, 2, 2),
+    "b_functionals": lambda f, c: b_functionals(f, c, 2),
+    "mod_inequality_check": lambda f, c: mod_inequality_check(f, c, 0, 2),
+    "edge_sum_check": lambda f, c: edge_sum_check(f, c, 2.0),
+    "extract_grid": lambda f, c: extract_grid(f, c, 4),
+    "check_lemma_approx": lambda f, c: check_lemma_approx(f, c, 0, 1, 2.0),
+    "check_lemma_cancellation":
+        lambda f, c: check_lemma_cancellation(f, c, 1, 2.0, [1, 1]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WITNESS_ENTRIES))
+@pytest.mark.parametrize("kind", ["points-into-norm", "vectors-into-space"])
+def test_a_witness_of_the_wrong_kind_is_refused(entry, kind):
+    # point values were measured as vector coordinates, and vectors read as
+    # point indices raised a bare TypeError
+    dom = TorusDomain(n=2, m=8)  # m >= 2s for extract_grid at s = 4
+    if kind == "points-into-norm":
+        f = GridFunction.points(dom, np.arange(dom.points) % 2)
+        codomain = NormTarget(2.0)
+    else:
+        rng = np.random.default_rng(0)
+        f = GridFunction.vector(dom, rng.normal(size=(dom.points, 2)))
+        codomain = two_point_space()
+    with pytest.raises(PreconditionViolationError):
+        WITNESS_ENTRIES[entry](f, codomain)
+
+
 def test_fallback_climb_checks_the_point_range_once(monkeypatch):
-    from cotypelab import cotype
+    from cotypelab import cotype, targets
     from cotypelab.spaces import FiniteMetricSpace
 
-    real, calls = cotype.require_indices, []
-    monkeypatch.setattr(cotype, "require_indices", lambda values, codomain:
-                        calls.append(len(values)) or real(values, codomain))
+    real, calls = targets.require_indices, []
+    monkeypatch.setattr(targets, "require_indices", lambda values, size:
+                        calls.append(len(values)) or real(values, size))
     # half-integer distances leave no exact shift sums: every climb step
     # evaluates the functionals, and only the reported witness is checked
     sp = FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0, .5], [.5, 0]]))

@@ -30,7 +30,6 @@ from cotypelab import (
 )
 from cotypelab import embeddings
 from cotypelab.spaces import FiniteMetricSpace
-from cotypelab.targets import as_target
 from shift_reference import axis_shift, roll_values
 
 
@@ -362,10 +361,9 @@ class TestGeodesicDefects:
     def test_transition_sum_matches_the_path_walk(self, n, m, s, kind,
                                                   monkeypatch):
         f, space = _defect_case(n, m, s, kind)
-        target = as_target(space)
-        got = embeddings._geodesic_defects(f, target, s,
-                                           embeddings._edge_table(f, target))
-        want = path_walk_defects(f, target, s)
+        got = embeddings._geodesic_defects(f, space, s,
+                                           embeddings._edge_table(f, space))
+        want = path_walk_defects(f, space, s)
         if kind in ("identity", "isometry"):
             assert not want.any() and not got.any()  # exact zeros
         else:
@@ -384,7 +382,7 @@ class TestGeodesicDefects:
     @pytest.mark.parametrize("n,m,s", LARGE_SCALES + [(3, 16, 8)])
     def test_isometric_witnesses_give_exact_zeros(self, n, m, s):
         dom = TorusDomain(n=n, m=m)
-        target = as_target(torus_space(dom))
+        target = torus_space(dom)
         rng = np.random.default_rng(s)
         for kind in ("identity", "isometry"):
             f = _point_witness(kind, dom, rng)

@@ -40,7 +40,6 @@ from cotypelab.gridops import (
     shift_energy_batch,
     shift_table,
 )
-from cotypelab.targets import as_target
 from shift_reference import axis_shift, roll_values, three_patterns
 
 # ------------------------------------------------------------- reference
@@ -382,7 +381,7 @@ def test_block_cap_does_not_change_values(monkeypatch):
 
 def _two_point_gamma_ref(n, m, p, q):
     dom = TorusDomain(n=n, m=m)
-    target = as_target(two_point_space())
+    target = two_point_space()
     best = None
     for idx in range(2**dom.points):
         bits = (idx >> np.arange(dom.points)) & 1
@@ -427,7 +426,7 @@ def test_exhaustive_b_matches_reference():
 def test_random_two_point_mc_matches_reference(monkeypatch):
     n, m, trials, seed = 2, 4, 300, 9
     dom = TorusDomain(n=n, m=m)
-    target = as_target(two_point_space())
+    target = two_point_space()
     rng = np.random.default_rng(seed)
     L, R = [], []
     done = 0

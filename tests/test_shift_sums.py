@@ -39,8 +39,7 @@ from cotypelab.gridops import (
     shift_energy,
     shift_sums,
 )
-from cotypelab.spaces import validate_metric
-from cotypelab.targets import require_indices
+from cotypelab.spaces import require_indices, validate_metric
 
 SPACES = {
     "two-point": two_point_space(),

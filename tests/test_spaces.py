@@ -373,6 +373,15 @@ def test_moduli_hand_table():
     assert tab.thresholds.tolist() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_moduli_refuses_indices_outside_the_target(bad):
+    # -1 wrapped to the last point, and 2 raised a bare IndexError
+    src = points_space(np.array([[0], [1], [2]]), 2)
+    with pytest.raises(PreconditionViolationError,
+                       match=f"value {bad} at point 0 is not a point index"):
+        moduli([bad, 0, 1], src, two_point_space())
+
+
 def test_moduli_identity_between_norms():
     # the same nine grid points measured in l_inf and then in l_2
     pts = grid_points(2, 2)

@@ -6,6 +6,7 @@ import pytest
 from cotypelab import (
     DimensionMismatchError,
     NormTarget,
+    PreconditionViolationError,
     SchemaViolationError,
     TorusDomain,
     as_target,
@@ -50,9 +51,14 @@ def test_norm_target_dim_enforcement():
 
 def test_as_target_coercion():
     sp = torus_space(TorusDomain(n=1, m=4))
-    assert as_target(sp) is sp
+    assert as_target(sp, np.array([0, 3, 1])) is sp
     nt = NormTarget(p=2.0)
-    assert as_target(nt) is nt
+    assert as_target(nt, np.zeros((3, 2))) is nt
     with pytest.raises(SchemaViolationError):
-        as_target(42)
+        as_target(42, np.array([0, 3, 1]))
+    # a space takes a 1-D integer index array, a norm an (N, d) table
+    for codomain, values in ((sp, np.array([0, 4])), (sp, np.zeros((3, 1), int)),
+                             (sp, np.zeros(3)), (nt, np.array([0, 3, 1]))):
+        with pytest.raises(PreconditionViolationError):
+            as_target(codomain, values)
 
