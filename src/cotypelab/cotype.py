@@ -55,14 +55,15 @@ from .gridops import (
     sign_patterns,
 )
 from .harmonic import GridFunction
-from .spaces import FiniteMetricSpace, TorusDomain, require_indices, two_point_space
+from .spaces import (FiniteMetricSpace, TorusDomain, require_budget,
+                     require_indices, two_point_space)
 from .targets import NormTarget, as_target
 
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
 TWO_POINT_BUDGET = 1 << 20
 B_INVARIANT_TOL = 1e-9
 WITNESS_CHUNK = 4096  # witnesses, or climbing restarts, held at once
-GENERAL_ENUM_CAP = 1 << 16  # witnesses of an enumeration off bit planes
+XOR_SECONDS = 2e-9  # a witness-shift-point on bit planes: 1.3 ns at (1,20)
 
 
 @dataclass(frozen=True)
@@ -268,10 +269,13 @@ def gamma_hilbert_exact(n: int, m: int) -> tuple[float, tuple]:
     k_j -> m - k_j, so the search runs over multisets of folded residues
     in [0, m/2]; the reported maximizer is the sorted representative.
     """
-    if n < 1:
-        raise PreconditionViolationError(f"n must be >= 1, got {n}")
+    if n < 1 or m < 2:
+        raise PreconditionViolationError(f"need n >= 1 and m >= 2, got n={n} m={m}")
     _require_even_m(m)
     half = m // 2
+    multisets = comb(half + n, n)  # 80 ns a multiset per n + 4 at (2..16, 8..400)
+    require_budget(f"a scan of {multisets} frequency multisets",
+                   seconds=80e-9 * multisets * (n + 4))
     factors = [(1.0 + 2.0 * math.cos(2.0 * math.pi * r / m)) / 3.0
                for r in range(half + 1)]
     odd_flags = [r % 2 for r in range(half + 1)]
@@ -302,9 +306,8 @@ def hilbert_gamma_power_iteration(n: int, m: int) -> float:
     """
     _require_even_m(m)
     dom = TorusDomain(n=n, m=m)
-    N = dom.points
-    if N > 4096:
-        raise BudgetExceededError(f"dense oracle capped at 4096 points, got {N}")
+    N = dom.points  # ten (N, N) float64 matrices; 0.46-0.65 ns per N^3 at N = 1,024
+    require_budget(f"a dense {N}-point oracle", 80 * N * N, 1e-9 * N**3)
     # a shift's permutation matrix P adds (P - I)^T (P - I) = 2I - P - P^T,
     # which is 0 for the zero pattern, so B sums the other edges
     eye = np.eye(N)
@@ -360,33 +363,39 @@ def _two_point_sides(n: int, m: int, family: str,
     return sides
 
 
+def _codomain_size(space) -> int:
+    """Point count of the finite metric space a search or enumeration takes."""
+    if not isinstance(space, FiniteMetricSpace):
+        raise PreconditionViolationError(
+            f"maxima over maps need a finite metric space, not {type(space).__name__}")
+    return space.size
+
+
 def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
                budget: int) -> tuple[float, float, float, GridFunction]:
     """(lhs, rhs_raw, value, witness) of the best of every map dom -> space,
     the first index winning ties.
 
     The unit two-point space enumerates the bit tables of the witness
-    indices on bit planes (m^n <= 20, point 0 the lowest bit); any other
-    space enumerates assignments in mixed radix (point 0 the highest
-    digit), at most GENERAL_ENUM_CAP of them, summed by row_sides.
-    """
-    N, K = dom.points, space.size
+    indices on bit planes (point 0 the lowest bit); any other space
+    enumerates assignments in mixed radix (point 0 the highest digit),
+    summed by row_sides. Past budget witnesses (K^N formed only below its
+    bit length) or require_budget, it raises BudgetExceededError."""
+    N, K = dom.points, _codomain_size(space)
+    count = K**N if K < 2 or N < budget.bit_length() else budget + 1
+    if count > budget:
+        raise BudgetExceededError(f"{K}^{N} witnesses exceed budget {budget}")
+    work = count * (ratio.n + ratio.patterns) * N  # witness-shift-points
     bits = K == 2 and float(space.dist[0, 1]) == 1.0
-    if bits:
-        if N > 20:
-            raise PreconditionViolationError(
-                f"exhaustive scan needs m^n <= 20, got {N}")
-        if 2**N > budget:
-            raise BudgetExceededError(f"2^{N} witnesses exceed budget {budget}")
+    if bits:  # 52 bytes a witness, and four cached pairs of sides
+        require_budget(f"{count} two-point witnesses", 116 * count, XOR_SECONDS * work)
         lhs, rhs = _two_point_sides(dom.n, dom.m, ratio.family, ratio.amount)
         rhs = rhs / ratio.patterns
     else:
-        # K^N > 2^16 when K > 1 and N > 20, without forming the power
-        if (K > 1 and N > 20) or K**N > min(budget, GENERAL_ENUM_CAP):
-            raise BudgetExceededError(
-                f"{K}^{N} witnesses exceed the exhaustive cap"
-            )
-        idx = np.arange(K**N, dtype=np.int64)
+        # 2N + 9 int64/float64 entries a witness, 4 a block entry; 26 ns at (1,8)
+        require_budget(f"{count} witnesses", count * (16 * N + 72)
+                       + 32 * min(work, SHIFT_BLOCK_ELEMENTS), 30e-9 * work)
+        idx = np.arange(count, dtype=np.int64)
         F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
         table = ratio.table(dom)
         sides = [ratio.row_sides(shift_energy_batch(
@@ -403,7 +412,7 @@ def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
                                budget: int = TWO_POINT_BUDGET) -> CotypeReport:
     """Maximize gamma_hat over every map into the two-point space.
 
-    Enumerates all 2^(m^n) value tables (m^n <= 20). Distances into the
+    Enumerates all 2^(m^n) value tables, within budget. Distances into the
     canonical two-point space are 0/1, so d^p is the xor of bit tables
     and gamma_hat is scale-invariant in the two-point gap.
     """
@@ -443,6 +452,10 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
             f"a standard error needs trials >= 2, got {trials}")
     dom = TorusDomain(n=n, m=m)
     N = dom.points
+    # 64 bytes a trial, 16 a chunk's witness-point; draws cost 64 units a trial
+    require_budget(f"{trials} random two-point witnesses", 64 * trials + 16 * N
+                   * min(trials, WITNESS_CHUNK),
+                   XOR_SECONDS * trials * ((n + ratio.patterns) * N + 64))
     rng = np.random.default_rng(seed)
     table = ratio.table(dom)
     L, R = np.empty(trials), np.empty(trials)
@@ -514,13 +527,10 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int) -> BReport:
 
 
 def _exact_shift_sums(space, p: float, table: np.ndarray) -> ShiftSums | None:
-    """gridops.ShiftSums over the codomain's distances to the power p when
-    its means are exact, else None: the codomain is a FiniteMetricSpace,
-    every distance powered as the kernel powers it is a non-negative
-    integer, the powered table is symmetric with a zero diagonal, and m^n
-    times its largest entry stays below 2^53."""
-    if not isinstance(space, FiniteMetricSpace):
-        return None
+    """gridops.ShiftSums over the space's distances to the power p when its
+    means are exact, else None: every distance powered as the kernel powers
+    it is a non-negative integer, the powered table is symmetric with a zero
+    diagonal, and m^n times its largest entry stays below 2^53."""
     dist_p = dist_power(space.dist, p)
     if (np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
             and np.array_equal(dist_p, dist_p.T) and not np.diagonal(dist_p).any()
@@ -598,7 +608,7 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     """
     if budget < 1:
         raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
-    N, K, table = dom.points, space.size, ratio.table(dom)
+    N, K, table = dom.points, _codomain_size(space), ratio.table(dom)
     kernel = None if sides else _exact_shift_sums(space, ratio.p, table)
     exact = kernel is not None
     if not exact:  # a table's memo is its (lhs, rhs_raw)
@@ -752,10 +762,10 @@ def contraction_principle_check(vectors, scalars, p: float,
 
 
 def _sign_average(X: np.ndarray, p: float, norm: NormTarget) -> float:
-    """E_eps ||sum_j eps_j x_j||^p over the 2^n full sign patterns, n <= 20."""
-    n = X.shape[0]
-    if n > 20:
-        raise BudgetExceededError(f"sign enumeration capped at n=20, got {n}")
+    """E_eps ||sum_j eps_j x_j||^p over the 2^n full sign patterns."""
+    n, d = X.shape
+    # sign_patterns' list of n-tuples and arrays, the complex sums, their norms
+    require_budget(f"a sum over {2**n} sign patterns", 2**n * (80 + 24 * (n + d)))
     signs = sign_patterns(n).astype(np.float64)
     return float(np.mean(norm.norm(signs @ X) ** p))
 
@@ -777,11 +787,9 @@ def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
 
     Compares the exact maximum on Z_m^(ell k) at shift s t against the
     product of exact component maxima at (ell, s) and (k, t), each
-    enumeration within TWO_POINT_BUDGET witnesses.
+    enumeration within TWO_POINT_BUDGET witnesses; the tori refuse ell or
+    k below 1.
     """
-    for name, v in (("ell", ell), ("k", k)):
-        if v < 1:
-            raise PreconditionViolationError(f"{name} must be >= 1, got {v}")
     comp1 = exhaustive_b(space, ell, s, m)
     comp2 = exhaustive_b(space, k, t, m)
     full = exhaustive_b(space, ell * k, s * t, m)

@@ -15,11 +15,7 @@ import numpy as np
 
 from .checks import InequalityCheck, make_check
 from .cotype import cotype_functionals, gamma_hilbert_exact
-from .errors import (
-    BudgetExceededError,
-    HypothesisFailedError,
-    PreconditionViolationError,
-)
+from .errors import HypothesisFailedError, PreconditionViolationError
 from .gridops import climb, family_table, ordered_sum, shift_energy
 from .harmonic import GridFunction, _axis_window_sum
 from .spaces import (
@@ -29,16 +25,13 @@ from .spaces import (
     distortion,
     grid_points,
     moduli,
+    ROW_BLOCK,
     points_space,
-    require_table,
+    require_budget,
     snowflake,
     torus_space,
 )
 from .targets import as_target
-
-# transition-point terms of one geodesic-defect sum; each costs 2-3 ns
-# (2-core x86 desk machine, numpy 2.4), so the cap is about 0.3 s of work
-DEFECT_BUDGET = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -97,9 +90,12 @@ def _profile_embedding(m: int, n: int, anchors) -> EmbeddingRecord:
     Z_{2m} of each coordinate to every anchor, the n coordinates' blocks
     side by side, as a map of Z_{2m}^n."""
     dom = TorusDomain(n=n, m=2 * m)
-    diff = np.abs(np.arange(2 * m, dtype=np.int64)[:, None]
-                  - np.asarray(anchors, dtype=np.int64)[None, :])
-    table = np.minimum(diff, 2 * m - diff)  # (2m, anchors)
+    # three (N, n * anchors) int64 tables, and distortion's row blocks
+    require_budget(f"a {dom.points}-point profile embedding",
+                   8 * dom.points * (3 * n * len(anchors) + 8 * ROW_BLOCK))
+    table = np.abs(np.arange(2 * m, dtype=np.int64)[:, None]
+                   - np.asarray(anchors, dtype=np.int64)[None, :])
+    np.minimum(table, 2 * m - table, out=table)  # (2m, anchors)
     coords = dom.coords()
     vectors = np.concatenate([table[coords[:, j]] for j in range(n)], axis=1)
     mapping = np.arange(dom.points, dtype=np.int64)
@@ -112,9 +108,6 @@ def frechet_cycle(m: int) -> EmbeddingRecord:
     Coordinate a realizes the distance of the pair {x, y} whenever
     a = y, so the sup equals the cycle distance: distortion exactly 1.
     """
-    if m < 1:
-        raise PreconditionViolationError(f"m must be >= 1, got {m}")
-    require_table(2 * m)  # before the (2m, 2m) vectors distortion would refuse
     return _profile_embedding(m, 1, np.arange(2 * m))
 
 
@@ -131,8 +124,7 @@ def sparse_anchors(m: int, eps: float) -> np.ndarray:
     T = math.ceil(1.0 / eps)
     if T == 1:
         return np.array([0, (2 * m) // 3], dtype=np.int64)
-    return np.array([(2 * m * t) // (T + 1) for t in range(T + 1)],
-                    dtype=np.int64)
+    return 2 * m * np.arange(T + 1, dtype=np.int64) // (T + 1)
 
 
 def sparse_frechet_cycle(m: int, eps: float) -> EmbeddingRecord:
@@ -241,17 +233,16 @@ def _axis_transitions(s: int, ell: int) -> list:
 
 
 def require_defect_budget(domain: TorusDomain, s: int) -> int:
-    """Work units of the geodesic-defect sum at scale s: transitions x
-    points, summed over every axis j, both signs and every step. Raises
-    BudgetExceededError above DEFECT_BUDGET, before anything is allocated."""
-    per_step = sum(len(_axis_transitions(s, ell)) ** (domain.n - 1)
-                   for ell in range(1, s + 1))
-    work = 2 * domain.n * domain.points * per_step
-    if work > DEFECT_BUDGET:
-        raise BudgetExceededError(
-            f"geodesic-defect sum needs {work} transition-point terms, "
-            f"budget is {DEFECT_BUDGET}"
-        )
+    """Transition-point terms of the geodesic-defect sum at scale s (every
+    axis, sign and step), after extract_grid's estimates pass require_budget."""
+    n, N = domain.n, domain.points
+    per_step = sum(len(_axis_transitions(s, ell)) ** (n - 1) for ell in range(1, s + 1))
+    work = 2 * n * N * per_step
+    # the edge table, twice its copy padded by s, 20 + 2n float64 entries a
+    # point; 4.7 ns a term (838,860,800 terms at (4,16,8): 3.96 s)
+    require_budget(f"a geodesic-defect sum of {work} transition-point terms",
+                   8 * (2**n * (2 * (domain.m + 2 * s) ** n + N) + (20 + 2 * n) * N),
+                   5e-9 * work)
     return work
 
 
@@ -271,7 +262,7 @@ def _geodesic_defects(f: GridFunction, target, s: int,
 
     with walks(k, v) = C(k, (k+v)/2) (0 for the wrong parity or |v| > k).
     Every term reads the edge table d(f(y+delta), f(y)) of _edge_table;
-    extract_grid checks the scale against DEFECT_BUDGET before calling.
+    extract_grid checks the scale with require_defect_budget before calling.
     """
     dom = f.domain
     n, m = dom.n, dom.m
@@ -313,7 +304,7 @@ def extract_grid(f: GridFunction, space, s: int):
     pair by the averaged-defect functional, normalizes edge activity,
     reflects the coordinates, and maps x -> f(2x) on the even sub-box.
     When eta = 0 the returned map has distortion 1 (within 1e-9). A scale
-    whose defect sum exceeds DEFECT_BUDGET is refused before anything is built.
+    past require_defect_budget is refused before anything is built.
     """
     dom = f.domain
     n, m = dom.n, dom.m

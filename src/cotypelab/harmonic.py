@@ -21,15 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     NonFiniteValuesError,
     PreconditionViolationError,
 )
 from .gridops import family_table, shift_table, sign_patterns
-from .spaces import TorusDomain
-
-RESIDUAL_BUDGET = 1 << 24
+from .spaces import TorusDomain, require_budget
 
 
 @dataclass(frozen=True)
@@ -231,16 +228,15 @@ def rad_identity_residual(f: GridFunction) -> float:
     dom = f.domain
     if not f.is_vector:
         raise PreconditionViolationError("identity applies to vector values")
+    # 88 bytes an entry of the (2^n, N, d) tensors, 48 of the n (N, d) tables
+    require_budget(f"a projection residual over {2**dom.n} sign patterns",
+                   (88 * 2**dom.n + 48 * dom.n) * dom.points * f.dim)
     signs = sign_patterns(dom.n)
-    if signs.shape[0] * dom.points * f.dim > RESIDUAL_BUDGET:
-        raise BudgetExceededError("residual tensor exceeds the desk budget")
     # H[e] = f(. + eps_e) - f(.) as one (2^n, N, d) tensor
     H = np.take(f.values, family_table(dom, "signs"), axis=0) - f.values
     coeff = np.einsum("ej,end->jnd", signs.astype(np.float64), H) / signs.shape[0]
     lhs = np.einsum("ej,jnd->end", signs.astype(np.float64), coeff)
-    T = np.stack([
-        central_diff(avg_others(f, j), j).values for j in range(dom.n)
-    ])
+    T = np.stack([central_diff(avg_others(f, j), j).values for j in range(dom.n)])
     rhs = 0.5 * np.einsum("ej,jnd->end", signs.astype(np.float64), T)
     err = np.sqrt((np.abs(lhs - rhs) ** 2).sum(axis=2))
     return float(err.max())

@@ -33,7 +33,8 @@ from .errors import (
 )
 
 TRIANGLE_SLACK_REL = 1e-12  # additive slack is this times the largest distance
-TABLE_BUDGET_BYTES = 1 << 30  # largest (N, N) float64 distance table built
+MEMORY_BUDGET = 1 << 30  # estimated peak bytes of one call (require_budget)
+WORK_BUDGET = 5.0  # estimated seconds, at costs timed on a 2-core x86, numpy 2.4
 # rows per block of .dist and distortion: 32 rows of an N = 3125 table are
 # 0.8 MB, so a block's buffers stay in a 2 MB L2 cache (256 rows ran
 # distortion 4x slower on a 2-core x86 desk machine, numpy 2.4)
@@ -75,8 +76,10 @@ class FiniteMetricSpace:
     @functools.cached_property
     def dist(self) -> np.ndarray:
         """(N, N) float64 table, symmetric, zero diagonal, built from block
-        ROW_BLOCK rows at a time on first read; require_table guards it."""
-        require_table(self.size)
+        ROW_BLOCK rows at a time on first read (a block's buffers hold 8
+        float64 entries a row entry at most), after require_budget."""
+        require_budget(f"a {self.size}-point distance table",
+                       8 * self.size * (self.size + 8 * ROW_BLOCK))
         out = np.empty((self.size, self.size))
         for lo in range(0, self.size, ROW_BLOCK):
             out[lo:lo + ROW_BLOCK] = self.block(slice(lo, lo + ROW_BLOCK),
@@ -149,16 +152,16 @@ def _working_dtype(coords, p, period) -> np.dtype:
     return arr.dtype if np.iscomplexobj(arr) else np.dtype(np.float64)
 
 
-def require_table(points: int) -> None:
-    """Raise BudgetExceededError when an (N, N) float64 table over points
-    would exceed TABLE_BUDGET_BYTES (N = 11,585 points). It bounds a .dist
-    read and the all-pairs work of distortion and moduli."""
-    size = 8 * points * points
-    if size > TABLE_BUDGET_BYTES:
+def require_budget(what: str, nbytes: int = 0, seconds: float = 0.0) -> None:
+    """Raise BudgetExceededError, before the work named what starts, when its
+    estimated peak bytes pass MEMORY_BUDGET or its estimated seconds pass
+    WORK_BUDGET; no clock is read, so a refusal is the same on every host."""
+    if nbytes > MEMORY_BUDGET:
         raise BudgetExceededError(
-            f"a {points}-point distance table needs {size} bytes, "
-            f"budget is {TABLE_BUDGET_BYTES}"
-        )
+            f"{what} needs {nbytes} bytes, budget is {MEMORY_BUDGET}")
+    if seconds > WORK_BUDGET:
+        raise BudgetExceededError(
+            f"{what} needs about {seconds:.3g} s, budget is {WORK_BUDGET} s")
 
 
 def require_indices(values: np.ndarray, size: int) -> None:
@@ -360,6 +363,8 @@ def points_space(points: np.ndarray, p: float) -> FiniteMetricSpace:
 
     Complex coordinates are allowed; differences are measured by modulus.
     """
+    if p < 1:
+        raise SchemaViolationError(f"norm exponent must be >= 1, got {p}")
     return FiniteMetricSpace(coords=points, p=p)
 
 
@@ -436,15 +441,17 @@ def distortion(mapping, source: FiniteMetricSpace,
     time; lip_pair and colip_pair are the first pair in row-major order to
     reach it, whatever the block. Raises NotInjectiveError on a
     collision, witnessed by the colliding pair, and BudgetExceededError
-    where require_table does.
+    (require_budget) for a scan estimated past WORK_BUDGET.
     """
     f = np.asarray(mapping, dtype=np.int64)
     ns = source.size
     if f.shape != (ns,):
-        raise DimensionMismatchError(
-            f"mapping must have shape ({ns},), got {f.shape}"
-        )
-    require_table(ns)  # the scan reads ns^2 / 2 pairs
+        raise DimensionMismatchError(f"mapping must have shape ({ns},), got {f.shape}")
+    # 1.1-1.5 ns a pair and column (a table counts 1, the pair itself 10) at
+    # 6,000 points of 2 + 2 columns and the 1,000-point Frechet cycle
+    cols = [1 if sp.coords is None else sp.coords.shape[1] for sp in (source, target)]
+    require_budget(f"a distortion scan of {ns} points",
+                   seconds=1e-9 * ns * ns * (sum(cols) + 10))
     require_indices(f, target.size)
     order = np.argsort(f, kind="stable")
     fs = f[order]
@@ -522,14 +529,14 @@ def moduli(mapping, source: FiniteMetricSpace,
            target: FiniteMetricSpace) -> ModuliTables:
     """Tabulate both moduli of a (not necessarily injective) map.
 
-    Raises BudgetExceededError where require_table does."""
+    Raises BudgetExceededError (require_budget) past either budget."""
     f = np.asarray(mapping, dtype=np.int64)
     ns = source.size
     if f.shape != (ns,):
-        raise DimensionMismatchError(
-            f"mapping must have shape ({ns},), got {f.shape}"
-        )
-    require_table(ns)  # the pair arrays hold ns^2 / 2 entries each
+        raise DimensionMismatchError(f"mapping must have shape ({ns},), got {f.shape}")
+    # 52 bytes and 160 ns per ns^2 (complex coordinates on both sides; a net
+    # into a table: 36.5 bytes at 1,600 points, 153 ns at 4,096)
+    require_budget(f"a moduli scan of {ns} points", 52 * ns * ns, 160e-9 * ns * ns)
     require_indices(f, target.size)
     iu, ju = np.triu_indices(ns, k=1)
     ds = source.pairwise(iu, ju)
@@ -541,6 +548,4 @@ def moduli(mapping, source: FiniteMetricSpace,
     np.minimum.at(gmin, inv, dt)
     expansion = np.maximum.accumulate(gmax)
     compression = np.minimum.accumulate(gmin[::-1])[::-1]
-    return ModuliTables(
-        thresholds=ts, expansion=expansion, compression=compression
-    )
+    return ModuliTables(thresholds=ts, expansion=expansion, compression=compression)

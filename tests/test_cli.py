@@ -136,10 +136,20 @@ def test_bq_exhaustive_counts_the_witnesses_of_a_one_point_space(capsys,
 
 
 def test_bq_exhaustive_past_the_cap_exits_2(capsys):
+    # the cap is the caller's --budget, 2^20 witnesses by default
     code, doc, err = run_main(capsys, ["bq", "--n", "2", "--m", "4", "--ell",
                                        "2", "--exhaustive", "--space", PATH4])
     assert code == 2 and doc is None
-    assert "4^16 witnesses exceed the exhaustive cap" in err
+    assert err == "error: 4^16 witnesses exceed budget 1048576\n"
+    code, doc, err = run_main(capsys, ["bq", "--n", "1", "--m", "8", "--ell",
+                                       "2", "--exhaustive", "--space", PATH4,
+                                       "--budget", str(4**8 - 1)])
+    assert code == 2 and doc is None
+    assert err == f"error: 4^8 witnesses exceed budget {4**8 - 1}\n"
+    code, doc, _ = run_main(capsys, ["bq", "--n", "1", "--m", "8", "--ell",
+                                     "2", "--exhaustive", "--space", PATH4,
+                                     "--budget", str(4**8)])
+    assert code == 0 and doc["mode"] == "exact"
 
 
 def test_bq_exhaustive_refuses_10_to_the_8_points_at_once(capsys):
@@ -147,7 +157,7 @@ def test_bq_exhaustive_refuses_10_to_the_8_points_at_once(capsys):
     code, doc, err = run_main(capsys, ["bq", "--n", "4", "--m", "100", "--ell",
                                        "2", "--exhaustive", "--space", PATH4])
     assert code == 2 and doc is None
-    assert "4^100000000 witnesses exceed the exhaustive cap" in err
+    assert err == "error: 4^100000000 witnesses exceed budget 1048576\n"
 
 
 def test_mod_check_all_pass(capsys):
@@ -204,19 +214,29 @@ def test_extract_grid_bad_scale(capsys):
     assert "error:" in err
 
 
-def test_extract_grid_over_the_defect_budget(capsys, monkeypatch):
-    from cotypelab import embeddings
+def test_extract_grid_over_the_defect_budget(capsys, monkeypatch,
+                                             budget_estimate):
+    from cotypelab import embeddings, spaces
 
     def no_table(*args, **kwargs):
         raise AssertionError("the torus table is built before the guard")
 
-    monkeypatch.setattr(embeddings, "DEFECT_BUDGET", 1000)
-    monkeypatch.setattr("cotypelab.cli.torus_space", no_table)
-    code, doc, err = run_main(capsys, ["extract-grid", "--n", "2", "--m", "8",
-                                       "--s", "4"])
-    assert code == 2
-    assert doc is None
-    assert "error:" in err and "budget is 1000" in err
+    argv = ["extract-grid", "--n", "2", "--m", "8", "--s", "4"]
+    estimate = budget_estimate(
+        lambda: embeddings.require_defect_budget(TorusDomain(n=2, m=8), 4),
+        "a geodesic-defect sum")
+    for name, value in zip(("MEMORY_BUDGET", "WORK_BUDGET"), estimate):
+        below = value - 1 if name == "MEMORY_BUDGET" else math.nextafter(value, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(spaces, name, value)
+            assert run_main(capsys, argv)[0] == 0
+            patch.setattr(spaces, name, below)
+            patch.setattr("cotypelab.cli.torus_space", no_table)
+            code, doc, err = run_main(capsys, argv)
+        assert code == 2
+        assert doc is None
+        assert err.startswith("error: a geodesic-defect sum of 3072 ")
+        assert f"budget is {below}" in err
 
 
 def test_extract_grid_runs_without_a_torus_table(capsys, address_cap,
@@ -224,9 +244,9 @@ def test_extract_grid_runs_without_a_torus_table(capsys, address_cap,
     from cotypelab import TorusDomain, embeddings
     from cotypelab.spaces import FiniteMetricSpace
 
-    # within the defect budget; the 65,536-point torus table would be 32 GiB
+    # within the budget; the 65,536-point torus table would be 32 GiB
     work = embeddings.require_defect_budget(TorusDomain(n=4, m=16), 4)
-    assert work == 75_497_472 <= embeddings.DEFECT_BUDGET
+    assert work == 75_497_472
     built, init = [], FiniteMetricSpace.__init__
 
     def record(space, *args, **kwargs):
@@ -246,12 +266,13 @@ def test_extract_grid_runs_without_a_torus_table(capsys, address_cap,
     assert not any("labels" in vars(s) for s in built)
 
 
-def test_extract_grid_at_n4_s8_stays_over_the_defect_budget(capsys):
+def test_extract_grid_at_n4_s8_runs_within_the_budget(capsys):
+    # 838,860,800 transition-point terms, about 4 s on a 2-core desk machine
     code, doc, err = run_main(capsys, ["extract-grid", "--n", "4",
                                        "--m", "16", "--s", "8"])
-    assert code == 2
-    assert doc is None
-    assert f"budget is {1 << 27}" in err
+    assert code == 0, err
+    assert doc["results"]["extraction"]["eta"] == 0.0
+    assert doc["results"]["embedding"]["distortion"] == 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,6 +286,25 @@ def test_all_pair_work_over_the_table_budget_is_refused(capsys, address_cap,
     assert code == 2
     assert doc is None
     assert err.startswith("error: a ") and f"budget is {1 << 30}" in err
+
+
+@pytest.mark.parametrize("argv,n,m", [
+    (["gamma-hilbert", "--n", "1", "--m", "0"], 1, 0),  # was ZeroDivisionError
+    (["gamma-hilbert", "--n", "1", "--m", "-2"], 1, -2),  # math domain error
+    (["bounds", "grid-distortion", "--n", "2", "--q", "2", "--m", "0"], 2, 0),
+])
+def test_the_hilbert_constant_below_m_2_exits_2(capsys, argv, n, m):
+    code, doc, err = run_main(capsys, argv)
+    assert code == 2 and doc is None
+    assert err == f"error: need n >= 1 and m >= 2, got n={n} m={m}\n"
+
+
+def test_a_net_under_an_exponent_below_1_exits_2(capsys):
+    # l_0.5 is no metric: (0,0), (1,0), (1,1) are 1, 1 and 4 apart
+    code, doc, err = run_main(capsys, ["moduli-check", "--n", "1", "--m", "4",
+                                       "--r", "0.5"])
+    assert code == 2 and doc is None
+    assert err == "error: $: norm exponent must be >= 1, got 0.5\n"
 
 
 def test_bq_zero_shift_is_a_usage_error(capsys):

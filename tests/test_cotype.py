@@ -39,7 +39,7 @@ from cotypelab import (
     two_point_space,
 )
 
-from cotypelab import cotype
+from cotypelab import cotype, spaces
 
 SQ2 = math.sqrt(2.0)
 
@@ -212,13 +212,23 @@ class TestTwoPointExhaustive:
             assert gamma_exhaustive_two_point(n, m, 2.0, 2.0).gamma_hat == \
                 pytest.approx(g, rel=1e-9)
 
-    def test_guards(self):
+    def test_guards(self, budget_boundary):
         with pytest.raises(OddMError):
             gamma_exhaustive_two_point(1, 3, 2.0, 2.0)
-        with pytest.raises(PreconditionViolationError):
-            gamma_exhaustive_two_point(2, 6, 2.0, 2.0)  # 36 points
+        # 36 points: 2^36 witnesses pass the default budget, and at that
+        # budget their planes and sides would need 8 TB
+        with pytest.raises(BudgetExceededError, match="^2\\^36 witnesses exceed"):
+            gamma_exhaustive_two_point(2, 6, 2.0, 2.0)
+        with pytest.raises(BudgetExceededError, match="^68719476736 two-point"):
+            gamma_exhaustive_two_point(2, 6, 2.0, 2.0, budget=2**36)
         with pytest.raises(BudgetExceededError):
             gamma_exhaustive_two_point(1, 16, 2.0, 2.0, budget=2**10)
+        # an exact power of two at the caller's budget, then both thresholds
+        gamma_exhaustive_two_point(1, 16, 2.0, 2.0, budget=2**16)
+        with pytest.raises(BudgetExceededError, match="^2\\^16 witnesses exceed"):
+            gamma_exhaustive_two_point(1, 16, 2.0, 2.0, budget=2**16 - 1)
+        budget_boundary(lambda: gamma_exhaustive_two_point(1, 16, 2.0, 2.0),
+                        "65536 two-point witnesses")
 
 
 class TestRandomWitnesses:
@@ -465,13 +475,35 @@ def test_exponential_witness_contraction_bound():
         linear_exponential_witness(np.zeros(3), 4)
 
 
-def test_contraction_rhs_bound_refuses_n_over_20(monkeypatch):
+def test_contraction_rhs_bound_refuses_n_over_20(monkeypatch, budget_estimate):
     def no_patterns(n):
-        raise AssertionError(f"2^{n} sign patterns built before the cap")
+        raise AssertionError(f"2^{n} sign patterns built before the guard")
 
+    def rhs(n):
+        return contraction_rhs_bound(np.ones((n, 1)), 8, 2.0, NormTarget(p=2.0))
+
+    nbytes, _ = budget_estimate(lambda: rhs(12), "a sum over 4096 sign patterns")
     monkeypatch.setattr(cotype, "sign_patterns", no_patterns)
-    with pytest.raises(BudgetExceededError, match="capped at n=20, got 21"):
-        contraction_rhs_bound(np.ones((21, 1)), 8, 2.0, NormTarget(p=2.0))
+    with pytest.raises(BudgetExceededError,
+                       match="^a sum over 2097152 sign patterns needs"):
+        rhs(21)  # 1.27 GB of patterns, sums and norms
+    monkeypatch.setattr(spaces, "MEMORY_BUDGET", nbytes - 1)
+    with pytest.raises(BudgetExceededError, match="^a sum over 4096 sign"):
+        rhs(12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: gamma_search(t, 1, 4, 2.0, 2.0, 10, 0),
+    lambda t: b_quantity_search(t, 1, 2, 4, 10, 0),
+    lambda t: exhaustive_b(t, 1, 2, 4),
+    lambda t: tensor_submultiplicativity_check(t, 1, 1, 2, 2, 4),
+], ids=["gamma_search", "b_quantity_search", "exhaustive_b",
+        "tensor_submultiplicativity_check"])
+def test_searches_and_enumerations_refuse_a_norm_target(call):
+    # each took NormTarget(2.0) for a space and failed on its missing .size
+    with pytest.raises(PreconditionViolationError, match="^maxima over maps "
+                       "need a finite metric space, not NormTarget$"):
+        call(NormTarget(2.0))
 
 
 class TestTensorSubmultiplicativity:

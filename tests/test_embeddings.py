@@ -28,7 +28,7 @@ from cotypelab import (
     torus_to_grid_full,
     two_point_space,
 )
-from cotypelab import embeddings
+from cotypelab import embeddings, spaces
 from cotypelab.spaces import FiniteMetricSpace
 from shift_reference import axis_shift, roll_values
 
@@ -389,7 +389,7 @@ class TestGeodesicDefects:
             edge = embeddings._edge_table(f, target)
             assert not embeddings._geodesic_defects(f, target, s, edge).any()
 
-    def test_budget_boundary(self, monkeypatch):
+    def test_budget_boundary(self, budget_boundary):
         # extract_grid owns the budget check; the defect sum does not repeat it
         dom = TorusDomain(n=3, m=8)
         f = GridFunction.points(dom, np.arange(dom.points))
@@ -397,23 +397,29 @@ class TestGeodesicDefects:
         work = embeddings.require_defect_budget(dom, 4)
         # transitions per step at s=4: 2, 4, 4, 2 per free axis, squared
         assert work == 2 * 3 * dom.points * (4 + 16 + 16 + 4)
-        for budget in (work + 1, work):
-            monkeypatch.setattr(embeddings, "DEFECT_BUDGET", budget)
-            extract_grid(f, space, 4)
-        monkeypatch.setattr(embeddings, "DEFECT_BUDGET", work - 1)
-        with pytest.raises(BudgetExceededError):
-            extract_grid(f, space, 4)
+        nbytes, seconds = budget_boundary(lambda: extract_grid(f, space, 4),
+                                          f"a geodesic-defect sum of {work} ")
+        # the (2^n, (m + 2s)^n) padded edge table is the largest array
+        assert nbytes >= 8 * 2**3 * (8 + 8) ** 3 and seconds > 0
 
-    def test_extract_grid_refuses_an_over_budget_scale_first(self, monkeypatch):
+    def test_extract_grid_refuses_an_over_budget_scale_first(
+            self, monkeypatch, budget_estimate):
         def no_table(*args):
             raise AssertionError("the edge table is built before the guard")
 
-        monkeypatch.setattr(embeddings, "_edge_table", no_table)
         dom = TorusDomain(n=4, m=16)  # 8.4e8 defect terms at s = 8
+        estimate = budget_estimate(
+            lambda: embeddings.require_defect_budget(dom, 8), "a geodesic-defect sum")
+        monkeypatch.setattr(embeddings, "_edge_table", no_table)
         # a constant witness is refused for its budget too, not for its energy
-        for values in (np.arange(dom.points), np.zeros(dom.points, np.int64)):
-            with pytest.raises(BudgetExceededError, match=f"budget is {1 << 27}"):
-                extract_grid(GridFunction.points(dom, values), torus_space(dom), 8)
+        for name, below in zip(("MEMORY_BUDGET", "WORK_BUDGET"),
+                               (estimate[0] - 1, math.nextafter(estimate[1], 0))):
+            with monkeypatch.context() as patch:
+                patch.setattr(spaces, name, below)
+                for values in (np.arange(dom.points), np.zeros(dom.points, np.int64)):
+                    with pytest.raises(BudgetExceededError, match=f"budget is {below}"):
+                        extract_grid(GridFunction.points(dom, values),
+                                     torus_space(dom), 8)
 
 
 def roll_ball_sum(domain, values, radius):

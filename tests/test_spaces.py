@@ -818,30 +818,46 @@ def test_distortion_skips_pairs_coincident_in_both_spaces(monkeypatch):
     (lambda N: torus_space(TorusDomain(n=1, m=N)), 12),
     (lambda N: points_space(np.arange(N)[:, None], 2.0), 12),
 ])
-def test_table_budget_boundary(build, points, monkeypatch):
+def test_table_budget_boundary(build, points, monkeypatch, budget_estimate):
     table = 8 * points * points
-    for budget in (table + 1, table):
-        monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", budget)
+    need, _ = budget_estimate(lambda: build(points).dist,
+                              f"a {points}-point distance table")
+    assert need >= table  # the table and one row block's buffers
+    for budget in (need + 1, need):
+        monkeypatch.setattr(spaces, "MEMORY_BUDGET", budget)
         assert build(points).dist.nbytes == table
-    monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", table - 1)
+    monkeypatch.setattr(spaces, "MEMORY_BUDGET", need - 1)
     space = build(points)  # the guard is on the table read, not the space
     assert space.pairwise(0, 1) > 0
     with pytest.raises(BudgetExceededError):
         space.dist
 
 
-def test_all_pair_scans_keep_the_table_budget(monkeypatch):
-    # distortion and moduli visit every pair, so a source over the table
-    # budget is refused although neither reads a table
+def test_all_pair_scans_keep_the_table_budget(budget_boundary):
+    # distortion and moduli visit every pair, so their work is counted
+    # although neither reads a table: distortion in seconds, moduli in both
     space = points_space(np.arange(12)[:, None], 2.0)
     ident = np.arange(12)
-    monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", 8 * 12 * 12)
     assert distortion(ident, space, space).distortion == 1.0
     assert moduli(ident, space, space).expansion_at(11.0) == 11.0
-    monkeypatch.setattr(spaces, "TABLE_BUDGET_BYTES", 8 * 12 * 12 - 1)
-    for scan in (distortion, moduli):
-        with pytest.raises(BudgetExceededError):
-            scan(ident, space, space)
+    nbytes, seconds = budget_boundary(lambda: distortion(ident, space, space),
+                                      "a distortion scan of 12 points")
+    assert nbytes == 0 and seconds == 1e-9 * 12 * 12 * (1 + 1 + 10)
+    nbytes, seconds = budget_boundary(lambda: moduli(ident, space, space),
+                                      "a moduli scan of 12 points")
+    assert nbytes >= 40.5 * 12 * 12 and seconds > 0
+
+
+def test_points_space_refuses_an_exponent_below_1():
+    # (0,0), (1,0), (1,1) under p = 0.5: d = 4 > 1 + 1, not a metric
+    pts = np.array([[0, 0], [1, 0], [1, 1]])
+    table = (np.abs(pts[:, None] - pts[None]) ** 0.5).sum(axis=2) ** 2
+    with pytest.raises(TriangleViolationError):
+        validate_metric(table)
+    for p in (0.5, 0.0, -1.0, -math.inf):
+        with pytest.raises(SchemaViolationError, match="norm exponent must be >= 1"):
+            points_space(pts, p)
+    assert points_space(pts, 1.0).pairwise(0, 2) == 2.0
 
 
 def _peak_bytes(build) -> int:
