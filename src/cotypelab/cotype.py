@@ -17,7 +17,8 @@ violation as a defect, not as data.
 
 Both are one ratio of a long-shift energy to an averaged edge energy, and
 each has one _Ratio record (shift family, exponent, weight, root, ceiling)
-from which every evaluation, search step and enumeration forms its value.
+from which every evaluation forms its value. Every maximum over maps ranks
+witnesses by one scorer (_scorer), and reports its winner's evaluation.
 Every shift average runs on index tables that gridops.family_table caches
 per shift family, through gridops.shift_energy or, for two-point witnesses,
 as xor counts on bit planes. Per-shift means are added in shift order, so
@@ -153,25 +154,11 @@ class _Ratio:
         value = math.sqrt(x) if self.root is None else x ** self.root
         if not math.isfinite(value):
             return 0.0, True
-        return self._bounded(value), False
-
-    def values(self, lhs: np.ndarray, rhs_raw: np.ndarray) -> np.ndarray:
-        """value of each witness's sides, 0 where degenerate. numpy's x ** r
-        need not round as libm pow does, so a reported value comes from
-        value."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = lhs / (self.weight * rhs_raw)
-            out = np.sqrt(x) if self.root is None else x ** self.root
-            out = np.where((rhs_raw > 0) & np.isfinite(out), out, 0.0)
-        self._bounded(out.max())
-        return out
-
-    def _bounded(self, value):
         if value > self.ceiling:
             raise InvariantViolationError(
                 f"{value} exceeds its ceiling {self.ceiling} at n={self.n}, "
                 f"{self.family} shift {self.amount}")
-        return value
+        return value, False
 
 
 def _gamma_ratio(n: int, m: int, p: float, q: float) -> _Ratio:
@@ -328,10 +315,11 @@ def _bit_rows(start: int, stop: int, width: int) -> np.ndarray:
     return np.unpackbits(idx, axis=1, bitorder="little")[:, :width]
 
 
-def _xor_sides(witnesses: np.ndarray, table: np.ndarray,
-               n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per 0/1 witness row into the unit two-point space, its means over the
-    first n shift rows of table and over the others, each added in row order.
+def _xor_sides(witnesses: np.ndarray, table: np.ndarray, n: int,
+               divisor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per 0/1 witness row, its xor counts over the N points, each divided by
+    divisor (N gives the means into the unit two-point space), added over
+    the first n shift rows of table and over the others, in row order.
     Each block of rows is transposed to (N, W) bit planes, whose rows gathered
     by each shift are xored with them and counted over the leading point
     axis. A block gathers at most SHIFT_BLOCK_ELEMENTS entries (or one row)."""
@@ -345,7 +333,7 @@ def _xor_sides(witnesses: np.ndarray, table: np.ndarray,
             xor = np.take(planes, table[s0:s0 + s_step], axis=0)
             xor ^= planes
             counts = xor.sum(axis=1, dtype=np.min_scalar_type(N))  # each <= N
-            for s, means in enumerate(counts / N, s0):
+            for s, means in enumerate(counts / divisor, s0):
                 (lhs if s < n else rhs)[w0:w0 + w_step] += means
     return lhs, rhs
 
@@ -353,11 +341,12 @@ def _xor_sides(witnesses: np.ndarray, table: np.ndarray,
 @functools.lru_cache(maxsize=4)
 def _two_point_sides(n: int, m: int, family: str,
                      amount: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only _xor_sides of every two-point witness on Z_m^n, by index;
-    they do not depend on the exponents, so one enumeration serves all."""
+    """Read-only xor count sums (_xor_sides at divisor 1) of every two-point
+    witness on Z_m^n, by index; they depend on neither the gap nor the
+    exponents, so one enumeration serves all."""
     dom = TorusDomain(n=n, m=m)
     sides = _xor_sides(_bit_rows(0, 2**dom.points, dom.points),
-                       family_table(dom, family, amount), n)
+                       family_table(dom, family, amount), n, 1)
     for side in sides:
         side.setflags(write=False)
     return sides
@@ -372,57 +361,49 @@ def _codomain_size(space) -> int:
 
 
 def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
-               budget: int) -> tuple[float, float, float, GridFunction]:
-    """(lhs, rhs_raw, value, witness) of the best of every map dom -> space,
-    the first index winning ties.
+               budget: int) -> GridFunction:
+    """The best of every map dom -> space by _scorer's rule, the first index
+    winning ties.
 
-    The unit two-point space enumerates the bit tables of the witness
-    indices on bit planes (point 0 the lowest bit); any other space
-    enumerates assignments in mixed radix (point 0 the highest digit),
-    summed by row_sides. Past budget witnesses (K^N formed only below its
-    bit length) or require_budget, it raises BudgetExceededError."""
+    A two-point space enumerates the bit tables of the witness indices on
+    bit planes (point 0 the lowest bit), whose cached xor count sums
+    _quotient ranks as _scorer's exact scores do; any other space enumerates
+    assignments in mixed radix (point 0 the highest digit), scored by
+    _scorer a chunk at a time. Past budget witnesses (K^N formed only below
+    its bit length) or require_budget, it raises BudgetExceededError."""
     N, K = dom.points, _codomain_size(space)
     count = K**N if K < 2 or N < budget.bit_length() else budget + 1
     if count > budget:
         raise BudgetExceededError(f"{K}^{N} witnesses exceed budget {budget}")
     work = count * (ratio.n + ratio.patterns) * N  # witness-shift-points
-    bits = K == 2 and float(space.dist[0, 1]) == 1.0
-    if bits:  # 52 bytes a witness, and four cached pairs of sides
+    if K == 2:  # 52 bytes a witness, and four cached pairs of sides
         require_budget(f"{count} two-point witnesses", 116 * count, XOR_SECONDS * work)
-        lhs, rhs = _two_point_sides(dom.n, dom.m, ratio.family, ratio.amount)
-        rhs = rhs / ratio.patterns
-    else:
-        # 2N + 9 int64/float64 entries a witness, 4 a block entry; 26 ns at (1,8)
-        require_budget(f"{count} witnesses", count * (16 * N + 72)
-                       + 32 * min(work, SHIFT_BLOCK_ELEMENTS), 30e-9 * work)
-        idx = np.arange(count, dtype=np.int64)
-        F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
-        table = ratio.table(dom)
-        sides = [ratio.row_sides(shift_energy_batch(
-            F[w0:w0 + WITNESS_CHUNK], space, table, ratio.p))
-            for w0 in range(0, len(F), WITNESS_CHUNK)]
-        lhs, rhs = (np.concatenate(side) for side in zip(*sides))
-    best = int(np.argmax(ratio.values(lhs, rhs)))
-    witness = _bit_rows(best, best + 1, N)[0] if bits else F[best]
-    lhs, rhs = float(lhs[best]), float(rhs[best])
-    return lhs, rhs, ratio.value(lhs, rhs)[0], GridFunction.points(dom, witness)
+        best = int(np.argmax(_quotient(*_two_point_sides(
+            dom.n, dom.m, ratio.family, ratio.amount))))
+        return GridFunction.points(dom, _bit_rows(best, best + 1, N)[0])
+    # 2N + 9 int64/float64 entries a witness, 4 a block entry; 26 ns at (1,8)
+    require_budget(f"{count} witnesses", count * (16 * N + 72)
+                   + 32 * min(work, SHIFT_BLOCK_ELEMENTS), 30e-9 * work)
+    idx = np.arange(count, dtype=np.int64)
+    F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
+    kernel, scores = _scorer(space, ratio, ratio.table(dom))
+    best = int(np.argmax(np.concatenate([scores(kernel(F[w0:w0 + WITNESS_CHUNK]))
+                                         for w0 in range(0, count, WITNESS_CHUNK)])))
+    return GridFunction.points(dom, F[best])
 
 
 def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
                                budget: int = TWO_POINT_BUDGET) -> CotypeReport:
     """Maximize gamma_hat over every map into the two-point space.
 
-    Enumerates all 2^(m^n) value tables, within budget. Distances into the
-    canonical two-point space are 0/1, so d^p is the xor of bit tables
-    and gamma_hat is scale-invariant in the two-point gap.
+    Enumerates all 2^(m^n) value tables, within budget, and reports the
+    winner's cotype_functionals. Distances into the canonical two-point
+    space are 0/1, so d^p is the xor of bit tables and gamma_hat is
+    scale-invariant in the two-point gap.
     """
-    ratio = _gamma_ratio(n, m, p, q)
-    lhs, rhs_raw, gamma_hat, witness = _enumerate(
-        two_point_space(), TorusDomain(n=n, m=m), ratio, budget)
-    return CotypeReport(
-        n=n, m=m, p=p, q=q, lhs=lhs, rhs_raw=rhs_raw, gamma_hat=gamma_hat,
-        degenerate=rhs_raw <= 0, mode="exact", witness=witness,
-    )
+    space = two_point_space()
+    witness = _enumerate(space, TorusDomain(n=n, m=m), _gamma_ratio(n, m, p, q), budget)
+    return replace(cotype_functionals(witness, space, p, q), budget=None, witness=witness)
 
 
 def expected_random_gamma(n: int, m: int, p: float, q: float) -> float:
@@ -441,10 +422,9 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
     """Monte-Carlo comparison of random two-point witnesses with the formula.
 
     Estimates E[lhs] and E[rhs_raw] over uniformly random witnesses,
-    WITNESS_CHUNK at a time, plugs the means into the gamma formula
+    WITNESS_CHUNK at a time, and plugs the means into the gamma formula
     (delta-method standard error, 0 when a mean side and so gamma_mc is
-    0), and also reports the mean of the per-witness gamma_hat values for
-    contrast. A standard error needs at least two trials.
+    0). A standard error needs at least two trials.
     """
     ratio = _gamma_ratio(n, m, p, q)
     if trials < 2:
@@ -462,7 +442,7 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
     for done in range(0, trials, WITNESS_CHUNK):
         k = min(WITNESS_CHUNK, trials - done)
         bits = rng.integers(0, 2, size=(k, N), dtype=np.int64).astype(np.uint8)
-        L[done:done + k], R[done:done + k] = _xor_sides(bits, table, n)
+        L[done:done + k], R[done:done + k] = _xor_sides(bits, table, n, N)
     R /= ratio.patterns
 
     Lbar, Rbar = float(L.mean()), float(R.mean())
@@ -475,13 +455,10 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
         rel = vL / Lbar**2 + vR / Rbar**2 - 2.0 * cLR / (Lbar * Rbar)
         se = gamma_mc / p * math.sqrt(max(rel, 0.0))
 
-    gs = ratio.values(L, R)
     return {
         "gamma_mc": gamma_mc,
         "stderr": se,
         "formula": expected_random_gamma(n, m, p, q),
-        "mean_of_gammas": float(gs.mean()),
-        "mean_of_gammas_stderr": float(gs.std(ddof=1) / math.sqrt(trials)),
         "trials": trials,
         "seed": seed,
         "degenerate_count": int((R <= 0).sum()),
@@ -526,29 +503,57 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int) -> BReport:
                    b_hat=b_hat, degenerate=degenerate)
 
 
-def _exact_shift_sums(space, p: float, table: np.ndarray) -> ShiftSums | None:
-    """gridops.ShiftSums over the space's distances to the power p when its
-    means are exact, else None: every distance powered as the kernel powers
-    it is a non-negative integer, the powered table is symmetric with a zero
-    diagonal, and m^n times its largest entry stays below 2^53."""
-    dist_p = dist_power(space.dist, p)
-    if (np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
-            and np.array_equal(dist_p, dist_p.T) and not np.diagonal(dist_p).any()
-            and table.shape[1] * dist_p.max() < 2**53):
-        return ShiftSums(dist_p, table)
-    return None
+def _quotient(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs / rhs per row, -inf where rhs is 0. For non-negative integers
+    with a*d and c*b below 2^51, a/b > c/d gives a*d - b*c >= 1, a relative
+    gap of at least 1/(a*d) that no rounding closes, and equal ratios give
+    equal quotients: the quotients order and tie as the exact ratios do."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0, lhs / rhs, -math.inf)
+
+
+def _scorer(space, ratio: _Ratio, table: np.ndarray, sides=None):
+    """(kernel, scores) for a maximum of ratio over maps into space: kernel
+    gives a stack of tables' memos and moves them (gridops.ShiftSums's
+    interface), scores(memo) one float per row, -inf where degenerate.
+
+    Without sides, where the distance powers are non-negative integers,
+    symmetric with a zero diagonal, and table.size times the largest D is
+    below 2^26, the memos are ShiftSums's integer sums and a row scores
+    _quotient(lhs_sum, rhs_sum), in which the value is monotone: lhs_sum <=
+    n N D and rhs_sum <= (S - n) N D keep cross products below (S N D)^2 / 4.
+    A two-point space's powers are one gap's power times the xor, so it
+    scores by xor sums. Otherwise a memo is (lhs, rhs_raw) of sides(tables),
+    by default one shift_energy_batch call, and a row scores ratio.value."""
+    if sides is None:
+        dist_p = 1.0 - np.eye(2) if space.size == 2 else dist_power(space.dist, ratio.p)
+        if (np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
+                and np.array_equal(dist_p, dist_p.T) and not np.diagonal(dist_p).any()
+                and table.size * dist_p.max() < 2**26):
+            n = ratio.n
+            return ShiftSums(dist_p, table), lambda memo: _quotient(
+                memo[:, :n].sum(axis=1), memo[:, n:].sum(axis=1))
+
+        def sides(tables):
+            return ratio.row_sides(shift_energy_batch(tables, space, table, ratio.p))
+
+    def scores(memo):  # value takes Python floats, and powers with libm
+        return np.array([-math.inf if degenerate else value for value, degenerate
+                         in map(ratio.value, *memo.T.tolist())])
+
+    return _FullSides(sides), scores
 
 
 class _FullSides:
-    """gridops.ShiftSums's interface for tables that sides(table) evaluates
+    """gridops.ShiftSums's interface for tables that sides(tables) evaluates
     in full: a table's memo is its (lhs, rhs_raw), and a move evaluates the
-    moved table."""
+    moved tables."""
 
     def __init__(self, sides):
         self.sides = sides
 
     def __call__(self, tables: np.ndarray) -> np.ndarray:
-        return np.array(list(map(self.sides, tables)))
+        return np.column_stack(self.sides(tables))
 
     def move(self, tables: np.ndarray, memo, x: np.ndarray,
              b: np.ndarray) -> np.ndarray:
@@ -591,8 +596,8 @@ def _climb_chunk(tables: np.ndarray, rngs: list, steps: np.ndarray, K: int,
 
 def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
             budget: int, seed: int, initial_values, sides=None) -> np.ndarray:
-    """The best table of a hill climb of ratio.value over maps dom -> space,
-    a degenerate witness scoring -inf.
+    """The best table of a hill climb over maps dom -> space by _scorer's
+    scores (sides, when given, evaluates a stack of tables in full).
 
     Each restart spends m^n evaluations (at least 2) of the budget; provided
     starting witnesses occupy the leading restarts, and constant random
@@ -601,24 +606,11 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     draws of one climb after another, each climb drawn up front
     (_climb_chunk). The earliest restart wins ties; when
     every restart scores -inf, the first restart's table is returned.
-
-    A table's (lhs, rhs_raw) come from sides(table) when given, else from
-    gridops.ShiftSums where its sums are exact, else from one shift_energy
-    call: the floats of the full evaluation in each case.
     """
     if budget < 1:
         raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
-    N, K, table = dom.points, _codomain_size(space), ratio.table(dom)
-    kernel = None if sides else _exact_shift_sums(space, ratio.p, table)
-    exact = kernel is not None
-    if not exact:  # a table's memo is its (lhs, rhs_raw)
-        kernel = _FullSides(sides or (lambda v: ratio.sides(
-            shift_energy(v, space, table, ratio.p))))
-
-    def scores(memo):  # value takes Python floats, and powers with libm
-        lhs, rhs = ratio.row_sides(memo / N) if exact else memo.T
-        return np.array([-math.inf if degenerate else value for value, degenerate
-                         in map(ratio.value, lhs.tolist(), rhs.tolist())])
+    N, K = dom.points, _codomain_size(space)
+    kernel, scores = _scorer(space, ratio, ratio.table(dom), sides)
 
     def start(i, rng):
         if i < len(initial):
@@ -654,18 +646,18 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
     Reported value is a lower bound on the true supremum. Caller-supplied
     witnesses (value tables) join the restart pool, so the result is
     always >= their evaluated gamma_hat. A move is kept only when it
-    strictly raises gamma_hat, and the earliest restart wins ties; when
-    every witness met is degenerate, the first restart's witness is
-    reported with degenerate = True.
+    strictly raises the score of gamma_hat (_scorer), and the earliest
+    restart wins ties; when every witness met is degenerate, the first
+    restart's witness is reported with degenerate = True.
     """
     ratio = _gamma_ratio(n, m, p, q)
     dom = TorusDomain(n=n, m=m)
     sides = None
     if 3**n * dom.points > EPS_ENUM_BUDGET:  # the eps average is sampled
 
-        def sides(vals):
-            rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
-            return rep.lhs, rep.rhs_raw
+        def sides(tables):
+            return np.array([(rep.lhs, rep.rhs_raw) for rep in (cotype_functionals(
+                GridFunction.points(dom, v), space, p, q) for v in tables)]).T
 
     witness = GridFunction.points(dom, _search(
         space, dom, ratio, budget, seed, initial_witnesses, sides))
@@ -679,8 +671,9 @@ def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
     """Hill-climb b_hat over maps Z_m^n -> space; result stays <= 1.
 
     Same climb as gamma_search: budget >= 1 evaluations, strict
-    improvement, earliest restart wins ties, and the first restart's
-    witness, flagged degenerate, when no witness met is nondegenerate.
+    improvement of the score, earliest restart wins ties, and the first
+    restart's witness, flagged degenerate, when no witness met is
+    nondegenerate.
     """
     ratio = _b_ratio(n, m, ell)
     dom = TorusDomain(n=n, m=m)
@@ -772,12 +765,10 @@ def _sign_average(X: np.ndarray, p: float, norm: NormTarget) -> float:
 
 def exhaustive_b(space: FiniteMetricSpace, n: int, ell: int, m: int,
                  budget: int = TWO_POINT_BUDGET) -> BReport:
-    """Exact maximum of b_hat over all maps Z_m^n -> space (see _enumerate)."""
-    ratio = _b_ratio(n, m, ell)
-    lhs, rhs_raw, b_hat, witness = _enumerate(
-        space, TorusDomain(n=n, m=m), ratio, budget)
-    return BReport(n=n, m=m, ell=ell, lhs=lhs, rhs_raw=rhs_raw, b_hat=b_hat,
-                   degenerate=rhs_raw <= 0, mode="exact", witness=witness)
+    """Exact maximum of b_hat over all maps Z_m^n -> space (see _enumerate),
+    reported as the winner's b_functionals."""
+    witness = _enumerate(space, TorusDomain(n=n, m=m), _b_ratio(n, m, ell), budget)
+    return replace(b_functionals(witness, space, ell), witness=witness)
 
 
 def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,

@@ -85,16 +85,18 @@ def grid_to_torus(m: int, n: int, budget: int = 1 << 16) -> EmbeddingRecord:
     return distortion(mapping, source, target)
 
 
-def _profile_embedding(m: int, n: int, anchors) -> EmbeddingRecord:
+def _profile_embedding(m: int, n: int, eps: float | None = None) -> EmbeddingRecord:
     """x -> (d(x_j, a))_{j, a} in the sup-norm grid: the distances in
-    Z_{2m} of each coordinate to every anchor, the n coordinates' blocks
-    side by side, as a map of Z_{2m}^n."""
+    Z_{2m} of each coordinate to every anchor (every point of Z_{2m}, or
+    sparse_anchors(m, eps)), the n coordinates' blocks side by side, as a
+    map of Z_{2m}^n."""
     dom = TorusDomain(n=n, m=2 * m)
-    # three (N, n * anchors) int64 tables, and distortion's row blocks
+    k = 2 * m if eps is None else _anchor_count(eps)
+    # the anchors, three (N, n * k) int64 tables, and distortion's row blocks
     require_budget(f"a {dom.points}-point profile embedding",
-                   8 * dom.points * (3 * n * len(anchors) + 8 * ROW_BLOCK))
-    table = np.abs(np.arange(2 * m, dtype=np.int64)[:, None]
-                   - np.asarray(anchors, dtype=np.int64)[None, :])
+                   8 * k + 8 * dom.points * (3 * n * k + 8 * ROW_BLOCK))
+    anchors = np.arange(2 * m) if eps is None else sparse_anchors(m, eps)
+    table = np.abs(np.arange(2 * m, dtype=np.int64)[:, None] - anchors[None, :])
     np.minimum(table, 2 * m - table, out=table)  # (2m, anchors)
     coords = dom.coords()
     vectors = np.concatenate([table[coords[:, j]] for j in range(n)], axis=1)
@@ -108,7 +110,13 @@ def frechet_cycle(m: int) -> EmbeddingRecord:
     Coordinate a realizes the distance of the pair {x, y} whenever
     a = y, so the sup equals the cycle distance: distortion exactly 1.
     """
-    return _profile_embedding(m, 1, np.arange(2 * m))
+    return _profile_embedding(m, 1)
+
+
+def _anchor_count(eps: float) -> int:
+    if not 0 < eps <= 1:
+        raise PreconditionViolationError(f"eps must lie in (0, 1], got {eps}")
+    return math.ceil(1.0 / eps) + 1
 
 
 def sparse_anchors(m: int, eps: float) -> np.ndarray:
@@ -119,17 +127,15 @@ def sparse_anchors(m: int, eps: float) -> np.ndarray:
     is fixed by a reflection and would collide x with 2m-x: it uses
     {0, floor(2m/3)} instead.
     """
-    if not 0 < eps <= 1:
-        raise PreconditionViolationError(f"eps must lie in (0, 1], got {eps}")
-    T = math.ceil(1.0 / eps)
-    if T == 1:
+    k = _anchor_count(eps)
+    if k == 2:
         return np.array([0, (2 * m) // 3], dtype=np.int64)
-    return 2 * m * np.arange(T + 1, dtype=np.int64) // (T + 1)
+    return 2 * m * np.arange(k, dtype=np.int64) // k
 
 
 def sparse_frechet_cycle(m: int, eps: float) -> EmbeddingRecord:
     """Distance profile against a sparse anchor set; distortion <= 1+6 eps."""
-    return _profile_embedding(m, 1, sparse_anchors(m, eps))
+    return _profile_embedding(m, 1, eps)
 
 
 def torus_to_grid_full(m: int, n: int) -> EmbeddingRecord:
@@ -138,7 +144,7 @@ def torus_to_grid_full(m: int, n: int) -> EmbeddingRecord:
     Z_{2m}^n lands in the sup-norm grid of dimension 2mn; the sup over
     the n blocks recovers the torus metric coordinate by coordinate.
     """
-    return _profile_embedding(m, n, np.arange(2 * m))
+    return _profile_embedding(m, n)
 
 
 def _require_extraction_scale(s: int, m: int) -> None:

@@ -199,6 +199,23 @@ def test_a_sparse_profile_of_a_million_anchors_is_refused(capsys):
     assert err.count("\n") == 1
 
 
+def test_ten_billion_sparse_anchors_are_refused_before_they_exist(capsys):
+    # 8 points by 10^10 + 1 anchors: the anchors alone would take 74.5 GiB
+    code, out, err = _run(capsys, ["embed", "sparse", "--m", "4",
+                                   "--eps", "0.0000000001"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: a 8-point profile embedding needs ")
+    assert err.count("\n") == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="^a 8-point profile"):
+            sparse_frechet_cycle(4, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_a_hilbert_scan_of_600_million_multisets_is_refused(capsys):
     code, out, err = _run(capsys, ["gamma-hilbert", "--n", "16", "--m", "32"])
     assert code == 2 and out == ""

@@ -130,9 +130,6 @@ class TestCotypeFunctionals:
         for ratio in (cotype._gamma_ratio(2, 6, 2.0, 2.0), cotype._b_ratio(2, 6, 2)):
             for lhs, rhs in ((math.inf, math.inf), (math.inf, 1.0), (math.nan, 1.0)):
                 assert ratio.value(lhs, rhs) == (0.0, True)
-            got = ratio.values(np.array([math.inf, math.inf, 1.0]),
-                               np.array([math.inf, 1.0, 1e3]))
-            assert got[:2].tolist() == [0.0, 0.0] and 0 < got[2] < 1
 
     def test_report_serialization(self):
         dom = TorusDomain(n=1, m=4)
@@ -261,7 +258,6 @@ class TestRandomWitnesses:
     def test_mc_with_a_zero_mean_side(self, m, seed, degenerate):
         out = random_two_point_mc(1, m, 2.0, 2.0, trials=2, seed=seed)
         assert out["gamma_mc"] == out["stderr"] == 0.0
-        assert out["mean_of_gammas"] == out["mean_of_gammas_stderr"] == 0.0
         assert out["degenerate_count"] == degenerate
         assert out["formula"] == expected_random_gamma(1, m, 2.0, 2.0)
 

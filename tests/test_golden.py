@@ -15,7 +15,9 @@ sampled check commands, a bound and a sparse embedding from before the
 command line was built from one parameter table, and the cotype suite,
 an exact b-quantity, an exact two-point gamma and the Frechet cycle from
 before gamma and b-hat shared one ratio record, scorer and enumerator
-and the cycle embeddings one profile helper. Commands run from
+and the cycle embeddings one profile helper, and two exact b-quantities
+on two-point spaces at gaps 2 and 0.3 (their changed witnesses and the
+gap-0.3 value's last bits are argued in CHANGES.md). Commands run from
 the tests directory, so the --space paths in the reports are relative.
 Runtime goes to stderr, so stdout is byte-stable. A difference here is a
 behaviour change: argue for it in CHANGES.md instead of re-freezing the
@@ -85,6 +87,14 @@ CASES = {
         ["gamma-exhaustive", "--n", "2", "--m", "4", "--q", "4"],
     "embed_frechet_m8.json":
         ["embed", "frechet", "--m", "8"],
+    # two-point spaces at gaps 2 and 0.3 on bit planes, frozen before the
+    # enumeration took them from mixed radix and ranked by exact ratios
+    "bq_exhaustive_gap2_n1_m12_ell4.json":
+        ["bq", "--n", "1", "--m", "12", "--ell", "4", "--exhaustive",
+         "--space", "data/gap2_space.json"],
+    "bq_exhaustive_gap03_n1_m12_ell4.json":
+        ["bq", "--n", "1", "--m", "12", "--ell", "4", "--exhaustive",
+         "--space", "data/gap03_space.json"],
 }
 
 

@@ -271,19 +271,6 @@ def old_b(lhs, rhs, n, ell):
     return finite(math.sqrt(lhs / (ell**2 * n * rhs)))
 
 
-def old_gammas(lhs, rhs, n, m, p, q):
-    weight = m**p * n ** (1.0 - p / q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (lhs / (weight * rhs)) ** (1.0 / p)
-        return np.where((rhs > 0) & np.isfinite(out), out, 0.0)
-
-
-def old_bs(lhs, rhs, n, ell):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sqrt(lhs / (ell**2 * n * rhs))
-        return np.where((rhs > 0) & np.isfinite(out), out, 0.0)
-
-
 SIDES = st.lists(st.tuples(
     st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False)),
     st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False))),
@@ -298,9 +285,6 @@ def test_gamma_ratio_matches_the_old_formula(sides, n, m, p, q):
     ratio = cotype._gamma_ratio(n, m, p, q)
     for lhs, rhs in sides:
         assert ratio.value(lhs, rhs) == old_gamma(lhs, rhs, n, m, p, q)
-    lhs, rhs = np.array(sides).T
-    got = ratio.values(lhs, rhs)
-    assert got.tobytes() == old_gammas(lhs, rhs, n, m, p, q).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,13 +302,6 @@ def test_b_ratio_matches_the_old_formula_and_ceiling(sides, n, m, ell):
                 ratio.value(lhs, rhs)
         else:
             assert ratio.value(lhs, rhs) == want
-    lhs, rhs = np.array(sides).T
-    want = old_bs(lhs, rhs, n, ell)
-    if want.max() > ceiling:
-        with pytest.raises(InvariantViolationError):
-            ratio.values(lhs, rhs)
-    else:
-        assert ratio.values(lhs, rhs).tobytes() == want.tobytes()
 
 
 def test_ratio_roots_keep_their_rounding():
@@ -406,7 +383,7 @@ def test_exhaustive_b_matches_reference():
         dom = TorusDomain(n=n, m=m)
         for space in (two_point_space(), CYCLE5):
             rep = exhaustive_b(space, n, ell, m)
-            best = -1.0
+            best = None
             for idx in range(space.size**dom.points):
                 if space.size == 2:  # bit tables: point 0 is the lowest bit
                     digits = [(idx >> k) & 1 for k in range(dom.points)]
@@ -416,8 +393,9 @@ def test_exhaustive_b_matches_reference():
                 f = GridFunction.points(dom, digits)
                 lhs = ref_axis_sum(f, space, ell, 2.0)
                 rhs = ref_pattern_sum(f, space, sign_patterns(n), 2.0) / 2**n
-                b_hat = math.sqrt(lhs / (ell**2 * n * rhs)) if rhs > 0 else 0.0
-                if b_hat > best:
+                # a degenerate witness ranks below a zero value
+                b_hat = math.sqrt(lhs / (ell**2 * n * rhs)) if rhs > 0 else -math.inf
+                if best is None or b_hat > best:
                     best, at = b_hat, (lhs, rhs, digits)
             assert (rep.b_hat, rep.lhs, rep.rhs_raw) == (best, at[0], at[1])
             assert list(rep.witness.values) == at[2]

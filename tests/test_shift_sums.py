@@ -6,17 +6,22 @@ tables, and of the tables one point move away, from the sums before the
 move. Every sum below is compared with == (tobytes() for arrays) against a
 full shift_sums pass over the edited table, and every score against the
 full kernel. Each search is compared with the sequential oracle below:
-one restart after another through gridops.climb, cotype_functionals /
-b_functionals scoring every step. The searches fall back to full
-evaluation when the sums could round: non-integer distances, non-integer
-powers and the sampled eps average.
+one restart after another through gridops.climb, scoring every step by
+the exact ratio of integer side sums (a Fraction of Python ints) where
+the distance powers are integers, else by the cotype_functionals /
+b_functionals value. The searches fall back to full evaluation when the
+sums could round: non-integer distances, non-integer powers and the
+sampled eps average.
 """
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotypelab import (
     GridFunction,
@@ -38,6 +43,7 @@ from cotypelab.gridops import (
     random_point_values,
     shift_energy,
     shift_sums,
+    shift_table,
 )
 from cotypelab.spaces import require_indices, validate_metric
 
@@ -131,8 +137,8 @@ def test_search_scores_equal_the_reports(name, p, q):
     for n, m in ((1, 2), (2, 2), (2, 4), (2, 6)):
         dom = TorusDomain(n=n, m=m)
         ratio = cotype._gamma_ratio(n, m, p, q)
-        kernel = cotype._exact_shift_sums(space, p, family_table(dom, "edges", m // 2))
-        assert kernel is not None
+        kernel, _ = cotype._scorer(space, ratio, family_table(dom, "edges", m // 2))
+        assert isinstance(kernel, ShiftSums)
         rng = np.random.default_rng([n, m, int(p), int(q)])
         for (lhs, rhs), tables in block_scores(ratio, kernel, rng, dom.points,
                                                space.size, 15):
@@ -149,7 +155,8 @@ def test_b_scores_equal_the_reports(name, ell):
     for n, m in ((1, 2), (2, 4), (3, 2)):
         dom = TorusDomain(n=n, m=m)
         ratio = cotype._b_ratio(n, m, ell)
-        kernel = cotype._exact_shift_sums(space, 2.0, family_table(dom, "signs", ell))
+        kernel, _ = cotype._scorer(space, ratio, family_table(dom, "signs", ell))
+        assert isinstance(kernel, ShiftSums)
         rng = np.random.default_rng([n, m, ell])
         for (lhs, rhs), tables in block_scores(ratio, kernel, rng, dom.points,
                                                space.size, 15):
@@ -210,10 +217,38 @@ def sequential_climb(dom, codomain_size, score, budget, seed, initial_values=())
     return best
 
 
+def integer_powers(space, p):
+    """The distance powers as Python ints (a two-point space's: the xor),
+    or None when one is no integer."""
+    if space.size == 2:
+        return [[0, 1], [1, 0]]
+    powers = [[float(d) ** p for d in row] for row in space.dist.tolist()]
+    if all(x == int(x) for row in powers for x in row):
+        return [[int(x) for x in row] for row in powers]
+    return None
+
+
+def exact_ratio(vals, powers, dom, shifts, n):
+    """lhs_sum / rhs_sum as a Fraction (-inf when rhs_sum is 0): the integer
+    powers summed over the points of the n long shifts and of the others."""
+    v = vals.tolist()
+    sums = [sum(powers[v[y]][v[x]] for x, y in enumerate(row.tolist()))
+            for row in shift_table(dom, shifts)]
+    lhs, rhs = sum(sums[:n]), sum(sums[n:])
+    return Fraction(lhs, rhs) if rhs else -math.inf
+
+
 def reference_gamma_search(space, n, m, p, q, budget, seed, initial=()):
     dom = TorusDomain(n=n, m=m)
+    powers = integer_powers(space, p)
+    if 3**n * dom.points > 1 << 22:  # a sampled eps average
+        powers = None
+    half = [[m // 2 * (i == j) for i in range(n)] for j in range(n)]
+    edges = half + [[x - 1 for x in e] for e in np.ndindex(*(3,) * n)]  # zero adds 0
 
     def score(vals):
+        if powers is not None:
+            return exact_ratio(vals, powers, dom, edges, n)
         rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
         return -math.inf if rep.degenerate else rep.gamma_hat
 
@@ -225,8 +260,13 @@ def reference_gamma_search(space, n, m, p, q, budget, seed, initial=()):
 
 def reference_b_search(space, n, ell, m, budget, seed, initial=()):
     dom = TorusDomain(n=n, m=m)
+    powers = integer_powers(space, 2.0)
+    long = [[ell * (i == j) for i in range(n)] for j in range(n)]
+    signs = long + [[2 * b - 1 for b in e] for e in np.ndindex(*(2,) * n)]
 
     def score(vals):
+        if powers is not None:
+            return exact_ratio(vals, powers, dom, signs, n)
         rep = b_functionals(GridFunction.points(dom, vals), space, ell)
         return -math.inf if rep.degenerate else rep.b_hat
 
@@ -296,6 +336,84 @@ def test_exact_search_runs_one_full_pass_per_chunk(monkeypatch):
     monkeypatch.setattr(cotype, "WITNESS_CHUNK", 10)
     gamma_search(two_point_space(), 2, 6, 2.0, 2.0, 2000, 1)
     assert calls == {"shift_energy": 1, "shift_sums": 6}
+
+
+# ------------------------------------------------------ the exact order
+
+SIDE = st.integers(0, 2**25)  # every cross product of two pairs below 2^50
+
+
+@st.composite
+def side_pairs(draw):
+    """(lhs, rhs) pairs of non-negative integers: independent ones, and
+    pairs of one ratio scaled by k, some nudged by one from that ratio."""
+    a, b = draw(SIDE), draw(SIDE)
+    pairs = [(a, b)]
+    for k in draw(st.lists(st.integers(1, 2**25 // max(a, b, 1)), max_size=3)):
+        nudge = draw(st.sampled_from((0, 1, -1))) if k * a > 0 else 0
+        pairs.append((k * a + nudge, k * b))
+    return pairs + draw(st.lists(st.tuples(SIDE, SIDE | st.just(0)), max_size=3))
+
+
+def exact(lhs, rhs):
+    return Fraction(lhs, rhs) if rhs else -math.inf
+
+
+@settings(max_examples=400, deadline=None)
+@given(side_pairs())
+def test_quotients_order_and_tie_as_the_exact_ratios(pairs):
+    lhs, rhs = np.array(pairs, dtype=np.float64).T
+    got = cotype._quotient(lhs, rhs).tolist()
+    want = [exact(a, b) for a, b in pairs]
+    for i in range(len(pairs)):
+        for j in range(len(pairs)):
+            assert (got[i] > got[j]) == (want[i] > want[j])
+            assert (got[i] == got[j]) == (want[i] == want[j])
+    assert int(np.argmax(got)) == want.index(max(want))
+
+
+def test_quotients_separate_ratios_one_unit_apart():
+    # near the bound, ratios one unit apart stay apart and equal ones tie
+    a, b = 2**25 - 1, 2**25 - 3
+    lhs = np.array([a, a + 1, 2 * a, 2 * a - 1], dtype=np.float64)
+    rhs = np.array([b, b, 2 * b, 2 * b], dtype=np.float64)
+    q = cotype._quotient(lhs, rhs)
+    assert q[1] > q[0] == q[2] > q[3]
+
+
+ENUMERATED = [  # (space, ratio, n, m): every witness ranked in Python
+    (two_point_space(0.3), "b", 1, 12),  # bit planes at a non-integer gap
+    (two_point_space(2.0), "gamma", 2, 2),
+    (SPACES["path3"], "b", 1, 6),  # mixed radix
+    (SPACES["path3"], "gamma", 1, 6),
+    (validate_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), "gamma", 2, 2),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ENUMERATED)))
+def test_an_enumeration_reports_the_first_exact_maximiser(case):
+    space, kind, n, m = ENUMERATED[case]
+    dom, K = TorusDomain(n=n, m=m), space.size
+    if kind == "b":
+        ratio = cotype._b_ratio(n, m, 4 if m > 4 else 2)
+        shifts = [[ratio.amount * (i == j) for i in range(n)] for j in range(n)] + \
+            [[2 * b - 1 for b in e] for e in np.ndindex(*(2,) * n)]
+    else:
+        ratio = cotype._gamma_ratio(n, m, 1.0, 2.0)
+        shifts = [[m // 2 * (i == j) for i in range(n)] for j in range(n)] + \
+            [[x - 1 for x in e] for e in np.ndindex(*(3,) * n)]
+    powers = integer_powers(space, ratio.p)
+    witnesses = []
+    for idx in range(K**dom.points):
+        if K == 2:  # bit tables: point 0 is the lowest bit
+            digits = [(idx >> k) & 1 for k in range(dom.points)]
+        else:  # mixed radix: point 0 is the highest digit
+            digits = [(idx // K**k) % K for k in range(dom.points - 1, -1, -1)]
+        witnesses.append(np.array(digits))
+    scores = [exact_ratio(w, powers, dom, shifts, n) for w in witnesses]
+    first = scores.index(max(scores))
+    got = cotype._enumerate(space, dom, ratio, 1 << 20)
+    assert got.values.tolist() == witnesses[first].tolist()
 
 
 # ------------------------------------------- lockstep against the oracle

@@ -113,13 +113,17 @@ def roll_cancellation(f, target, k, p, eps):
 UNIT_TWO_POINT = SimpleNamespace(pairwise=np.bitwise_xor)  # 0/1 tables
 
 
-def side_sums_sides(witnesses, table, n):
-    """The two-point (lhs, rhs_raw) through the general kernel, as the
-    mixed-radix enumeration sums them: row_sides of shift_energy_batch with
-    an xor per entry, over one edge pattern so rhs_raw stays undivided."""
+def side_sums_sides(witnesses, table, n, divisor):
+    """The two-point sides through the general kernels, added as row_sides
+    adds them, over one edge pattern so the rhs stays undivided: at divisor
+    N the means of shift_energy_batch with an xor per entry, else the
+    integer xor sums of shift_sums divided by divisor."""
     ratio = cotype._Ratio(n, "", 0, 1.0, 1, 1.0, 1.0)
+    if divisor == witnesses.shape[1]:
+        return ratio.row_sides(
+            gridops.shift_energy_batch(witnesses, UNIT_TWO_POINT, table, 1.0))
     return ratio.row_sides(
-        gridops.shift_energy_batch(witnesses, UNIT_TWO_POINT, table, 1.0))
+        gridops.shift_sums(witnesses, 1.0 - np.eye(2), table) / divisor)
 
 
 def rand_vec(dom, d, rng):
@@ -219,13 +223,19 @@ def test_signed_sum_matches_the_tensordot():
 
 @pytest.mark.parametrize("n,m", [(4, 2), (2, 4), (1, 20), (1, 18), (3, 2)])
 def test_bit_plane_sides_match_side_sums(n, m):
+    # the cached enumeration holds integer counts (divisor 1), and at
+    # divisor N the same planes give the means of the general kernel
     dom = TorusDomain(n=n, m=m)
     rows = cotype._bit_rows(0, 2**dom.points, dom.points)
     families = [("edges", m // 2)] + [("signs", 2)] * (dom.points <= 16)
     for family, amount in families:
         table = family_table(dom, family, amount)
         got = cotype._two_point_sides(n, m, family, amount)
-        want = side_sums_sides(rows, table, n)
+        want = side_sums_sides(rows, table, n, 1)
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+        assert all(np.array_equal(s, np.round(s)) for s in got)
+        got = cotype._xor_sides(rows, table, n, dom.points)
+        want = side_sums_sides(rows, table, n, dom.points)
         assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
@@ -236,17 +246,25 @@ def test_bit_plane_blocks_do_not_change_values(monkeypatch, cap):
     rows = np.random.default_rng(cap).integers(0, 2, (333, dom.points),
                                                dtype=np.uint8)
     table = family_table(dom, "edges", 3)
-    want = side_sums_sides(rows, table, 2)
+    want = [side_sums_sides(rows, table, 2, d) for d in (1, dom.points)]
     monkeypatch.setattr(cotype, "SHIFT_BLOCK_ELEMENTS", cap)
-    got = cotype._xor_sides(rows, table, 2)
-    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+    for divisor, sides in zip((1, dom.points), want):
+        got = cotype._xor_sides(rows, table, 2, divisor)
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in sides]
 
 
 @pytest.mark.parametrize("n,m,trials", [(2, 4, 5000), (2, 10, 5000), (1, 2, 7)])
 def test_random_two_point_mc_matches_side_sums(monkeypatch, n, m, trials):
     got = random_two_point_mc(n, m, 2.0, 2.0, trials, 13)
-    monkeypatch.setattr(cotype, "_xor_sides", side_sums_sides)
+    divisors = []
+
+    def means(witnesses, table, n, divisor):
+        divisors.append(divisor)
+        return side_sums_sides(witnesses, table, n, divisor)
+
+    monkeypatch.setattr(cotype, "_xor_sides", means)
     assert got == random_two_point_mc(n, m, 2.0, 2.0, trials, 13)
+    assert set(divisors) == {m**n}
 
 
 def test_bit_plane_temporaries_stay_within_a_block():
@@ -261,7 +279,7 @@ def test_bit_plane_temporaries_stay_within_a_block():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        lhs, rhs = cotype._xor_sides(rows, table, dom.n)
+        lhs, rhs = cotype._xor_sides(rows, table, dom.n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
