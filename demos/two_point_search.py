@@ -2,9 +2,10 @@
 """Exhaustive versus searched versus random two-point witnesses.
 
 Maps into the two-point space are subsets of the torus, so tiny
-instances can be enumerated outright. The hill-climb search only ever
-reports a lower bound; random witnesses concentrate near a closed-form
-mean. All three views are printed side by side.
+instances can be enumerated outright. A search enumerates too while the
+2^(m^n) maps fit its budget; past it, the hill climb only reports a lower
+bound. Random witnesses concentrate near a closed-form mean. All three
+views are printed side by side.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from cotypelab import (
 )
 
 CELLS = [(1, 2), (1, 4), (2, 2), (2, 4), (1, 6)]
+BUDGET = 400
+CLIMBED = [(1, 10), (1, 12), (2, 4), (1, 16)]  # 2^(m^n) maps past BUDGET
 
 
 def main() -> None:
@@ -29,10 +32,10 @@ def main() -> None:
         mask = "".join(str(int(v)) for v in rep.witness.values)
         print(f"  n={n} m={m}   gamma = {rep.gamma_hat:.12f}   f = {mask}")
 
-    print("\nhill-climb lower bounds against the enumerated truth")
-    for n, m in CELLS:
+    print(f"\nhill-climb lower bounds ({BUDGET} evaluations) against the enumerated truth")
+    for n, m in CLIMBED:
         truth = gamma_exhaustive_two_point(n, m, 2.0, 2.0).gamma_hat
-        found = gamma_search(space, n, m, 2.0, 2.0, budget=400, seed=0).gamma_hat
+        found = gamma_search(space, n, m, 2.0, 2.0, budget=BUDGET, seed=0).gamma_hat
         gap = truth - found
         print(f"  n={n} m={m}   search {found:.12f}   truth {truth:.12f}   gap {gap:.2e}")
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .checks import CSV_COLUMNS, InequalityCheck, check_order
 from .cotype import (
+    DEFAULT_BUDGET,
     b_quantity_search,
     exhaustive_b,
     gamma_exhaustive_two_point,
@@ -57,8 +58,6 @@ from .spaces import (
     two_point_space,
 )
 from .verify import SUITES, run_suite
-
-DEFAULT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -273,7 +272,7 @@ def _embed(cfg: ExperimentConfig, kind, m, n, eps):
     elif kind == "sparse":
         rec = sparse_frechet_cycle(m, eps)
     else:
-        rec = grid_to_torus(m, n, budget=cfg.budget)
+        rec = grid_to_torus(m, n)
     return rec.to_json_dict(), [], "exact"
 
 
@@ -360,7 +359,7 @@ TABLE = {c.name: c for c in (
     Command("embed", "reference embeddings and their records", _embed,
             (_kind("frechet", "sparse", "grid-torus"), M,
              Param("n", required="grid-torus"),
-             Param("eps", float, required="sparse")), ("budget",)),
+             Param("eps", float, required="sparse"))),
     Command("extract-grid", "grid extraction from the identity witness",
             _extract_grid, (N, M, Param("s", required=True))),
     Command("moduli-check", "net-moduli obstruction on random maps",

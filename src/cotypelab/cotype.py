@@ -61,7 +61,7 @@ from .spaces import (FiniteMetricSpace, TorusDomain, require_budget,
 from .targets import NormTarget, as_target
 
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
-TWO_POINT_BUDGET = 1 << 20
+DEFAULT_BUDGET = 1 << 20  # evaluations of a maximum: a witness enumerated or scored
 B_INVARIANT_TOL = 1e-9
 WITNESS_CHUNK = 4096  # witnesses, or climbing restarts, held at once
 XOR_SECONDS = 2e-9  # a witness-shift-point on bit planes: 1.3 ns at (1,20)
@@ -360,6 +360,12 @@ def _codomain_size(space) -> int:
     return space.size
 
 
+def _fits(K: int, N: int, budget: int) -> bool:
+    """Whether the K^N maps of N points into K points are within budget
+    evaluations, one a map; K^N is formed only below budget's bit length."""
+    return (K < 2 or N < budget.bit_length()) and K**N <= budget
+
+
 def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
                budget: int) -> GridFunction:
     """The best of every map dom -> space by _scorer's rule, the first index
@@ -369,12 +375,12 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     bit planes (point 0 the lowest bit), whose cached xor count sums
     _quotient ranks as _scorer's exact scores do; any other space enumerates
     assignments in mixed radix (point 0 the highest digit), scored by
-    _scorer a chunk at a time. Past budget witnesses (K^N formed only below
-    its bit length) or require_budget, it raises BudgetExceededError."""
+    _scorer a chunk at a time. Past budget witnesses (_fits) or
+    require_budget, it raises BudgetExceededError."""
     N, K = dom.points, _codomain_size(space)
-    count = K**N if K < 2 or N < budget.bit_length() else budget + 1
-    if count > budget:
+    if not _fits(K, N, budget):
         raise BudgetExceededError(f"{K}^{N} witnesses exceed budget {budget}")
+    count = K**N
     work = count * (ratio.n + ratio.patterns) * N  # witness-shift-points
     if K == 2:  # 52 bytes a witness, and four cached pairs of sides
         require_budget(f"{count} two-point witnesses", 116 * count, XOR_SECONDS * work)
@@ -386,14 +392,14 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
                    + 32 * min(work, SHIFT_BLOCK_ELEMENTS), 30e-9 * work)
     idx = np.arange(count, dtype=np.int64)
     F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
-    kernel, scores = _scorer(space, ratio, ratio.table(dom))
+    kernel, scores = _scorer(space, ratio, dom)
     best = int(np.argmax(np.concatenate([scores(kernel(F[w0:w0 + WITNESS_CHUNK]))
                                          for w0 in range(0, count, WITNESS_CHUNK)])))
     return GridFunction.points(dom, F[best])
 
 
 def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
-                               budget: int = TWO_POINT_BUDGET) -> CotypeReport:
+                               budget: int = DEFAULT_BUDGET) -> CotypeReport:
     """Maximize gamma_hat over every map into the two-point space.
 
     Enumerates all 2^(m^n) value tables, within budget, and reports the
@@ -512,20 +518,22 @@ def _quotient(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.where(rhs > 0, lhs / rhs, -math.inf)
 
 
-def _scorer(space, ratio: _Ratio, table: np.ndarray, sides=None):
-    """(kernel, scores) for a maximum of ratio over maps into space: kernel
+def _scorer(space, ratio: _Ratio, dom: TorusDomain, sides=None):
+    """(kernel, scores) for a maximum of ratio over maps dom -> space: kernel
     gives a stack of tables' memos and moves them (gridops.ShiftSums's
     interface), scores(memo) one float per row, -inf where degenerate.
 
-    Without sides, where the distance powers are non-negative integers,
-    symmetric with a zero diagonal, and table.size times the largest D is
-    below 2^26, the memos are ShiftSums's integer sums and a row scores
-    _quotient(lhs_sum, rhs_sum), in which the value is monotone: lhs_sum <=
-    n N D and rhs_sum <= (S - n) N D keep cross products below (S N D)^2 / 4.
-    A two-point space's powers are one gap's power times the xor, so it
-    scores by xor sums. Otherwise a memo is (lhs, rhs_raw) of sides(tables),
-    by default one shift_energy_batch call, and a row scores ratio.value."""
+    Only without sides is table = ratio.table(dom) built. Then, where the
+    distance powers are non-negative integers, symmetric with a zero diagonal,
+    and table.size times the largest D is below 2^26, the memos are
+    ShiftSums's integer sums and a row scores _quotient(lhs_sum, rhs_sum), in
+    which the value is monotone: lhs_sum <= n N D and rhs_sum <= (S - n) N D
+    keep cross products below (S N D)^2 / 4. A two-point space's powers are
+    one gap's power times the xor, so it scores by xor sums. Otherwise a memo
+    is (lhs, rhs_raw) of sides(tables), by default one shift_energy_batch
+    call, and a row scores ratio.value."""
     if sides is None:
+        table = ratio.table(dom)
         dist_p = 1.0 - np.eye(2) if space.size == 2 else dist_power(space.dist, ratio.p)
         if (np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
                 and np.array_equal(dist_p, dist_p.T) and not np.diagonal(dist_p).any()
@@ -596,27 +604,31 @@ def _climb_chunk(tables: np.ndarray, rngs: list, steps: np.ndarray, K: int,
 
 def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
             budget: int, seed: int, initial_values, sides=None) -> np.ndarray:
-    """The best table of a hill climb over maps dom -> space by _scorer's
-    scores (sides, when given, evaluates a stack of tables in full).
+    """The best table of maps dom -> space by _scorer's scores: every map
+    (_enumerate, refusals standing) when sides is None and they fit budget
+    (_fits), else a hill climb (sides evaluates a stack of tables in full).
 
     Each restart spends m^n evaluations (at least 2) of the budget; provided
-    starting witnesses occupy the leading restarts, and constant random
+    starting witnesses, all checked, lead the restarts, and constant random
     starts are resampled. Restart i draws from child i of SeedSequence(seed)
     alone, so restarts climb in lockstep, WITNESS_CHUNK at a time, with the
     draws of one climb after another, each climb drawn up front
-    (_climb_chunk). The earliest restart wins ties; when
-    every restart scores -inf, the first restart's table is returned.
+    (_climb_chunk). The earliest restart wins ties; when every restart
+    scores -inf, the first restart's table is returned.
     """
     if budget < 1:
         raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
     N, K = dom.points, _codomain_size(space)
-    kernel, scores = _scorer(space, ratio, ratio.table(dom), sides)
+    initial = [GridFunction.points(dom, v).values for v in initial_values]
+    for vals in initial:
+        require_indices(vals, K)
+    if sides is None and _fits(K, N, budget):
+        return _enumerate(space, dom, ratio, budget).values
+    kernel, scores = _scorer(space, ratio, dom, sides)
 
     def start(i, rng):
         if i < len(initial):
-            vals = GridFunction.points(dom, initial[i]).values
-            require_indices(vals, K)
-            return vals
+            return initial[i]
         vals = random_point_values(dom, K, rng)
         while K > 1 and N > 1 and np.all(vals == vals[0]):
             vals = random_point_values(dom, K, rng)
@@ -624,7 +636,7 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
 
     per_restart = max(2, N)
     restarts = max(1, math.ceil(budget / per_restart))
-    seeds, initial = np.random.SeedSequence(seed), list(initial_values)
+    seeds = np.random.SeedSequence(seed)
     best_score, best = -math.inf, None
     for r0 in range(0, restarts, WITNESS_CHUNK):
         ri = np.arange(r0, min(r0 + WITNESS_CHUNK, restarts))
@@ -641,9 +653,10 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
 def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
                  budget: int, seed: int,
                  initial_witnesses=()) -> CotypeReport:
-    """Hill-climb gamma_hat over maps Z_m^n -> space (budget >= 1 evaluations).
+    """Maximize gamma_hat over maps Z_m^n -> space (budget >= 1 evaluations).
 
-    Reported value is a lower bound on the true supremum. Caller-supplied
+    Reported value is a lower bound on the true supremum, and exact when
+    the maps fit the budget and are enumerated (_search). Caller-supplied
     witnesses (value tables) join the restart pool, so the result is
     always >= their evaluated gamma_hat. A move is kept only when it
     strictly raises the score of gamma_hat (_scorer), and the earliest
@@ -668,9 +681,9 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
 def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
                       budget: int, seed: int,
                       initial_witnesses=()) -> BReport:
-    """Hill-climb b_hat over maps Z_m^n -> space; result stays <= 1.
+    """Maximize b_hat over maps Z_m^n -> space; result stays <= 1.
 
-    Same climb as gamma_search: budget >= 1 evaluations, strict
+    Same search as gamma_search: budget >= 1 evaluations, strict
     improvement of the score, earliest restart wins ties, and the first
     restart's witness, flagged degenerate, when no witness met is
     nondegenerate.
@@ -764,7 +777,7 @@ def _sign_average(X: np.ndarray, p: float, norm: NormTarget) -> float:
 
 
 def exhaustive_b(space: FiniteMetricSpace, n: int, ell: int, m: int,
-                 budget: int = TWO_POINT_BUDGET) -> BReport:
+                 budget: int = DEFAULT_BUDGET) -> BReport:
     """Exact maximum of b_hat over all maps Z_m^n -> space (see _enumerate),
     reported as the winner's b_functionals."""
     witness = _enumerate(space, TorusDomain(n=n, m=m), _b_ratio(n, m, ell), budget)
@@ -778,7 +791,7 @@ def tensor_submultiplicativity_check(space: FiniteMetricSpace, ell: int,
 
     Compares the exact maximum on Z_m^(ell k) at shift s t against the
     product of exact component maxima at (ell, s) and (k, t), each
-    enumeration within TWO_POINT_BUDGET witnesses; the tori refuse ell or
+    enumeration within DEFAULT_BUDGET witnesses; the tori refuse ell or
     k below 1.
     """
     comp1 = exhaustive_b(space, ell, s, m)
@@ -834,38 +847,28 @@ def m_parameter_experiment(space_or_norm, n: int, p: float, q: float,
     """Scan even m for the first value whose measured gamma meets the target.
 
     The codomain picks the evaluation. A norm target (None for l2) gets
-    the exact Hilbert constant, which needs p = q = 2 and l2. A 2-point
-    space whose largest scan has m_max^n <= 20 points is enumerated
-    exactly. Any other finite space is searched, which only produces
-    lower bounds, so its verdict is flagged as such. Raises
-    NotFoundError with the profile when no even m <= m_max qualifies.
+    the exact Hilbert constant, which needs p = q = 2 and l2. A finite
+    space goes through gamma_search, exact while the maps of a cell fit
+    budget (_fits) and a lower bound past it; K^(m^n) grows with m, so the
+    verdict is "exact" when the found cell fits. Raises NotFoundError with
+    the profile when no even m <= m_max qualifies.
     """
-    if isinstance(space_or_norm, FiniteMetricSpace):
-        space = space_or_norm
-        mode = "two-point" if space.size == 2 and m_max**n <= 20 else "search"
-    else:
-        hilbertian = space_or_norm is None or (
-            isinstance(space_or_norm, NormTarget) and space_or_norm.p == 2.0
-        )
+    space = space_or_norm
+    if not isinstance(space, FiniteMetricSpace):
+        hilbertian = space is None or (isinstance(space, NormTarget) and space.p == 2.0)
         if q != 2.0 or p != 2.0 or not hilbertian:
             raise PreconditionViolationError(
-                "hilbert mode computes the exact p = q = 2 constant of l2"
-            )
-        mode = "hilbert"
+                "hilbert mode computes the exact p = q = 2 constant of l2")
+        space = None
     profile = []
     for m in range(2, m_max + 1, 2):
-        if mode == "hilbert":
-            g, _ = gamma_hilbert_exact(n, m)
-            flag = "exact"
-        elif mode == "two-point":
-            g = gamma_exhaustive_two_point(n, m, p, q).gamma_hat
-            flag = "exact"
-        else:
-            g = gamma_search(space, n, m, p, q, budget, seed).gamma_hat
-            flag = "lower-bound"
+        g = gamma_hilbert_exact(n, m)[0] if space is None else \
+            gamma_search(space, n, m, p, q, budget, seed).gamma_hat
         profile.append((m, g))
         if g <= gamma_target:
-            return ScanResult(found_m=m, profile=profile, mode=flag)
+            exact = space is None or _fits(space.size, m**n, budget)
+            return ScanResult(found_m=m, profile=profile,
+                              mode="exact" if exact else "lower-bound")
     raise NotFoundError(
         f"no even m <= {m_max} reaches gamma <= {gamma_target}", profile
     )

@@ -70,14 +70,17 @@ class VSet:
         )
 
 
-def grid_to_torus(m: int, n: int, budget: int = 1 << 16) -> EmbeddingRecord:
+def grid_to_torus(m: int, n: int) -> EmbeddingRecord:
     """Inclusion of the grid {0..m}^n into the circumference-2m torus.
 
     Coordinate differences never exceed m, so the wrap-around metric
     agrees with the grid metric: distortion exactly 1.
     """
-    dom = TorusDomain(n=n, m=2 * m)
-    dom.require_points(budget)  # the torus has at least as many points as the grid
+    dom, points = TorusDomain(n=n, m=2 * m), (m + 1) ** n
+    # 16 bytes a coordinate (np.indices and its int64 copy), 8 a mapping entry
+    # and 8 float64 a distortion row-block entry; 1,150-1,450 a grid point traced
+    require_budget(f"a {points}-point grid in a {dom.points}-point torus",
+                   16 * n * (dom.points + points) + 8 * points * (1 + 8 * ROW_BLOCK))
     source_pts = grid_points(n, m)
     source = points_space(source_pts, math.inf)
     target = torus_space(dom)
@@ -116,7 +119,7 @@ def frechet_cycle(m: int) -> EmbeddingRecord:
 def _anchor_count(eps: float) -> int:
     if not 0 < eps <= 1:
         raise PreconditionViolationError(f"eps must lie in (0, 1], got {eps}")
-    return math.ceil(1.0 / eps) + 1
+    return math.ceil(min(1.0 / eps, 1e308)) + 1  # 1/eps is inf for a subnormal eps
 
 
 def sparse_anchors(m: int, eps: float) -> np.ndarray:

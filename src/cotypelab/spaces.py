@@ -203,12 +203,6 @@ class TorusDomain:
     def shape(self) -> tuple:
         return (self.m,) * self.n
 
-    def require_points(self, budget: int) -> None:
-        if self.points > budget:
-            raise BudgetExceededError(
-                f"domain has {self.points} points, budget is {budget}"
-            )
-
     def coords(self) -> np.ndarray:
         """All points as an (m^n, n) int array in linear-index order."""
         grids = np.indices(self.shape).reshape(self.n, self.points)

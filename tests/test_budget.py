@@ -24,6 +24,7 @@ from cotypelab import (
     extract_grid,
     frechet_cycle,
     gamma_exhaustive_two_point,
+    grid_to_torus,
     gamma_hilbert_exact,
     hilbert_gamma_power_iteration,
     load_metric_space,
@@ -105,6 +106,8 @@ BYTES_SITES = {
     "sparse-profile": (lambda m, eps: f"a {2 * m}-point profile embedding",
                        lambda m, eps: lambda: sparse_frechet_cycle(m, eps),
                        [(500, 0.01), (1000, 0.05)]),
+    "grid-torus": (lambda m, n: f"a {(m + 1) ** n}-point grid in a {(2 * m) ** n}-point torus",
+                   lambda m, n: lambda: grid_to_torus(m, n), [(10, 2), (10, 3)]),
     "random-mc": (lambda n, m, t: f"{t} random two-point witnesses",
                   lambda n, m, t: lambda: random_two_point_mc(n, m, 2.0, 2.0, t, 0),
                   [(2, 4, 1 << 16), (2, 16, 4096)]),
@@ -214,6 +217,14 @@ def test_ten_billion_sparse_anchors_are_refused_before_they_exist(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_subnormal_eps_is_refused_by_the_profile_estimate(capsys):
+    # 1 / 5e-324 is inf: ceil(1/eps) raised OverflowError, exit 1
+    code, out, err = _run(capsys, ["embed", "sparse", "--m", "4", "--eps", "5e-324"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: a 8-point profile embedding needs ")
+    assert err.count("\n") == 1
 
 
 def test_a_hilbert_scan_of_600_million_multisets_is_refused(capsys):

@@ -7,12 +7,10 @@ from pathlib import Path
 import pytest
 
 from cotypelab import (
-    BudgetExceededError,
     GridFunction,
     NotFoundError,
     TorusDomain,
     b_functionals,
-    grid_to_torus,
     load_metric_space,
 )
 from cotypelab.cli import (
@@ -183,19 +181,6 @@ def test_embed_commands(capsys):
                                      "--n", "2"])
     assert code == 0
     assert doc["results"]["distortion"] == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("budget", [2, 3])
-def test_grid_torus_budget_counts_torus_points(capsys, budget):
-    # the grid {0,1,2} has 3 points and its torus Z_4 has 4: both budgets
-    # are refused for the torus, with one error class
-    code, doc, err = run_main(capsys, ["embed", "grid-torus", "--m", "2",
-                                       "--n", "1", "--budget", str(budget)])
-    assert code == 2
-    assert doc is None
-    assert err == f"error: domain has 4 points, budget is {budget}\n"
-    with pytest.raises(BudgetExceededError):
-        grid_to_torus(2, 1, budget)
 
 
 def test_extract_grid_command(capsys):
@@ -635,6 +620,8 @@ def test_plot_odd_m_max_names_its_params_key(capsys, tmp_path):
     ["bounds", "shift-growth", "--n0", "4", "--ell0", "4", "--n", "10",
      "--budget", "5"],
     ["verify", "--suite", "harmonic", "--budget", "5"],
+    # --budget counts a maximum's evaluations, and embed runs none
+    ["embed", "grid-torus", "--m", "2", "--n", "1", "--budget", "3"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as ei:

@@ -542,6 +542,9 @@ def test_point_values_outside_the_codomain_are_refused(bad):
     f = GridFunction.points(TorusDomain(n=1, m=4), vals)
     for call in (lambda: gamma_search(sp, 1, 4, 2, 2, 1, 0, [vals]),
                  lambda: b_quantity_search(sp, 1, 2, 4, 1, 0, [vals]),
+                 # 2^4 maps fit a budget of 16: enumerated, the starts checked
+                 lambda: gamma_search(sp, 1, 4, 2, 2, 16, 0, [vals]),
+                 lambda: b_quantity_search(sp, 1, 2, 4, 16, 0, [vals]),
                  lambda: cotype_functionals(f, sp, 2, 2),
                  lambda: b_functionals(f, sp, 2),
                  # -1 would wrap to the last point, K be a bare IndexError
@@ -625,15 +628,35 @@ class TestMParameterExperiment:
         assert res.mode == "exact"
 
     def test_search_mode_flags_lower_bound(self):
+        # the found cell m = 2 has 3^2 maps into Z_3, one past the budget
         sp = torus_space(TorusDomain(n=1, m=3))
         res = m_parameter_experiment(sp, 1, 2.0, 2.0, 10.0, 4,
-                                     budget=100, seed=0)
+                                     budget=8, seed=0)
         assert res.found_m == 2
         assert res.mode == "lower-bound"
-        # a 2-point space past the enumeration cap m_max^n <= 20 is searched
+        # and 2^4 maps of Z_2^2 into a 2-point space
         res = m_parameter_experiment(two_point_space(), 2, 2.0, 2.0, 10.0, 6,
-                                     budget=100, seed=0)
+                                     budget=15, seed=0)
         assert res.mode == "lower-bound"
+
+    def test_search_mode_flags_exact_when_the_found_cell_fits(self):
+        sp = torus_space(TorusDomain(n=1, m=3))
+        res = m_parameter_experiment(sp, 1, 2.0, 2.0, 10.0, 4,
+                                     budget=9, seed=0)
+        assert (res.found_m, res.mode) == (2, "exact")
+        res = m_parameter_experiment(two_point_space(), 2, 2.0, 2.0, 10.0, 6,
+                                     budget=16, seed=0)
+        assert res.mode == "exact"
+        assert res.profile == [(2, gamma_exhaustive_two_point(2, 2, 2.0, 2.0).gamma_hat)]
+
+    def test_a_scan_climbs_past_its_budget(self):
+        # at the default 2000 evaluations, m <= 10 enumerates 2^m maps and
+        # m = 12 climbs; the found cell's flag is the lower bound's
+        res = m_parameter_experiment(two_point_space(), 1, 2.0, 2.0, 0.26, 20)
+        assert (res.found_m, res.mode) == (12, "lower-bound")
+        assert res.profile[:5] == [
+            (m, gamma_exhaustive_two_point(1, m, 2.0, 2.0).gamma_hat)
+            for m in range(2, 12, 2)]
 
     def test_not_found_carries_profile(self):
         with pytest.raises(NotFoundError) as ei:

@@ -29,12 +29,14 @@ from cotypelab import (
     b_functionals,
     b_quantity_search,
     cotype_functionals,
+    exhaustive_b,
     gamma_search,
     torus_space,
     two_point_space,
 )
 from cotypelab import cotype, gridops
-from cotypelab.errors import InvariantViolationError, PreconditionViolationError
+from cotypelab.errors import (BudgetExceededError, InvariantViolationError,
+                              PreconditionViolationError)
 from cotypelab.gridops import (
     ShiftSums,
     climb,
@@ -137,7 +139,7 @@ def test_search_scores_equal_the_reports(name, p, q):
     for n, m in ((1, 2), (2, 2), (2, 4), (2, 6)):
         dom = TorusDomain(n=n, m=m)
         ratio = cotype._gamma_ratio(n, m, p, q)
-        kernel, _ = cotype._scorer(space, ratio, family_table(dom, "edges", m // 2))
+        kernel, _ = cotype._scorer(space, ratio, dom)
         assert isinstance(kernel, ShiftSums)
         rng = np.random.default_rng([n, m, int(p), int(q)])
         for (lhs, rhs), tables in block_scores(ratio, kernel, rng, dom.points,
@@ -155,7 +157,7 @@ def test_b_scores_equal_the_reports(name, ell):
     for n, m in ((1, 2), (2, 4), (3, 2)):
         dom = TorusDomain(n=n, m=m)
         ratio = cotype._b_ratio(n, m, ell)
-        kernel, _ = cotype._scorer(space, ratio, family_table(dom, "signs", ell))
+        kernel, _ = cotype._scorer(space, ratio, dom)
         assert isinstance(kernel, ShiftSums)
         rng = np.random.default_rng([n, m, ell])
         for (lhs, rhs), tables in block_scores(ratio, kernel, rng, dom.points,
@@ -228,12 +230,12 @@ def integer_powers(space, p):
     return None
 
 
-def exact_ratio(vals, powers, dom, shifts, n):
+def exact_ratio(vals, powers, rows, n):
     """lhs_sum / rhs_sum as a Fraction (-inf when rhs_sum is 0): the integer
-    powers summed over the points of the n long shifts and of the others."""
+    powers summed over the points of the n long shifts and of the others,
+    rows being shift_table(dom, shifts).tolist()."""
     v = vals.tolist()
-    sums = [sum(powers[v[y]][v[x]] for x, y in enumerate(row.tolist()))
-            for row in shift_table(dom, shifts)]
+    sums = [sum(powers[v[y]][v[x]] for x, y in enumerate(row)) for row in rows]
     lhs, rhs = sum(sums[:n]), sum(sums[n:])
     return Fraction(lhs, rhs) if rhs else -math.inf
 
@@ -245,10 +247,11 @@ def reference_gamma_search(space, n, m, p, q, budget, seed, initial=()):
         powers = None
     half = [[m // 2 * (i == j) for i in range(n)] for j in range(n)]
     edges = half + [[x - 1 for x in e] for e in np.ndindex(*(3,) * n)]  # zero adds 0
+    rows = shift_table(dom, edges).tolist()
 
     def score(vals):
         if powers is not None:
-            return exact_ratio(vals, powers, dom, edges, n)
+            return exact_ratio(vals, powers, rows, n)
         rep = cotype_functionals(GridFunction.points(dom, vals), space, p, q)
         return -math.inf if rep.degenerate else rep.gamma_hat
 
@@ -263,10 +266,11 @@ def reference_b_search(space, n, ell, m, budget, seed, initial=()):
     powers = integer_powers(space, 2.0)
     long = [[ell * (i == j) for i in range(n)] for j in range(n)]
     signs = long + [[2 * b - 1 for b in e] for e in np.ndindex(*(2,) * n)]
+    rows = shift_table(dom, signs).tolist()
 
     def score(vals):
         if powers is not None:
-            return exact_ratio(vals, powers, dom, signs, n)
+            return exact_ratio(vals, powers, rows, n)
         rep = b_functionals(GridFunction.points(dom, vals), space, ell)
         return -math.inf if rep.degenerate else rep.b_hat
 
@@ -276,9 +280,10 @@ def reference_b_search(space, n, ell, m, budget, seed, initial=()):
                    seed=seed, budget=budget, witness=witness)
 
 
+# every cell has more maps than the budget of 400, so each search climbs
 EXACT_SEARCHES = [(SPACES[name], n, m, p, q) for name in sorted(SPACES)
                   for n, m, p, q in ((2, 4, 2.0, 2.0), (2, 6, 1.0, 2.0),
-                                     (1, 2, 2.0, 4.0), (3, 2, 1.0, 4.0))]
+                                     (1, 10, 2.0, 4.0), (3, 4, 1.0, 4.0))]
 FALLBACK_SEARCHES = [
     (UNEVEN, 2, 4, 2.0, 2.0),  # non-integer distances
     (SPACES["path3"], 2, 4, 1.5, 2.0),  # 2^1.5 is no integer
@@ -297,11 +302,18 @@ def test_gamma_search_matches_the_full_evaluation_climb(case):
 
 @pytest.mark.parametrize("space", [SPACES["torus16"], SPACES["path3"],
                                    SPACES["two-point"], UNEVEN, ONE_POINT])
-@pytest.mark.parametrize("n,ell,m", [(2, 2, 4), (2, 4, 4), (1, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("n,ell,m", [(2, 2, 4), (2, 4, 4), (1, 2, 2), (3, 2, 2),
+                                     (1, 2, 10), (3, 2, 4)])
 def test_b_search_matches_the_full_evaluation_climb(space, n, ell, m):
+    # where the K^(m^n) maps fit the budget of 300 (every cell of the
+    # one-point space, and the (1, 2, 2) and two-point (3, 2, 2) cells) the
+    # search enumerates them, and matches the exhaustive maximum instead
     start = np.arange(m**n) % space.size
     got = b_quantity_search(space, n, ell, m, 300, 7, [start])
-    want = reference_b_search(space, n, ell, m, 300, 7, [start])
+    if space.size ** m**n <= 300:
+        want = replace(exhaustive_b(space, n, ell, m, 300), seed=7, budget=300)
+    else:
+        want = reference_b_search(space, n, ell, m, 300, 7, [start])
     assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -317,6 +329,19 @@ def test_fallback_scores_with_the_full_evaluation(monkeypatch, search):
 
     monkeypatch.setattr(cotype, "ShiftSums", refuse)
     search()
+
+
+def test_the_sampled_search_builds_no_edge_table():
+    # the (3^5 + 5, 8^5) int64 edge table is 65 MB, and only the exact
+    # scorer reads it; the report's own sampled evaluation peaks near 44 MB
+    gridops.family_table.cache_clear()
+    tracemalloc.start()
+    try:
+        gamma_search(SPACES["two-point"], 5, 8, 2.0, 2.0, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
 
 
 def test_exact_search_runs_one_full_pass_per_chunk(monkeypatch):
@@ -410,15 +435,72 @@ def test_an_enumeration_reports_the_first_exact_maximiser(case):
         else:  # mixed radix: point 0 is the highest digit
             digits = [(idx // K**k) % K for k in range(dom.points - 1, -1, -1)]
         witnesses.append(np.array(digits))
-    scores = [exact_ratio(w, powers, dom, shifts, n) for w in witnesses]
+    rows = shift_table(dom, shifts).tolist()
+    scores = [exact_ratio(w, powers, rows, n) for w in witnesses]
     first = scores.index(max(scores))
     got = cotype._enumerate(space, dom, ratio, 1 << 20)
     assert got.values.tolist() == witnesses[first].tolist()
 
 
+# ------------------------------------- a search enumerates when it fits
+
+FITTING = [  # (space, n, m): every map of Z_m^n, by bit planes or mixed radix
+    (SPACES["two-point"], 1, 8),
+    (SPACES["two-point"], 2, 4),
+    (SPACES["path3"], 1, 6),  # integer sums
+    (UNEVEN, 1, 6),  # full evaluation
+]
+
+
+@pytest.mark.parametrize("case", range(len(FITTING)))
+def test_a_search_that_fits_reports_the_exhaustive_maximum(case):
+    space, n, m = FITTING[case]
+    dom, budget = TorusDomain(n=n, m=m), space.size ** m**n
+    got = gamma_search(space, n, m, 2.0, 2.0 + case, budget, 5)
+    best = cotype._enumerate(space, dom, cotype._gamma_ratio(n, m, 2.0, 2.0 + case),
+                             budget)
+    want = cotype_functionals(best, space, 2.0, 2.0 + case)
+    assert got.witness.values.tolist() == best.values.tolist()
+    assert (got.gamma_hat, got.lhs, got.rhs_raw) == \
+        (want.gamma_hat, want.lhs, want.rhs_raw)
+    got = b_quantity_search(space, n, 2, m, budget, 5)
+    want = exhaustive_b(space, n, 2, m, budget)
+    assert got.to_json_dict() == replace(want, seed=5, budget=budget).to_json_dict()
+
+
+def test_a_search_enumerates_at_k_to_the_n_and_climbs_one_below(monkeypatch):
+    calls = []
+    for name in ("_enumerate", "_climb_chunk"):
+        real = getattr(cotype, name)
+        monkeypatch.setattr(cotype, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    for space, n, m in FITTING:
+        maps = space.size ** m**n
+        for search in (lambda b: gamma_search(space, n, m, 2.0, 2.0, b, 0),
+                       lambda b: b_quantity_search(space, n, 2, m, b, 0)):
+            calls.clear()
+            search(maps)
+            assert calls == ["_enumerate"]
+            calls.clear()
+            search(maps - 1)
+            assert set(calls) == {"_climb_chunk"}
+
+
+def test_a_refused_enumeration_stands_for_the_search():
+    # 3^18 maps fit the evaluation budget, not the memory budget: no climb
+    with pytest.raises(BudgetExceededError, match=f"^{3**18} witnesses needs"):
+        b_quantity_search(SPACES["path3"], 1, 2, 18, 3**18, 0)
+
+
 # ------------------------------------------- lockstep against the oracle
 
-CHUNK_BUDGET = 2 * cotype.WITNESS_CHUNK + 3  # at (1, 2): 4098 restarts
+def chunk_budget(N):
+    """Evaluations for WITNESS_CHUNK + 2 restarts of N points, the last of
+    which has no step left, so its start is scored only."""
+    return (cotype.WITNESS_CHUNK + 1) * N + 1
+
+
+CHUNK_BUDGET = chunk_budget(2)  # at (1, 2): 4098 restarts
 
 
 def test_seed_children_spawned_in_pieces_equal_one_spawn():
@@ -431,14 +513,17 @@ def test_seed_children_spawned_in_pieces_equal_one_spawn():
 
 @pytest.mark.parametrize("name", ["two-point", "path3", "uneven"])
 def test_more_restarts_than_a_chunk(name):
-    # 4098 restarts; the last has no step left, so its start is scored only
+    # 4098 restarts, on a cycle whose K^m maps exceed the budget
+    m = 18 if name == "two-point" else 10
+    budget = chunk_budget(m)
+    assert SPACES.get(name, UNEVEN).size ** m > budget
     if name == "path3":
-        got = b_quantity_search(SPACES[name], 1, 2, 2, CHUNK_BUDGET, 4)
-        want = reference_b_search(SPACES[name], 1, 2, 2, CHUNK_BUDGET, 4)
+        got = b_quantity_search(SPACES[name], 1, 2, m, budget, 4)
+        want = reference_b_search(SPACES[name], 1, 2, m, budget, 4)
     else:
-        space = SPACES.get(name, UNEVEN)
-        got = gamma_search(space, 1, 2, 2.0, 2.0, CHUNK_BUDGET, 3, [[1, 0]])
-        want = reference_gamma_search(space, 1, 2, 2.0, 2.0, CHUNK_BUDGET, 3, [[1, 0]])
+        space, start = SPACES.get(name, UNEVEN), [[1, 0] * (m // 2)]
+        got = gamma_search(space, 1, m, 2.0, 2.0, budget, 3, start)
+        want = reference_gamma_search(space, 1, m, 2.0, 2.0, budget, 3, start)
     assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -493,18 +578,20 @@ def test_the_b_ceiling_still_raises(monkeypatch):
 def search_peak(budget):
     tracemalloc.start()
     try:
-        gamma_search(two_point_space(), 1, 2, 2.0, 2.0, budget, 0)
+        gamma_search(two_point_space(), 1, 18, 2.0, 2.0, budget, 0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_a_search_holds_one_chunk_at_a_time(monkeypatch):
-    # at (1, 2) a restart spends 2 evaluations: four chunks against one.
-    # Spawning every restart's seed up front grew the peak about fourfold.
+    # at (1, 18) a restart spends 18 evaluations: four chunks against one,
+    # both below the 2^18 maps, after a first search has built what is
+    # cached. Spawning every restart's seed up front grew the peak 1.5-fold.
     monkeypatch.setattr(cotype, "WITNESS_CHUNK", 512)
-    one = search_peak(2 * 512)
-    four = search_peak(8 * 512)
+    search_peak(18 * 512)
+    one = search_peak(18 * 512)
+    four = search_peak(4 * 18 * 512)
     assert four < 1.25 * one, (one, four)
 
 

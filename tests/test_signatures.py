@@ -33,6 +33,7 @@ SIGNATURES = {
     "frechet_cycle": "(m)",
     "sparse_frechet_cycle": "(m, eps)",
     "exhaustive_b": "(space, n, ell, m, budget=1048576)",
+    "grid_to_torus": "(m, n)",
 }
 
 ABSENT_METHODS = {
@@ -40,7 +41,7 @@ ABSENT_METHODS = {
     "ModuliTables": ("to_json_dict",),
     "SpectralCoefficients": ("coeff",),
     "GeodesicPath": ("to_json_dict",),
-    "TorusDomain": ("lin",),
+    "TorusDomain": ("lin", "require_points"),
 }
 
 # translates are gathers through gridops.shift_table; the np.roll form and

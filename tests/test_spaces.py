@@ -46,12 +46,6 @@ def test_torus_domain_roundtrip():
         assert np.ravel_multi_index(dom.coord_of(idx), dom.shape) == idx
 
 
-def test_torus_domain_budget():
-    dom = TorusDomain(n=4, m=10)
-    with pytest.raises(BudgetExceededError):
-        dom.require_points(1000)
-
-
 @pytest.mark.parametrize("x,y,m,want", [
     (0, 3, 4, 1),          # wraparound beats the direct route
     (1, 3, 8, 2),
