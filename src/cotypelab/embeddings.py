@@ -131,9 +131,13 @@ def sparse_anchors(m: int, eps: float) -> np.ndarray:
     {0, floor(2m/3)} instead.
     """
     k = _anchor_count(eps)
+    require_budget(f"{k} sparse anchors", 8 * k)  # scaled in place: one int64 each
     if k == 2:
         return np.array([0, (2 * m) // 3], dtype=np.int64)
-    return 2 * m * np.arange(k, dtype=np.int64) // k
+    anchors = np.arange(k, dtype=np.int64)
+    anchors *= 2 * m
+    anchors //= k
+    return anchors
 
 
 def sparse_frechet_cycle(m: int, eps: float) -> EmbeddingRecord:
@@ -247,10 +251,13 @@ def require_defect_budget(domain: TorusDomain, s: int) -> int:
     n, N = domain.n, domain.points
     per_step = sum(len(_axis_transitions(s, ell)) ** (n - 1) for ell in range(1, s + 1))
     work = 2 * n * N * per_step
-    # the edge table, twice its copy padded by s, 20 + 2n float64 entries a
-    # point; 4.7 ns a term (838,860,800 terms at (4,16,8): 3.96 s)
+    wrapped = (domain.m + 2 * s - 2) ** n  # points of the (s - 1)-wrapped table
+    # the edge table and its wrapped gather, the gather's index, 20 + 2n
+    # float64 entries a point; traced peak 6.21 MiB of 6.36 at (4,8,4), 2.61
+    # of 2.92 at (3,16,8), 123.6 of 127.1 at (4,16,8). 4.7 ns a term
+    # (838,860,800 terms at (4,16,8): 3.96 s)
     require_budget(f"a geodesic-defect sum of {work} transition-point terms",
-                   8 * (2**n * (2 * (domain.m + 2 * s) ** n + N) + (20 + 2 * n) * N),
+                   8 * (2**n * (wrapped + N) + wrapped + (20 + 2 * n) * N),
                    5e-9 * work)
     return work
 
@@ -275,11 +282,12 @@ def _geodesic_defects(f: GridFunction, target, s: int,
     """
     dom = f.domain
     n, m = dom.n, dom.m
-    # roll(edge[delta], o) is a window of the table padded cyclically by s
-    edge = edge.astype(np.float64)
-    pad = np.pad(edge.reshape((len(edge),) + dom.shape),
-                 [(0, 0)] + [(s, s)] * n, mode="wrap")
+    # roll(edge[delta], o) is a window of the table wrapped cyclically by
+    # s - 1 on every axis, one gather: each offset o lies in [1 - s, s - 1]
+    wrap = np.arange(1 - s, m + s - 1) % m
+    pad = edge.take(np.ravel_multi_index(np.ix_(*[wrap] * n), dom.shape), axis=1)
     defect = np.zeros(dom.shape)
+    term = np.empty(dom.shape)
     for j in range(n):
         rest = [ax for ax in range(n) if ax != j]
         for sign in (1, -1):
@@ -297,8 +305,8 @@ def _geodesic_defects(f: GridFunction, target, s: int,
                         weight *= count
                     row = sum((e > 0) << (n - 1 - ax)
                               for ax, e in enumerate(step))  # sign-table row
-                    term = pad[(row,) + tuple(slice(s + o, s + o + m)
-                                              for o in offset)] - base
+                    np.subtract(pad[(row,) + tuple(slice(s - 1 + o, s - 1 + o + m)
+                                                   for o in offset)], base, out=term)
                     term *= term
                     term *= float(weight)
                     defect += term

@@ -33,6 +33,7 @@ from cotypelab import (
     rad_identity_residual,
     random_two_point_mc,
     random_vector_values,
+    sparse_anchors,
     sparse_frechet_cycle,
     torus_space,
     two_point_space,
@@ -225,6 +226,35 @@ def test_a_subnormal_eps_is_refused_by_the_profile_estimate(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: a 8-point profile embedding needs ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", [1e-10, 5e-324])
+def test_sparse_anchors_past_the_budget_are_refused_before_they_exist(eps):
+    # 10^10 + 1 int64 anchors would take 80 GB; at a subnormal eps, over
+    # 10^308 of them, np.arange raised numpy's bare ValueError
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"^\d+ sparse anchors needs "):
+            sparse_anchors(4, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sparse_anchors_run_at_their_estimate_and_not_one_byte_below(
+        budget_boundary):
+    nbytes, _ = budget_boundary(lambda: sparse_anchors(5000, 1e-6),
+                                "1000001 sparse anchors")
+    assert nbytes == 8 * 1_000_001
+    tracemalloc.start()
+    try:
+        sparse_anchors(5000, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the anchors, scaled in place, and their array header
+    assert nbytes < peak <= nbytes + 1024
 
 
 def test_a_hilbert_scan_of_600_million_multisets_is_refused(capsys):

@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from cotypelab import (
     two_point_space,
 )
 from cotypelab import embeddings, spaces
+from cotypelab.gridops import family_table
 from cotypelab.spaces import FiniteMetricSpace
 from shift_reference import axis_shift, roll_values
 
@@ -314,6 +316,39 @@ def path_walk_defects(f, target, s):
     return defect
 
 
+def padded_defects(f, target, s, edge):
+    """Reference for embeddings._geodesic_defects, bit for bit: the same
+    transition sum, its windows read from a float64 copy of the edge
+    table padded cyclically by s with np.pad, a fresh array a term."""
+    dom = f.domain
+    n, m = dom.n, dom.m
+    pad = np.pad(edge.astype(np.float64).reshape((len(edge),) + dom.shape),
+                 [(0, 0)] + [(s, s)] * n, mode="wrap")
+    defect = np.zeros(dom.shape)
+    for j in range(n):
+        rest = [ax for ax in range(n) if ax != j]
+        for sign in (1, -1):
+            far = family_table(dom, "axes", sign * s)[j]
+            base = target.pairwise(f.values[far], f.values).astype(
+                np.float64).reshape(dom.shape) / s
+            for ell in range(1, s + 1):
+                for combo in product(embeddings._axis_transitions(s, ell),
+                                     repeat=n - 1):
+                    offset = [sign * (ell - 1)] * n
+                    step = [sign] * n
+                    weight = 1
+                    for ax, (u, e, count) in zip(rest, combo):
+                        offset[ax], step[ax] = u, e
+                        weight *= count
+                    row = sum((e > 0) << (n - 1 - ax) for ax, e in enumerate(step))
+                    term = pad[(row,) + tuple(slice(s + o, s + o + m)
+                                              for o in offset)] - base
+                    term *= term
+                    term *= float(weight)
+                    defect += term
+    return defect.ravel()
+
+
 def _point_witness(kind, dom, rng):
     """Identity, a random isometry x -> sigma * x[perm] + t, or a random
     bijection of Z_m^n, as a point-valued witness into torus_space(dom)."""
@@ -362,8 +397,10 @@ class TestGeodesicDefects:
     def test_transition_sum_matches_the_path_walk(self, n, m, s, kind,
                                                   monkeypatch):
         f, space = _defect_case(n, m, s, kind)
-        got = embeddings._geodesic_defects(f, space, s,
-                                           embeddings._edge_table(f, space))
+        edge = embeddings._edge_table(f, space)
+        got = embeddings._geodesic_defects(f, space, s, edge)
+        # the wrapped gather keeps every bit of the padded sum
+        assert got.tobytes() == padded_defects(f, space, s, edge).tobytes()
         want = path_walk_defects(f, space, s)
         if kind in ("identity", "isometry"):
             assert not want.any() and not got.any()  # exact zeros
@@ -379,6 +416,22 @@ class TestGeodesicDefects:
         for key in ("x0", "y0", "sigma", "distortion"):
             assert report[key] == ref_report[key], key
         assert rec.distortion == ref_rec.distortion
+
+    def test_extraction_at_4_8_4_peaks_below_the_padded_copy(self):
+        # an s-padded float64 copy of the edge table alone (padded_defects')
+        # is 16 * 16^4 * 8 B = 8 MiB, and the extraction that made one peaked
+        # at 11.66 MiB traced; with the (s - 1)-wrapped gather it peaks at 6.21
+        dom = TorusDomain(n=4, m=8)
+        f, space = GridFunction.points(dom, np.arange(dom.points)), torus_space(dom)
+        family_table.cache_clear()
+        tracemalloc.start()
+        try:
+            rec, _ = extract_grid(f, space, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.distortion == 1.0
+        assert peak < 8 << 20, peak
 
     @pytest.mark.parametrize("n,m,s", LARGE_SCALES + [(3, 16, 8)])
     def test_isometric_witnesses_give_exact_zeros(self, n, m, s):
@@ -400,8 +453,8 @@ class TestGeodesicDefects:
         assert work == 2 * 3 * dom.points * (4 + 16 + 16 + 4)
         nbytes, seconds = budget_boundary(lambda: extract_grid(f, space, 4),
                                           f"a geodesic-defect sum of {work} ")
-        # the (2^n, (m + 2s)^n) padded edge table is the largest array
-        assert nbytes >= 8 * 2**3 * (8 + 8) ** 3 and seconds > 0
+        # the (2^n, (m + 2s - 2)^n) wrapped edge table is the largest array
+        assert nbytes >= 8 * 2**3 * (8 + 8 - 2) ** 3 and seconds > 0
 
     def test_extract_grid_refuses_an_over_budget_scale_first(
             self, monkeypatch, budget_estimate):
