@@ -43,8 +43,10 @@ def climb(values: np.ndarray, score, propose, steps: int,
     restores the old row, so values ends as the best table seen. best is
     the score of the starting table (computed when not given); returns the
     best score. score must be a function of the table alone; it may
-    memoise the last table it saw (as the smoothing checks do), since
-    consecutive tables differ only at the points of one revert and one move.
+    memoise the last table it saw, since consecutive tables differ only at
+    the points of one revert and one move: the smoothing checks recompute
+    just the distance, window-sum and central-difference entries those
+    points reach.
     Searches over point-valued witnesses climb many tables in lockstep
     instead (cotype._search).
     """

@@ -11,11 +11,13 @@ harmonic suite's `transform-two-path` check compare the FFT against.
 
 Window averages (the sign average of `avg_others` and the smoothing
 operators) average over a Cartesian product of per-axis offsets, so
-`_window_average` applies them one axis at a time through
-`_axis_window_sum`, which the grid extraction's ball sums share.
+`_window_layers` applies them one axis at a time through
+`_axis_window_sum`, which the grid extraction's ball sums share, and
+hands back the grid after each axis (the smoothing memo keeps them).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +137,21 @@ def fourier_inverse(coeffs: SpectralCoefficients) -> GridFunction:
     return GridFunction(dom, vals.reshape(dom.points, d))
 
 
+@functools.lru_cache(maxsize=32)
+def _wrap(m: int, r: int) -> np.ndarray:
+    """Read-only indices of an axis of length m padded cyclically by r."""
+    idx = np.arange(-r, m + r) % m
+    idx.setflags(write=False)
+    return idx
+
+
 def _axis_window_sum(grid: np.ndarray, axis: int, offsets) -> np.ndarray:
     """Sum of x -> grid(x + off e_axis) over the offset list, added in list
     order. The axis is padded cyclically once, so that every offset is a
     slice of the padded grid."""
     m = grid.shape[axis]
     r = max(abs(off) for off in offsets)
-    padded = np.take(grid, np.arange(-r, m + r) % m, axis=axis)
+    padded = np.take(grid, _wrap(m, r), axis=axis)
     lead = (slice(None),) * axis
     acc = padded[lead + (slice(r + offsets[0], r + offsets[0] + m),)].copy()
     for off in offsets[1:]:
@@ -149,19 +159,21 @@ def _axis_window_sum(grid: np.ndarray, axis: int, offsets) -> np.ndarray:
     return acc
 
 
-def _window_average(domain: TorusDomain, values: np.ndarray,
-                    axis_offsets: dict) -> np.ndarray:
-    """Average of x -> values(x + y) over y in the product of the per-axis
-    offset lists axis_offsets[axis]; axes not in the mapping stay put.
+def _window_layers(domain: TorusDomain, values: np.ndarray,
+                   axis_offsets: dict) -> list:
+    """values, then its average over each further axis of axis_offsets, in
+    its order: the last is the average of x -> values(x + y) over y in the
+    product of the per-axis offset lists axis_offsets[axis]; axes not in
+    the mapping stay put. Each is of values' shape.
 
     Each axis sum is scaled by the reciprocal of its count (a product, not
     a quotient, so that the sign average of avg_others keeps the bits of
     0.5 * (f(x+e) + f(x-e))).
     """
-    grid = values.reshape(domain.shape + values.shape[1:])
+    grids = [values.reshape(domain.shape + values.shape[1:])]
     for axis, offsets in axis_offsets.items():
-        grid = _axis_window_sum(grid, axis, offsets) * (1.0 / len(offsets))
-    return grid.reshape(values.shape)
+        grids.append(_axis_window_sum(grids[-1], axis, offsets) * (1.0 / len(offsets)))
+    return [grid.reshape(values.shape) for grid in grids]
 
 
 def central_diff(f: GridFunction, j: int) -> GridFunction:
@@ -169,8 +181,9 @@ def central_diff(f: GridFunction, j: int) -> GridFunction:
     if not 0 <= j < f.domain.n:
         raise IndexError(f"axis {j} out of range for n={f.domain.n}")
     grid = f.values.reshape(f.domain.shape + f.values.shape[1:])
-    x = np.arange(f.domain.m)  # x - 1 wraps at 0 as a negative index
-    vals = np.take(grid, (x + 1) % f.domain.m, axis=j) - np.take(grid, x - 1, axis=j)
+    padded = np.take(grid, _wrap(f.domain.m, 1), axis=j)
+    lead = (slice(None),) * j
+    vals = padded[lead + (slice(2, None),)] - padded[lead + (slice(None, -2),)]
     return GridFunction(f.domain, vals.reshape(f.values.shape))
 
 
@@ -183,7 +196,7 @@ def avg_others(f: GridFunction, j: int) -> GridFunction:
     if not 0 <= j < f.domain.n:
         raise IndexError(f"axis {j} out of range for n={f.domain.n}")
     others = {axis: (-1, 1) for axis in range(f.domain.n) if axis != j}
-    return GridFunction(f.domain, _window_average(f.domain, f.values, others))
+    return GridFunction(f.domain, _window_layers(f.domain, f.values, others)[-1])
 
 
 def edge_diff(f: GridFunction, eps) -> GridFunction:

@@ -35,7 +35,7 @@ from .gridops import (
     shift_table,
     sign_patterns,
 )
-from .harmonic import GridFunction, _window_average, central_diff
+from .harmonic import GridFunction, _window_layers, central_diff
 from .spaces import TorusDomain
 from .targets import as_target
 
@@ -99,22 +99,73 @@ def smoothing_apply(f: GridFunction, j: int, k: int) -> GridFunction:
             "smoothing averages vectors; point-valued input has no mean"
         )
     axes = _window_axes(j, k, f.domain)
-    return GridFunction(f.domain, _window_average(f.domain, f.values, axes))
+    return GridFunction(f.domain, _window_layers(f.domain, f.values, axes)[-1])
+
+
+def _flat(dom: TorusDomain, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(P, T) linear indices of the points x + delta, wrapped, for an (n, T)
+    stack of offsets and the (n, P) coordinates xs of P points."""
+    return np.ravel_multi_index(deltas[:, None] + xs[..., None], dom.shape,
+                                mode="wrap")
 
 
 @functools.lru_cache(maxsize=4)
-def _update_tables(dom: TorusDomain) -> tuple:
-    """Per axis, shift_table rows whose entries at a changed point x's
-    coordinates add up to the indices an update reads: y = x - a and x - b
-    for each memo row d(f(y+a), f(y+b)), then y + a and y + b; also the flat
-    start of each y's row."""
-    n, m, pats = dom.n, dom.m, sign_patterns(dom.n)
+def _row_deltas(dom: TorusDomain) -> tuple:
+    """The (n, 6R) offsets from a changed point x of what its distance rows
+    update: y = x - a and x - b for each memo row d(f(y+a), f(y+b)), then
+    y + a, then y + b; also the flat start of each y's row."""
+    n, pats = dom.n, sign_patterns(dom.n)
     a = np.vstack([np.eye(n, dtype=np.int64), pats, pats])  # rows e_j, eps, eps
     b = np.vstack([0 * a[:-len(pats)], -pats])  # against 0, 0, -eps
-    shifts = np.vstack([-a, -b, 0 * a, a - b, b - a, 0 * a])
-    line = TorusDomain(n=1, m=m)
-    tables = [shift_table(line, shifts[:, ax]) * m**(n - 1 - ax) for ax in range(n)]
-    return tables, np.tile(np.arange(len(a)) * dom.points, 2)[:, None]
+    deltas = np.vstack([-a, -b, 0 * a, a - b, b - a, 0 * a]).T.copy()
+    return deltas, np.tile(np.arange(len(a)) * dom.points, 2)
+
+
+@functools.lru_cache(maxsize=2)
+def _window_plan(dom: TorusDomain, k: int, js: tuple, diff: bool) -> tuple:
+    """What sync recomputes around a moved point x, as offsets from x.
+
+    An axis sum of A_j f changes on the box y = x + off over the offsets of
+    its axis and of the sums before it, and y reads y + off e_axis for
+    each offset of its axis, in list order; the list one entry short (axis
+    j's) reads y again last, and that read is not added. The central
+    differences change on the odd box |y_i - x_i| <= k and read y + e_j
+    and y - e_j.
+
+    Returns the (n, T) stack of offsets, the distance rows' first; the
+    start of each offset's table in its stack (i * N for the i-th j of js,
+    0 for the values and the rows); per axis, the slices of the reads and
+    writes of every j, the reciprocal count of each write and the number
+    of leading writes with the short list; and, when diff, the slices of
+    the central differences' reads and writes.
+    """
+    n, N, e, sums = dom.n, dom.points, np.eye(dom.n, dtype=np.int64), []
+    blocks = [(_row_deltas(dom)[0].T, 0)]  # first, the distance rows' offsets
+    for axis in range(n):  # the short list, j = axis, first
+        boxes, reads, scale, at = [], [], [], []
+        for i, j in sorted(enumerate(js), key=lambda ij: ij[1] != axis):
+            lists = list(_window_axes(j, k, dom).values())
+            box = itertools.product(*lists[:axis + 1], *[[0]] * (n - 1 - axis))
+            boxes.append(np.array(list(box), dtype=np.int64))
+            offsets = lists[axis] + (0,) * (k + 1 - len(lists[axis]))
+            reads.append(boxes[-1] + np.multiply.outer(offsets, e[axis])[:, None])
+            scale += [1.0 / len(lists[axis])] * len(boxes[-1])
+            at += [i * N] * len(boxes[-1])
+        blocks += [(np.concatenate(reads, axis=1), at if axis else 0),
+                   (np.concatenate(boxes), at)]
+        sums.append((np.array(scale)[:, None], len(boxes[0]) if axis in js else 0))
+    if diff:
+        odd = np.array(list(itertools.product(range(-k, k + 1, 2), repeat=n)),
+                       dtype=np.int64)
+        at, up = np.arange(len(js))[:, None] * N, e[list(js)][:, None]
+        blocks += [(np.stack([odd + up, odd - up]), at), (odd + 0 * up, at)]
+    ends = np.cumsum([0] + [np.prod(d.shape[:-1]) for d, _ in blocks]).tolist()
+    cuts = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    deltas = np.vstack([d.reshape(-1, n) for d, _ in blocks]).T.copy()
+    starts = np.concatenate([np.broadcast_to(at, d.shape[:-1]).reshape(-1)
+                             for d, at in blocks])
+    return (deltas, starts, [(cuts[2 * a + 1], cuts[2 * a + 2], *sums[a])
+                             for a in range(n)], cuts[2 * n + 1:])
 
 
 def _words(values: np.ndarray) -> np.ndarray:
@@ -124,15 +175,23 @@ def _words(values: np.ndarray) -> np.ndarray:
 
 class _Witness:
     """The p-free arrays of one witness, each built on first use (a point-
-    valued witness reads only its distance rows). sync moves them to a table
-    that differs at no more than INCREMENTAL_POINTS points: it recomputes
-    just the moved distance entries with the same elementwise kernel, so
-    each keeps a full pass's bits, and drops the rest."""
+    valued witness reads only its distance rows): its distance rows, per j
+    the grid after each axis sum of A_j f (from _window_layers; the last
+    is A_j f), the central differences of the A_j f, and the norms the
+    checks take of them.
+
+    sync moves them to a table that differs at no more than
+    INCREMENTAL_POINTS points. It recomputes just the entries the moved
+    points reach, with the same elementwise kernels in the same order, so
+    each keeps a full build's bits, and drops the norms. For that, stack
+    keeps the axis sums of every held j in one stack per axis, and the
+    central differences in one more, so that one plan updates every j."""
 
     def __init__(self, key: tuple, values: np.ndarray):
         self.key, self.values = key, values.copy()  # never the caller's table
         self.dom, self.k, self.target = key[:3]
-        self.rows, self.window = None, {}
+        self.rows, self.layers, self.diff, self.norms = None, {}, None, {}
+        self.stacks = None
 
     def sync(self, values: np.ndarray) -> bool:
         """Move to values; False when more points than that changed. Bits are
@@ -140,24 +199,47 @@ class _Witness:
         new, old = _words(values), _words(self.values)
         width = len(new) // len(values)  # words per point; when more points
         # differ, the first INCREMENTAL_POINTS * width + 1 differing words show it
-        pos = np.flatnonzero(new != old)[:INCREMENTAL_POINTS * width + 1]
+        pos = (new != old).nonzero()[0][:INCREMENTAL_POINTS * width + 1]
         changed = sorted({i // width for i in pos.tolist()})
         if len(changed) > INCREMENTAL_POINTS:
             return False
+        if not changed:
+            return True
+        v, self.norms = self.values, {}
         for x in changed:
-            self.values[x], self.window = values[x], {}
-        if changed and self.rows is not None:
-            tables, start = _update_tables(self.dom)
-            at = np.unravel_index(changed, self.dom.shape)
-            idx = sum(t[:, c] for t, c in zip(tables, at))
-            y, ya, yb = idx.reshape(3, len(start), -1)
-            v = self.values
-            self.rows.put(start + y, self.target.pairwise(v.take(ya, axis=0),
-                                                          v.take(yb, axis=0)))
+            v[x] = values[x]
+        if self.rows is None and not self.layers:
+            return True
+        if self.layers and self.stacks is None:
+            self.stack()
+        rows, start = _row_deltas(self.dom)  # the plan's first offsets
+        deltas, starts, sums, diffs = self.plan if self.layers else (rows, 0, [], [])
+        xs, P = np.array(np.unravel_index(changed, self.dom.shape)), len(changed)
+        idx = _flat(self.dom, deltas, xs) + starts
+        if self.rows is not None:
+            y = idx[:, :rows.shape[1]].reshape(P, 3, -1)
+            g = v.take(y[:, 1:], axis=0)
+            self.rows.put(start + y[:, 0], self.target.pairwise(g[:, 0], g[:, 1]))
+        if not self.layers:
+            return True
+        grid = v
+        for stack, (reads, writes, scale, short) in zip(self.stacks, sums):
+            g = grid.take(idx[:, reads].reshape(P, self.k + 1, -1), axis=0)
+            acc = g[:, 0] + g[:, 1] if self.k > 1 else g[:, 0].copy()
+            for t in range(2, self.k):  # (P, R, d), added in offset-list order
+                acc += g[:, t]
+            if short < len(scale):
+                acc[:, short:] += g[:, -1, short:]
+            stack[idx[:, writes]] = acc * scale
+            grid = stack
+        if diffs:  # A_j f(y + e_j) - A_j f(y - e_j)
+            reads, writes = diffs
+            g = grid.take(idx[:, reads].reshape(P, 2, -1), axis=0)
+            self.stacks[-1][idx[:, writes]] = g[:, 0] - g[:, 1]
         return True
 
     def distances(self) -> np.ndarray:
-        """The rows of _update_tables, in its order, gathering at most
+        """The rows of _row_deltas, in its order, gathering at most
         SHIFT_BLOCK_ELEMENTS value entries at a time."""
         if self.rows is None:
             v, signs = self.values, family_table(self.dom, "signs")
@@ -171,19 +253,40 @@ class _Witness:
         return self.rows
 
     def built(self, key, build):
-        """The window array under key, from build() on first use."""
-        if key not in self.window:
-            self.window[key] = build()
-        return self.window[key]
+        """The norm under key, from build() on first use."""
+        if key not in self.norms:
+            self.norms[key] = build()
+        return self.norms[key]
+
+    def stack(self) -> None:
+        """Move the cached axis sums into n stacks, one per axis, and the
+        central differences into one, each with a slot of N rows per j, so
+        that a move updates every j at once through one plan."""
+        n, js, (N, *rest) = self.dom.n, sorted(self.layers), self.values.shape
+        self.plan = _window_plan(self.dom, self.k, tuple(js), self.diff is not None)
+        self.stacks = [np.empty((len(js) * N, *rest), self.values.dtype)
+                       for _ in range(n + (self.diff is not None))]
+        for i, j in enumerate(js):
+            slots = [stack[i * N:(i + 1) * N] for stack in self.stacks]
+            held = self.layers[j] + ([] if self.diff is None else [self.diff[j]])
+            for slot, array in zip(slots, held):
+                slot[:] = array
+            self.layers[j] = slots[:n]
+            if self.diff is not None:
+                self.diff[j] = slots[n]
 
     def average(self, j: int) -> np.ndarray:  # A_j f
-        return self.built(j, lambda: _window_average(
-            self.dom, self.values, _window_axes(j, self.k, self.dom)))
+        if j not in self.layers:
+            self.layers[j], self.stacks = _window_layers(
+                self.dom, self.values, _window_axes(j, self.k, self.dom))[1:], None
+        return self.layers[j][-1]
 
     def diffs(self) -> list:  # the central differences of the A_j f
-        return self.built("diffs", lambda: [
-            central_diff(GridFunction(self.dom, self.average(j)), j).values
-            for j in range(self.dom.n)])
+        if self.diff is None:
+            self.diff, self.stacks = [
+                central_diff(GridFunction(self.dom, self.average(j)), j).values
+                for j in range(self.dom.n)], None
+        return self.diff
 
 
 _MEMO = threading.local()  # the last witness checked, per thread

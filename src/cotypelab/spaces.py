@@ -93,13 +93,13 @@ class FiniteMetricSpace:
         so the float64 sums, and their roots, are those of a float64 loop."""
         if self.coords is None:
             return self.dist[a, b]
-        exact = self.coords.dtype.kind == "i"
+        exact, modulus = self.coords.dtype.kind == "i", np.iscomplexobj(self.coords)
         total = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)),
                          self.coords.dtype if exact else np.float64)
         gap = np.empty_like(total)
         spare = np.empty_like(total) if exact else None
         for c in self.coords.T:
-            if np.iscomplexobj(c):
+            if modulus:
                 np.abs(c[a] - c[b], out=gap)
             else:
                 np.subtract(c[a], c[b], out=gap)

@@ -680,6 +680,19 @@ def test_points_reads_match_the_row_block_oracle(N, p, kind):
     _same_reads(got, want.dist, N)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_real_and_complex_coordinates_give_the_same_distances(p):
+    # the dtype is the coordinate array's, so one test of it answers for
+    # every column: 300 columns, and the same points with zero imaginary
+    # parts, whose moduli are the real gaps
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((9, 300))
+    a, b = np.triu_indices(9, 1)
+    want = row_block_points_space(pts, p).dist[a, b]
+    for space in (points_space(pts, p), points_space(pts + 0j, p)):
+        assert space.pairwise(a, b).tobytes() == want.tobytes()
+
+
 def _table_or_coords(space, table: bool):
     return FiniteMetricSpace(space.labels, dist=space.dist) if table else space
 

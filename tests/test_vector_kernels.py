@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotypelab import (
     GridFunction,
@@ -29,7 +31,7 @@ from cotypelab import (
     smoothing_set,
     torus_space,
 )
-from cotypelab import cotype, gridops, smoothing
+from cotypelab import cotype, gridops, harmonic, smoothing
 from cotypelab.gridops import SHIFT_BLOCK_ELEMENTS, family_table
 from shift_reference import axis_shift, roll_values
 
@@ -304,11 +306,14 @@ def assert_checks_match(f, norm_p, dim, k, rng):
 
 
 def edit(values, count, rng):
-    """Change count random points of values in place (all when count < 0)."""
+    """Change count random points of values in place (all when count < 0),
+    some of them to signed zeros."""
     pts = np.arange(len(values)) if count < 0 else \
         rng.choice(len(values), count, replace=False)
-    values[pts] = rng.standard_normal((len(pts), values.shape[1])) \
-        + 1j * rng.standard_normal((len(pts), values.shape[1]))
+    parts = rng.standard_normal((2, len(pts), values.shape[1]))
+    parts[:, rng.random(len(pts)) < 0.3] = 0.0
+    values[pts] = np.copysign(parts[0], rng.random(parts[0].shape) - 0.5) \
+        + 1j * np.copysign(parts[1], rng.random(parts[1].shape) - 0.5)
 
 
 @pytest.mark.parametrize("n,m,k", [(1, 6, 1), (2, 8, 3), (3, 6, 1), (1, 130, 3)])
@@ -357,6 +362,101 @@ def test_memo_sees_a_zero_change_sign():
     held = smoothing._MEMO.witness.values
     assert held.tobytes() == values.tobytes() and held is not values
     assert np.signbit(held[5, 1].real) and np.signbit(held[9, 0].imag)
+
+
+MEMO_MAX_M = {1: 24, 2: 12, 3: 9, 4: 7}  # at most 2,401 points
+
+
+def assert_memo_is_fresh(w):
+    """Every array the memo w holds equals a fresh build from its values."""
+    dom, k, v = w.dom, w.k, w.values
+    for j, layers in w.layers.items():
+        axes = smoothing._window_axes(j, k, dom)
+        fresh = harmonic._window_layers(dom, v, axes)[1:]
+        assert [a.tobytes() for a in layers] == [a.tobytes() for a in fresh]
+        average = smoothing_apply(GridFunction(dom, v), j, k)
+        assert layers[-1].tobytes() == average.values.tobytes()
+    if w.diff is not None:
+        for j, diff in enumerate(w.diff):
+            average = smoothing_apply(GridFunction(dom, v), j, k)
+            assert diff.tobytes() == central_diff(average, j).values.tobytes()
+    if w.rows is not None:
+        fresh = smoothing._Witness(w.key, v).distances()
+        assert w.rows.tobytes() == fresh.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_memo_arrays_after_any_moves_match_fresh_builds(data):
+    # 0, 1 and 2 moved points update the memo, 3 and all rebuild it; between
+    # moves the checks ask for some A_j f, perhaps all with their central
+    # differences, with or without the distance rows (a point-valued
+    # witness for its rows alone), so the held set grows and restacks
+    n = data.draw(st.integers(1, 4), "n")
+    m = data.draw(st.integers(3, MEMO_MAX_M[n]), "m")
+    k = data.draw(st.sampled_from(range(1, (m + 1) // 2, 2)), "k")
+    d = data.draw(st.sampled_from([1, 2, 3]), "d")
+    points = data.draw(st.booleans(), "points")
+    counts = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, -1]), min_size=1,
+                                max_size=6), "counts")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    dom = TorusDomain(n=n, m=m)
+    if points:
+        target, values = torus_space(TorusDomain(n=1, m=5)), np.zeros(dom.points, int)
+    else:
+        target, values = NormTarget(p=2.0), np.zeros((dom.points, d), complex)
+    f = GridFunction(dom, values)
+    for count in [-1] + counts:
+        count = min(count, dom.points)
+        if points:
+            pts = np.arange(dom.points) if count < 0 else rng.choice(dom.points, count)
+            values[pts] = rng.integers(0, 5, len(pts))
+        else:
+            edit(values, count, rng)
+        w = smoothing._witness(f, target, k)
+        assert w.values.tobytes() == values.tobytes()
+        for j in [] if points else sorted(data.draw(st.sets(st.integers(0, n - 1)))):
+            w.average(j)
+        if not points and data.draw(st.booleans(), "diffs"):
+            w.diffs()
+        if points or data.draw(st.booleans(), "rows"):
+            w.distances()
+        assert_memo_is_fresh(w)
+
+
+def test_memo_holds_its_arrays_and_the_delta_rows_after_a_move():
+    # n^2 axis sums of the A_j f (the last of each being A_j f), n central
+    # differences, the held values and the distance rows, plus the cached
+    # delta rows; moves add nothing that stays
+    dom, k = TorusDomain(n=3, m=10), 3
+    rng = np.random.default_rng(5)
+    values = rand_vec(dom, 2, rng).values
+    f, target = GridFunction(dom, values), NormTarget(p=2.0)
+
+    def climb():
+        w = smoothing._witness(f, target, k)
+        w.diffs(), w.distances()
+        for _ in range(3):
+            edit(values, 1, rng)
+            assert smoothing._witness(f, target, k) is w
+            w.diffs(), w.distances()
+        return w
+
+    climb()  # imports and cached shift tables
+    smoothing._MEMO.witness = None
+    smoothing._window_plan.cache_clear()
+    smoothing._row_deltas.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        w = climb()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    deltas = sum(a.nbytes for a in smoothing._window_plan(dom, k, (0, 1, 2), True)[:2])
+    deltas += sum(a.nbytes for a in smoothing._row_deltas(dom))
+    bound = (dom.n**2 + dom.n + 1) * values.nbytes + w.rows.nbytes + deltas
+    assert held <= bound + (1 << 15)
 
 
 def reference_climb(dom, sides, steps, seed):
