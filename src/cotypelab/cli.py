@@ -41,10 +41,7 @@ from .embeddings import (
 )
 from .errors import (
     CotypeLabError,
-    EvenKError,
     NotFoundError,
-    OddEllError,
-    OddMError,
     SchemaViolationError,
     UnknownCommandError,
 )
@@ -64,8 +61,6 @@ from .verify import SUITES, run_suite
 class ExperimentConfig:
     command: str
     params: dict
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
     out: str | None = None
     csv: str | None = None
     plot: str | None = None
@@ -89,8 +84,6 @@ class Report:
         out = {
             "command": self.config.command,
             "params": _jsonable(self.config.params),
-            "seed": self.config.seed,
-            "budget": self.config.budget,
             "mode": self.mode,
             "results": _jsonable(self.results),
             "version": self.version,
@@ -194,7 +187,7 @@ class Command:
                 raise SchemaViolationError(
                     f"{par.name} must be even, got {value}", json_path=path)
             elif par.least is not None and value < par.least:
-                # a *-worst check over no trials has no worst case to report
+                # no trials certify nothing, and no budget finds no maximum
                 raise SchemaViolationError(
                     f"{par.name} must be >= {par.least}, got {value}",
                     json_path=path)
@@ -214,32 +207,31 @@ def _gamma_hilbert(cfg: ExperimentConfig, n, m):
             "n": n, "m": m}, [], "exact"
 
 
-def _gamma_exhaustive(cfg: ExperimentConfig, n, m, p, q):
-    rep = gamma_exhaustive_two_point(n, m, p, q, budget=cfg.budget)
+def _gamma_exhaustive(cfg: ExperimentConfig, n, m, p, q, budget):
+    rep = gamma_exhaustive_two_point(n, m, p, q, budget)
     return rep.to_json_dict(), [], "exact"
 
 
-def _gamma_search(cfg: ExperimentConfig, n, m, p, q, space):
-    rep = gamma_search(_load_space(space), n, m, p, q, cfg.budget, cfg.seed)
+def _gamma_search(cfg: ExperimentConfig, n, m, p, q, space, seed, budget):
+    rep = gamma_search(_load_space(space), n, m, p, q, budget, seed)
     return rep.to_json_dict(), [], "lower-bound"
 
 
-def _bq(cfg: ExperimentConfig, n, m, ell, space, exhaustive):
+def _bq(cfg: ExperimentConfig, n, m, ell, space, exhaustive, seed, budget):
     space = _load_space(space)
     if exhaustive:
-        rep = exhaustive_b(space, n, ell, m, cfg.budget)
+        rep = exhaustive_b(space, n, ell, m, budget)
         return rep.to_json_dict(), [], "exact"
-    rep = b_quantity_search(space, n, ell, m, cfg.budget, cfg.seed)
+    rep = b_quantity_search(space, n, ell, m, budget, seed)
     return rep.to_json_dict(), [], "lower-bound"
 
 
-def _trial_checks(cfg: ExperimentConfig, n, m, trials, space,
-                  check) -> list[InequalityCheck]:
+def _trial_checks(n, m, trials, space, seed, check) -> list[InequalityCheck]:
     """check(f, space) on `trials` seeded random point maps f of Z_m^n
     into the space, each tagged with its trial, in check order."""
     space = _load_space(space)
     dom = TorusDomain(n=n, m=m)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     checks = (check(GridFunction.points(
         dom, random_point_values(dom, space.size, rng)), space)
         for _ in range(trials))
@@ -247,15 +239,16 @@ def _trial_checks(cfg: ExperimentConfig, n, m, trials, space,
                    for t, c in enumerate(checks)), key=check_order)
 
 
-def _mod_check(cfg: ExperimentConfig, n, m, a, r, trials, space):
-    checks = _trial_checks(cfg, n, m, trials, space, lambda f, sp:
+def _mod_check(cfg: ExperimentConfig, n, m, a, r, trials, space, seed):
+    checks = _trial_checks(n, m, trials, space, seed, lambda f, sp:
                            mod_inequality_check(f, sp, a, r))
     worst = min(c.slack for c in checks)
     return {"trials": trials, "worst_slack": worst}, checks, "sampled"
 
 
-def _moduli_check(cfg: ExperimentConfig, n, m, p, q, r, s, trials, space):
-    checks = _trial_checks(cfg, n, m, trials, space, lambda f, sp:
+def _moduli_check(cfg: ExperimentConfig, n, m, p, q, r, s, trials, space,
+                  seed):
+    checks = _trial_checks(n, m, trials, space, seed, lambda f, sp:
                            coarse_obstruction_check(f.values, sp, n, m, p, q,
                                                     r, s))
     return {"trials": trials}, checks, "sampled"
@@ -328,10 +321,11 @@ M = Param("m", required=True, even=True)
 P = Param("p", float, 2.0)
 Q = Param("q", float, 2.0)
 SPACE = Param("space", str, help="metric-space JSON file (default: two-point)")
+SEED = Param("seed", default=0)
+BUDGET = Param("budget", default=DEFAULT_BUDGET, least=1,
+               help="evaluations a maximum over maps may spend")
 
 _FLAGS = {
-    "seed": {"type": int, "default": 0},
-    "budget": {"type": int, "default": DEFAULT_BUDGET},
     "csv": {"help": "CSV check-ledger path"},
     "plot": {"help": "SVG output path"},
 }
@@ -340,17 +334,17 @@ TABLE = {c.name: c for c in (
     Command("gamma-hilbert", "exact l2 constant, p = q = 2",
             _gamma_hilbert, (N, M)),
     Command("gamma-exhaustive", "exact two-point maximum by enumeration",
-            _gamma_exhaustive, (N, M, P, Q), ("budget",)),
+            _gamma_exhaustive, (N, M, P, Q, BUDGET)),
     Command("gamma-search", "hill-climbed lower bound over a metric space",
-            _gamma_search, (N, M, P, Q, SPACE), ("seed", "budget")),
+            _gamma_search, (N, M, P, Q, SPACE, SEED, BUDGET)),
     Command("bq", "diagonal-shift quantity search", _bq,
             (N, M, Param("ell", required=True, even=True), SPACE,
              Param("exhaustive", bool, False,
-                   help="exact maximum by enumeration over --space")),
-            ("seed", "budget")),
+                   help="exact maximum by enumeration over --space"),
+             SEED, BUDGET)),
     Command("mod-check", "wrapped-shift bound on random maps", _mod_check,
             (N, M, Param("a", default=0), Param("r", required=True),
-             Param("trials", default=100, least=1), SPACE), ("seed", "csv")),
+             Param("trials", default=100, least=1), SPACE, SEED), ("csv",)),
     Command("verify", "run a verification suite", _verify,
             (Param("suite", str, "all", choices=(*SUITES, "all")),
              Param("trials", least=1),
@@ -365,7 +359,7 @@ TABLE = {c.name: c for c in (
     Command("moduli-check", "net-moduli obstruction on random maps",
             _moduli_check,
             (N, M, P, Q, Param("r", float, 2.0), Param("s", float, 1.0),
-             Param("trials", default=50, least=1), SPACE), ("seed", "csv")),
+             Param("trials", default=50, least=1), SPACE, SEED), ("csv",)),
     Command("bounds", "closed-form bound calculators", _bounds,
             (_kind("shift-growth", "grid-distortion"), N,
              Param("n0", required="shift-growth"),
@@ -388,15 +382,8 @@ def run(config: ExperimentConfig) -> Report:
     """Dispatch one experiment, write requested outputs, return the report."""
     if config.command not in COMMANDS:
         raise UnknownCommandError(f"no command named {config.command!r}")
-    if config.budget < 1:
-        raise SchemaViolationError(f"budget must be >= 1, got {config.budget}",
-                                   json_path="$.budget")
     start = time.perf_counter()
-    try:
-        results, checks, mode = COMMANDS[config.command](config)
-    except (OddMError, OddEllError, EvenKError) as exc:
-        # precondition failures on CLI input surface as schema violations
-        raise SchemaViolationError(str(exc), json_path="$.params") from exc
+    results, checks, mode = COMMANDS[config.command](config)
     report = Report(config=config, results=results, mode=mode, checks=checks,
                     runtime=time.perf_counter() - start)
     if config.out:
@@ -448,8 +435,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         command=raw["command"],
         params=params,
-        seed=int(raw.get("seed") or 0),
-        budget=int(raw.get("budget", DEFAULT_BUDGET)),
         out=raw.get("out"),
         csv=raw.get("csv"),
         plot=raw.get("plot"),

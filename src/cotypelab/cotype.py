@@ -186,34 +186,32 @@ def _b_ratio(n: int, m: int, ell: int) -> _Ratio:
                   1.0 + B_INVARIANT_TOL)
 
 
-def cotype_functionals(f: GridFunction, space_or_norm, p: float, q: float,
-                       budget: int = EPS_ENUM_BUDGET,
-                       seed: int = 0) -> CotypeReport:
+def cotype_functionals(f: GridFunction, space_or_norm, p: float,
+                       q: float) -> CotypeReport:
     """Evaluate lhs, rhs_raw, and gamma_hat for one witness.
 
-    The eps average is exact while 3^n * m^n <= budget; beyond that it is
-    estimated by stratified sampling over the number of zero entries of
-    eps (the x average stays exact), with the standard error reported.
+    The eps average is exact while 3^n * m^n <= EPS_ENUM_BUDGET; past it,
+    sampling seeded with 0, stratified by the number of zero entries of
+    eps, estimates it (the x average stays exact) with its standard error.
     """
     target = as_target(space_or_norm, f.values)
     dom = f.domain
     ratio = _gamma_ratio(dom.n, dom.m, p, q)
-    exact = 3**dom.n * dom.points <= budget
+    exact = 3**dom.n * dom.points <= EPS_ENUM_BUDGET
     if exact:
         means = shift_energy(f.values, target, ratio.table(dom), p)
         (lhs, rhs_raw), stderr = ratio.sides(means), 0.0
     else:
         axes = family_table(dom, "axes", ratio.amount)  # the n long shifts
         lhs = ordered_sum(shift_energy(f.values, target, axes, p))
-        n_samples = max(dom.n, int(budget // max(dom.points, 1)))
+        n_samples = max(dom.n, EPS_ENUM_BUDGET // dom.points)
         rhs_raw, stderr = _sampled_eps_average(f, target, p, n_samples,
-                                               np.random.default_rng(seed))
+                                               np.random.default_rng(0))
     gamma_hat, degenerate = ratio.value(lhs, rhs_raw)
     return CotypeReport(
         n=dom.n, m=dom.m, p=p, q=q, lhs=lhs, rhs_raw=rhs_raw,
         gamma_hat=gamma_hat, degenerate=degenerate,
         mode="exact" if exact else "sampled", stderr=stderr,
-        seed=None if exact else seed, budget=budget,
     )
 
 
@@ -409,7 +407,7 @@ def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
     """
     space = two_point_space()
     witness = _enumerate(space, TorusDomain(n=n, m=m), _gamma_ratio(n, m, p, q), budget)
-    return replace(cotype_functionals(witness, space, p, q), budget=None, witness=witness)
+    return replace(cotype_functionals(witness, space, p, q), witness=witness)
 
 
 def expected_random_gamma(n: int, m: int, p: float, q: float) -> float:

@@ -90,15 +90,17 @@ def grid_to_torus(m: int, n: int) -> EmbeddingRecord:
 
 def _profile_embedding(m: int, n: int, eps: float | None = None) -> EmbeddingRecord:
     """x -> (d(x_j, a))_{j, a} in the sup-norm grid: the distances in
-    Z_{2m} of each coordinate to every anchor (every point of Z_{2m}, or
-    sparse_anchors(m, eps)), the n coordinates' blocks side by side, as a
-    map of Z_{2m}^n."""
+    Z_{2m} of each coordinate to every distinct anchor (every point of
+    Z_{2m}, or of sparse_anchors(m, eps)), the n coordinates' blocks side
+    by side, as a map of Z_{2m}^n."""
     dom = TorusDomain(n=n, m=2 * m)
     k = 2 * m if eps is None else _anchor_count(eps)
-    # the anchors, three (N, n * k) int64 tables, and distortion's row blocks
+    # the anchors, three (N, n * distinct anchors) int64 tables, row blocks
     require_budget(f"a {dom.points}-point profile embedding",
-                   8 * k + 8 * dom.points * (3 * n * k + 8 * ROW_BLOCK))
-    anchors = np.arange(2 * m) if eps is None else sparse_anchors(m, eps)
+                   8 * k + 8 * dom.points * (3 * n * min(k, 2 * m) + 8 * ROW_BLOCK))
+    # each distinct anchor once, ascending (np.unique would import numpy.ma)
+    anchors = np.flatnonzero(np.bincount(
+        np.arange(2 * m) if eps is None else sparse_anchors(m, eps)))
     table = np.abs(np.arange(2 * m, dtype=np.int64)[:, None] - anchors[None, :])
     np.minimum(table, 2 * m - table, out=table)  # (2m, anchors)
     coords = dom.coords()

@@ -195,7 +195,8 @@ def _run(capsys, argv):
 
 
 def test_a_sparse_profile_of_a_million_anchors_is_refused(capsys):
-    # 10,000 points by 1,000,001 anchors: the profile would be 80 GB
+    # 10,000 points by 1,000,001 anchors, 10,000 distinct: the profile
+    # would be 2.4 GB
     code, out, err = _run(capsys, ["embed", "sparse", "--m", "5000",
                                    "--eps", "0.000001"])
     assert code == 2 and out == ""

@@ -15,6 +15,7 @@ from cotypelab import (
 )
 from cotypelab.cli import (
     COMMANDS,
+    TABLE,
     ExperimentConfig,
     config_from_args,
     main,
@@ -477,11 +478,12 @@ def test_one_point_space_reports_a_degenerate_witness(tmp_path, capsys,
 def test_budget_below_one_is_a_usage_error(capsys, command, budget):
     code, doc, err = run_main(capsys, command + ["--budget", budget])
     assert code == 2 and doc is None
-    assert f"$.budget: budget must be >= 1, got {budget}" in err
+    assert f"$.params.budget: budget must be >= 1, got {budget}" in err
+    params = {"n": 1, "m": 4, "ell": 2} if command[0] == "bq" else {"n": 1, "m": 2}
     with pytest.raises(SchemaViolationError) as ei:
-        run(ExperimentConfig(command="gamma-hilbert",
-                             params={"n": 1, "m": 4}, budget=int(budget)))
-    assert ei.value.json_path == "$.budget"
+        run(ExperimentConfig(command=command[0],
+                             params={**params, "budget": int(budget)}))
+    assert ei.value.json_path == "$.params.budget"
 
 
 def test_one_version_everywhere(capsys):
@@ -505,16 +507,14 @@ def test_one_version_everywhere(capsys):
 def test_config_from_args_filters_none():
     import argparse
 
-    ns = argparse.Namespace(command="gamma-hilbert", n=1, m=4, out=None,
-                            csv=None, plot=None, budget=100, seed=None,
-                            eps=None)
+    ns = argparse.Namespace(command="gamma-search", n=1, m=4, p=2.0,
+                            q=None, space=None, seed=0, budget=0, out=None)
     cfg = config_from_args(ns)
-    assert cfg.params == {"n": 1, "m": 4}
-    assert cfg.budget == 100
-    assert cfg.seed == 0
+    assert cfg.params == {"n": 1, "m": 4, "p": 2.0, "seed": 0, "budget": 0}
     # a zero budget is passed through for run() to reject, not replaced
-    assert config_from_args(argparse.Namespace(**{**vars(ns), "budget": 0})
-                            ).budget == 0
+    with pytest.raises(SchemaViolationError) as ei:
+        run(cfg)
+    assert ei.value.json_path == "$.params.budget"
 
 
 def test_verify_seed_reaches_the_suites(capsys):
@@ -526,11 +526,11 @@ def test_verify_seed_reaches_the_suites(capsys):
         return doc
 
     plain = checks([])
-    assert "seed" not in plain["params"] and plain["seed"] == 0
+    assert "seed" not in plain["params"] and "seed" not in plain
     suite_default = [c.lhs for c in run_suite("cotype")]
     assert [c["lhs"] for c in plain["checks"]] == suite_default
     one, two = checks(["--seed", "1"]), checks(["--seed", "2"])
-    assert one["seed"] == one["params"]["seed"] == 1
+    assert one["params"]["seed"] == 1 and "seed" not in one
     assert [c["lhs"] for c in one["checks"]] == \
         [c.lhs for c in run_suite("cotype", seed=1)]
     assert one["checks"] != two["checks"]
@@ -556,7 +556,7 @@ def test_check_commands_refuse_fewer_than_one_trial(capsys, command, trials):
 
 @pytest.mark.parametrize("command, params, key", [
     ("gamma-hilbert", {"n": 1, "m": 4, "mm": 6}, "mm"),  # unknown key
-    ("gamma-search", {"n": 1, "m": 4, "seed": 3}, "seed"),  # a config field
+    ("gamma-search", {"n": 1, "m": 4, "seed": 3.5}, "seed"),  # a declared seed
     ("gamma-hilbert", {"n": 2.7, "m": 4}, "n"),  # no truncation to 2
     ("gamma-hilbert", {"n": 2, "m": 4.9}, "m"),
     ("gamma-hilbert", {"n": True, "m": 4}, "n"),
@@ -628,6 +628,44 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
         main(argv)
     assert ei.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# the cheapest run of each command, with a seed and a budget where declared
+MINIMAL_ARGV = {
+    "gamma-hilbert": ["--n", "1", "--m", "2"],
+    "gamma-exhaustive": ["--n", "1", "--m", "2"],
+    "gamma-search": ["--n", "1", "--m", "2"],
+    "bq": ["--n", "1", "--m", "2", "--ell", "2"],
+    "mod-check": ["--n", "1", "--m", "4", "--r", "2", "--trials", "1"],
+    "verify": ["--suite", "harmonic", "--trials", "1"],
+    "embed": ["frechet", "--m", "2"],
+    "extract-grid": ["--n", "1", "--m", "8", "--s", "4"],
+    "moduli-check": ["--n", "1", "--m", "2", "--trials", "1"],
+    "bounds": ["shift-growth", "--n", "4", "--n0", "2", "--ell0", "2"],
+    "plot": ["gamma-vs-m", "--n", "1", "--m-max", "2", "--plot", "p.svg"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_a_report_names_only_the_seed_and_budget_its_command_reads(
+        name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    declared = {p.name for p in TABLE[name].params} & {"seed", "budget"}
+    given = {"seed": 3, "budget": 7}
+    argv = [name, *MINIMAL_ARGV[name]]
+    for key in sorted(declared):
+        argv += [f"--{key}", str(given[key])]
+    code, doc, _ = run_main(capsys, argv)
+    assert code == 0
+    assert "seed" not in doc and "budget" not in doc
+    assert {key: doc["params"][key] for key in declared} == \
+        {key: given[key] for key in declared}
+    assert not ({"seed", "budget"} - declared) & doc["params"].keys()
+    for key in sorted({"seed", "budget"} - declared):
+        with pytest.raises(SchemaViolationError) as ei:
+            run(ExperimentConfig(command=name,
+                                 params={**doc["params"], key: 1}))
+        assert ei.value.json_path == f"$.params.{key}"
 
 
 def test_check_commands_write_the_ledger(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations, product
@@ -87,6 +88,29 @@ class TestSparseProfiles:
     def test_frozen_instance(self):
         rec = sparse_frechet_cycle(16, 0.25)
         assert rec.distortion == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.1, 1e-6])
+    def test_repeated_anchors_change_no_bit(self, eps, monkeypatch):
+        # the profile keeps each distinct anchor once (8 of the 11 and of the
+        # 1,000,001 anchors at m = 4); the sup over every anchor, repeats
+        # kept, is the same integer, so its table and record keep their bits
+        m, targets, measure = 4, [], embeddings.distortion
+        monkeypatch.setattr(embeddings, "distortion",
+                            lambda f, s, t: targets.append(t) or measure(f, s, t))
+        rec = sparse_frechet_cycle(m, eps)
+        anchors, sup = sparse_anchors(m, eps), np.zeros((2 * m, 2 * m), np.int64)
+        for c in range(0, anchors.size, 1 << 15):  # 16 MB of gaps a block
+            gap = np.abs(np.arange(2 * m)[:, None] - anchors[None, c:c + (1 << 15)])
+            col = np.minimum(gap, 2 * m - gap)
+            np.maximum(sup, np.abs(col[:, None] - col[None]).max(axis=2), out=sup)
+        dist = sup.astype(np.float64)
+        assert targets[0].coords.shape == (2 * m, np.unique(anchors).size)
+        assert targets[0].dist.tobytes() == dist.tobytes()
+        want = distortion(np.arange(2 * m), torus_space(TorusDomain(n=1, m=2 * m)),
+                          FiniteMetricSpace(labels=tuple(range(2 * m)), dist=dist))
+        for field in dataclasses.fields(rec):
+            assert np.asarray(getattr(rec, field.name)).tobytes() == \
+                np.asarray(getattr(want, field.name)).tobytes(), field.name
 
 
 class TestVSet:

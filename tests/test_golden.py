@@ -17,7 +17,10 @@ an exact b-quantity, an exact two-point gamma and the Frechet cycle from
 before gamma and b-hat shared one ratio record, scorer and enumerator
 and the cycle embeddings one profile helper, and two exact b-quantities
 on two-point spaces at gaps 2 and 0.3 (their changed witnesses and the
-gap-0.3 value's last bits are argued in CHANGES.md). Commands run from
+gap-0.3 value's last bits are argued in CHANGES.md). Every file was
+regenerated once when a report stopped naming a config-wide seed and
+budget: each command that reads them carries them under "params", and
+nothing else moved (argued in CHANGES.md). Commands run from
 the tests directory, so the --space paths in the reports are relative.
 Runtime goes to stderr, so stdout is byte-stable. A difference here is a
 behaviour change: argue for it in CHANGES.md instead of re-freezing the

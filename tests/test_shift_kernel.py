@@ -89,7 +89,7 @@ def ref_sampled(f, target, p, n_samples, rng):
     return est, math.sqrt(var)
 
 
-def ref_cotype(f, target, p, q, budget, seed):
+def ref_cotype(f, target, p, q, budget):
     dom = f.domain
     n, m = dom.n, dom.m
     lhs = ref_axis_sum(f, target, m // 2, p)
@@ -99,7 +99,7 @@ def ref_cotype(f, target, p, q, budget, seed):
     else:
         n_samples = max(n, int(budget // dom.points))
         rhs, stderr = ref_sampled(f, target, p, n_samples,
-                                  np.random.default_rng(seed))
+                                  np.random.default_rng(0))
     gamma = 0.0 if rhs <= 0 else \
         (lhs / (m**p * n ** (1.0 - p / q) * rhs)) ** (1.0 / p)
     return lhs, rhs, gamma, stderr
@@ -144,14 +144,16 @@ P_VALUES = st.sampled_from((1.0, 1.5, 2.0))
 
 
 @settings(max_examples=60, deadline=None)
-@given(witnesses(), P_VALUES, st.booleans(), st.integers(0, 1000))
-def test_cotype_functionals_bit_exact(wit, p, sampled, seed):
+@given(witnesses(), P_VALUES, st.booleans())
+def test_cotype_functionals_bit_exact(wit, p, sampled):
     f, target = wit
     dom = f.domain
     # one budget short of exact enumeration forces the sampled mode
     budget = dom.points * (3**dom.n - 1) if sampled else 1 << 22
-    rep = cotype_functionals(f, target, p, 2.0, budget=budget, seed=seed)
-    lhs, rhs, gamma, stderr = ref_cotype(f, target, p, 2.0, budget, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cotype, "EPS_ENUM_BUDGET", budget)
+        rep = cotype_functionals(f, target, p, 2.0)
+    lhs, rhs, gamma, stderr = ref_cotype(f, target, p, 2.0, budget)
     assert rep.mode == ("sampled" if 3**dom.n * dom.points > budget
                         else "exact")
     assert (rep.lhs, rep.rhs_raw, rep.gamma_hat, rep.stderr) == \
@@ -363,7 +365,7 @@ def _two_point_gamma_ref(n, m, p, q):
     for idx in range(2**dom.points):
         bits = (idx >> np.arange(dom.points)) & 1
         f = GridFunction.points(dom, bits)
-        lhs, rhs, gamma, _ = ref_cotype(f, target, p, q, 1 << 22, 0)
+        lhs, rhs, gamma, _ = ref_cotype(f, target, p, q, 1 << 22)
         if best is None or gamma > best[2]:
             best = (lhs, rhs, gamma, list(bits))
     return best

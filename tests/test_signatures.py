@@ -28,6 +28,7 @@ SIGNATURES = {
     "adversarial_cancellation_search":
         "(n, m, k, p, eps, norm, steps=60, seed=0)",
     "b_functionals": "(f, space_or_norm, ell)",
+    "cotype_functionals": "(f, space_or_norm, p, q)",
     "as_target": "(space_or_norm, values)",
     "coarse_obstruction_check": "(values, space, n, m, p, q, r, s_scale)",
     "frechet_cycle": "(m)",
