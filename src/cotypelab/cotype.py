@@ -337,17 +337,23 @@ def _xor_sides(witnesses: np.ndarray, table: np.ndarray, n: int,
 
 
 @functools.lru_cache(maxsize=4)
-def _two_point_sides(n: int, m: int, family: str,
-                     amount: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only xor count sums (_xor_sides at divisor 1) of every two-point
-    witness on Z_m^n, by index; they depend on neither the gap nor the
-    exponents, so one enumeration serves all."""
+def _two_point_winner(n: int, m: int, family: str, amount: int) -> int:
+    """Index of the first two-point witness on Z_m^n whose xor count sums
+    rank highest under _quotient, whatever the gap and exponents. A witness's
+    complement, index 2^N - 1 - i, has its xor counts, so the first maximiser
+    lies below 2^(N-1): only those stream, SHIFT_BLOCK_ELEMENTS // N at a
+    time, and a later block wins only with a strictly higher score."""
     dom = TorusDomain(n=n, m=m)
-    sides = _xor_sides(_bit_rows(0, 2**dom.points, dom.points),
-                       family_table(dom, family, amount), n, 1)
-    for side in sides:
-        side.setflags(write=False)
-    return sides
+    N, table = dom.points, family_table(dom, family, amount)
+    half, step = 2 ** (N - 1), max(1, SHIFT_BLOCK_ELEMENTS // N)
+    best, top = 0, -math.inf
+    for w0 in range(0, half, step):
+        scores = _quotient(*_xor_sides(_bit_rows(w0, min(w0 + step, half), N),
+                                       table, n, 1))
+        i = int(np.argmax(scores))
+        if scores[i] > top:
+            best, top = w0 + i, scores[i]
+    return best
 
 
 def _codomain_size(space) -> int:
@@ -370,20 +376,25 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     winning ties.
 
     A two-point space enumerates the bit tables of the witness indices on
-    bit planes (point 0 the lowest bit), whose cached xor count sums
-    _quotient ranks as _scorer's exact scores do; any other space enumerates
-    assignments in mixed radix (point 0 the highest digit), scored by
-    _scorer a chunk at a time. Past budget witnesses (_fits) or
+    bit planes (point 0 the lowest bit), whose xor count sums _quotient
+    ranks as _scorer's exact scores do (_two_point_winner); any other space
+    enumerates assignments in mixed radix (point 0 the highest digit), scored
+    by _scorer a chunk at a time. Past budget witnesses (_fits) or
     require_budget, it raises BudgetExceededError."""
     N, K = dom.points, _codomain_size(space)
     if not _fits(K, N, budget):
         raise BudgetExceededError(f"{K}^{N} witnesses exceed budget {budget}")
     count = K**N
     work = count * (ratio.n + ratio.patterns) * N  # witness-shift-points
-    if K == 2:  # 52 bytes a witness, and four cached pairs of sides
-        require_budget(f"{count} two-point witnesses", 116 * count, XOR_SECONDS * work)
-        best = int(np.argmax(_quotient(*_two_point_sides(
-            dom.n, dom.m, ratio.family, ratio.amount))))
+    if K == 2:  # half the witnesses; a block's bits, sides, scores and planes
+        # take 72 + N bytes a witness, its gathers 2N + 9 a witness-shift
+        # (traced: 113 a witness at (1,16), 125 at (1,20))
+        block = min(count // 2, max(1, SHIFT_BLOCK_ELEMENTS // N))
+        shifts = min(ratio.n + ratio.patterns,
+                     max(1, SHIFT_BLOCK_ELEMENTS // (N * block)))
+        require_budget(f"{count} two-point witnesses",
+                       (72 + N + (2 * N + 9) * shifts) * block, XOR_SECONDS * work / 2)
+        best = _two_point_winner(dom.n, dom.m, ratio.family, ratio.amount)
         return GridFunction.points(dom, _bit_rows(best, best + 1, N)[0])
     # 2N + 9 int64/float64 entries a witness, 4 a block entry; 26 ns at (1,8)
     require_budget(f"{count} witnesses", count * (16 * N + 72)

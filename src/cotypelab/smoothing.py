@@ -342,6 +342,19 @@ def _signed_sum(eps: np.ndarray, diffs: np.ndarray) -> np.ndarray:
                             (d if e > 0 else -d for e, d in zip(eps, diffs)))
 
 
+@functools.lru_cache(maxsize=64)
+def _sign_pattern(n: int, raw: bytes) -> tuple[np.ndarray, str, int]:
+    """(read-only int64 signs, label, sign_patterns row) of the int64 bytes
+    of a full sign pattern of length n, parsed once a pattern."""
+    ev = np.frombuffer(raw, dtype=np.int64)
+    if ev.shape != (n,) or any(abs(e) != 1 for e in ev.tolist()):
+        raise PreconditionViolationError(
+            f"eps must be a full sign pattern of length {n}"
+        )
+    label = "".join("+" if e > 0 else "-" for e in ev.tolist())
+    return ev, label, int(label.replace("+", "1").replace("-", "0"), 2)
+
+
 def check_lemma_cancellation(f: GridFunction, space, k: int, p: float,
                              eps) -> InequalityCheck:
     """Signed sum of smoothed central differences: the cancellation bound.
@@ -359,15 +372,10 @@ def check_lemma_cancellation(f: GridFunction, space, k: int, p: float,
     dom = f.domain
     n = dom.n
     ev = np.asarray(eps, dtype=np.int64)
-    if ev.shape != (n,) or any(abs(e) != 1 for e in ev.tolist()):
-        raise PreconditionViolationError(
-            f"eps must be a full sign pattern of length {n}"
-        )
-    label = "".join("+" if e > 0 else "-" for e in ev.tolist())
+    ev, label, row = _sign_pattern(n, ev.tobytes() if ev.shape == (n,) else b"")
     target = as_target(space, f.values)
     w = _witness(f, target, k)
 
-    row = int(label.replace("+", "1").replace("-", "0"), 2)  # sign_patterns row
     signed = w.built(("signed", row), lambda: target.norm(_signed_sum(ev, w.diffs())))
     lhs = float(mean_power(signed, p))
     rows = w.distances()

@@ -442,10 +442,14 @@ def distortion(mapping, source: FiniteMetricSpace,
     if f.shape != (ns,):
         raise DimensionMismatchError(f"mapping must have shape ({ns},), got {f.shape}")
     # 1.1-1.5 ns a pair and column (a table counts 1, the pair itself 10) at
-    # 6,000 points of 2 + 2 columns and the 1,000-point Frechet cycle
+    # 6,000 points of 2 + 2 columns and the 1,000-point Frechet cycle, and
+    # 4 us a coordinate column per row block, pairwise's loop: 8 points by
+    # 10^5 (10^6) columns took 0.33-0.37 s (2.96-3.42 s), 64 by 2 * 10^4 0.27-0.32 s
     cols = [1 if sp.coords is None else sp.coords.shape[1] for sp in (source, target)]
+    loops = sum(c for sp, c in zip((source, target), cols) if sp.coords is not None)
     require_budget(f"a distortion scan of {ns} points",
-                   seconds=1e-9 * ns * ns * (sum(cols) + 10))
+                   seconds=1e-9 * ns * ns * (sum(cols) + 10)
+                   + 4e-6 * loops * len(range(0, ns - 1, ROW_BLOCK)))
     require_indices(f, target.size)
     order = np.argsort(f, kind="stable")
     fs = f[order]

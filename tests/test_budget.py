@@ -126,7 +126,7 @@ def test_bytes_estimates_bound_the_traced_peak(what, build, cell,
     call = build(*cell)
     nbytes, _ = budget_estimate(call, what)
     gridops.family_table.cache_clear()
-    cotype._two_point_sides.cache_clear()
+    cotype._two_point_winner.cache_clear()
     tracemalloc.start()
     try:
         call()
@@ -159,11 +159,29 @@ def test_the_distortion_estimate_counts_coordinate_columns(budget_estimate):
     wide = points_space(np.arange(40)[:, None] * np.ones(50, np.int64), 2.0)
     table = spaces.FiniteMetricSpace(labels=tuple(range(40)), dist=line.dist)
     ident, what = np.arange(40), "a distortion scan of 40 points"
-    # a table reads as one column, and each pair costs 10 more
+    # a table reads as one column, and each pair costs 10 more; pairwise
+    # loops over each coordinate column once a row block (two of 32 rows)
     assert budget_estimate(lambda: distortion(ident, table, table), what)[1] \
         == 1e-9 * 40 * 40 * 12
     assert budget_estimate(lambda: distortion(ident, line, wide), what)[1] \
-        == 1e-9 * 40 * 40 * 61
+        == 1e-9 * 40 * 40 * 61 + 4e-6 * 51 * 2
+
+
+def test_the_distortion_estimate_refuses_one_coordinate_column_over(
+        monkeypatch, budget_estimate):
+    # 8 points by 20,000 columns: the column loop is 98 % of the estimate
+    def call(cols):
+        wide = points_space(np.arange(8)[:, None] * np.ones(cols, np.int64), 2.0)
+        return lambda: distortion(np.arange(8), wide, wide)
+
+    what = "a distortion scan of 8 points"
+    seconds = budget_estimate(call(20_000), what)[1]
+    assert seconds == 1e-9 * 8 * 8 * 40_010 + 4e-6 * 40_000
+    monkeypatch.setattr(spaces, "WORK_BUDGET", seconds)
+    call(19_999)()  # one column under
+    call(20_000)()
+    with pytest.raises(BudgetExceededError, match=f"^{what} needs about "):
+        call(20_001)()  # one column over
 
 
 def test_two_thresholds():

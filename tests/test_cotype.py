@@ -213,7 +213,7 @@ class TestTwoPointExhaustive:
         with pytest.raises(OddMError):
             gamma_exhaustive_two_point(1, 3, 2.0, 2.0)
         # 36 points: 2^36 witnesses pass the default budget, and at that
-        # budget their planes and sides would need 8 TB
+        # budget half of them would take hours on bit planes
         with pytest.raises(BudgetExceededError, match="^2\\^36 witnesses exceed"):
             gamma_exhaustive_two_point(2, 6, 2.0, 2.0)
         with pytest.raises(BudgetExceededError, match="^68719476736 two-point"):

@@ -25,6 +25,7 @@ from cotypelab import (
     two_point_space,
     walsh_char,
 )
+from cotypelab import smoothing
 from shift_reference import roll_values
 
 
@@ -217,6 +218,21 @@ def test_cancellation_guards():
         check_lemma_cancellation(pts, two_point_space(), 3, 2.0, [1, 1])
     with pytest.raises(PreconditionViolationError):
         check_lemma_cancellation(f, norm, 3, 0.9, [1, 1])
+
+
+def test_a_sign_pattern_is_parsed_once_and_a_bad_one_raises_every_time():
+    dom = TorusDomain(n=2, m=8)
+    f = rand_vec(dom, 1, seed=5)
+    norm = NormTarget(p=2.0)
+    smoothing._sign_pattern.cache_clear()
+    for eps in ([1, -1], (1, -1), np.array([1, -1]), np.array([1.0, -1.0])):
+        assert check_lemma_cancellation(f, norm, 3, 2.0, eps).params["eps"] == "+-"
+    assert smoothing._sign_pattern.cache_info().misses == 1
+    # a wrong length, a zero, a scalar and rows, twice each
+    for bad in ([1, 0], [1], [1, -1, 1], 1, [[1, -1]], np.array([[1], [-1]])) * 2:
+        with pytest.raises(PreconditionViolationError,
+                           match="^eps must be a full sign pattern of length 2$"):
+            check_lemma_cancellation(f, norm, 3, 2.0, bad)
 
 
 def test_adversarial_searches_stay_negative():

@@ -30,6 +30,7 @@ from cotypelab import (
     smoothing_apply,
     smoothing_set,
     torus_space,
+    two_point_space,
 )
 from cotypelab import cotype, gridops, harmonic, smoothing
 from cotypelab.gridops import SHIFT_BLOCK_ELEMENTS, family_table
@@ -223,22 +224,83 @@ def test_signed_sum_matches_the_tensordot():
 # ------------------------------------------------------- bit planes
 
 
+def side_sums_scores(n, m, family, amount):
+    """_quotient of the integer side sums (side_sums_sides at divisor 1) of
+    every two-point witness on Z_m^n, by index: -inf where rhs is 0."""
+    dom = TorusDomain(n=n, m=m)
+    rows = cotype._bit_rows(0, 2**dom.points, dom.points)
+    lhs, rhs = side_sums_sides(rows, family_table(dom, family, amount), n, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rhs > 0, lhs / rhs, -np.inf)
+
+
 @pytest.mark.parametrize("n,m", [(4, 2), (2, 4), (1, 20), (1, 18), (3, 2)])
 def test_bit_plane_sides_match_side_sums(n, m):
-    # the cached enumeration holds integer counts (divisor 1), and at
-    # divisor N the same planes give the means of the general kernel
+    # the planes hold integer counts at divisor 1 and the means of the
+    # general kernel at divisor N, and the streamed winner is the first
+    # maximiser of the counts' quotients over every witness
     dom = TorusDomain(n=n, m=m)
     rows = cotype._bit_rows(0, 2**dom.points, dom.points)
     families = [("edges", m // 2)] + [("signs", 2)] * (dom.points <= 16)
     for family, amount in families:
         table = family_table(dom, family, amount)
-        got = cotype._two_point_sides(n, m, family, amount)
-        want = side_sums_sides(rows, table, n, 1)
-        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
-        assert all(np.array_equal(s, np.round(s)) for s in got)
-        got = cotype._xor_sides(rows, table, n, dom.points)
-        want = side_sums_sides(rows, table, n, dom.points)
-        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+        for divisor in (1, dom.points):
+            got = cotype._xor_sides(rows, table, n, divisor)
+            want = side_sums_sides(rows, table, n, divisor)
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+            assert divisor > 1 or all(np.array_equal(s, np.round(s)) for s in got)
+        assert cotype._two_point_winner(n, m, family, amount) == int(
+            np.argmax(side_sums_scores(n, m, family, amount)))
+
+
+# every torus of at most 16 points, and the one-point torus Z_1
+SMALL_TORI = [(1, 1)] + [(n, m) for n in range(1, 5) for m in range(2, 17, 2)
+                         if m**n <= 16]
+_SCORES = {}
+
+
+@pytest.mark.parametrize("n,m", SMALL_TORI)
+@pytest.mark.parametrize("family", ("edges", "signs"))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_the_streamed_winner_is_the_first_full_range_maximiser(n, m, family,
+                                                               data):
+    # gamma's half-circumference edges, or b's signs at an even shift
+    amount = m // 2 if family == "edges" else data.draw(
+        st.sampled_from(range(2, max(m, 2) + 1, 2)), label="ell")
+    key = (n, m, family, amount)
+    if key not in _SCORES:
+        _SCORES[key] = side_sums_scores(*key)
+    scores, N = _SCORES[key], m**n
+    half = 2 ** (N - 1)
+    # blocks of one witness up to one block for them all, at most 64 blocks
+    step = data.draw(st.integers(max(1, -(-half // 64)), half + 1), label="step")
+    cap = data.draw(st.integers(max(1, step * N), step * N + N - 1), label="cap")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cotype, "SHIFT_BLOCK_ELEMENTS", cap)
+        got = cotype._two_point_winner.__wrapped__(*key)
+    assert got == int(np.argmax(scores))
+    # the stream never reads the upper half, where each maximum's
+    # complement ties it; the constant witness 0 scores -inf, and so does
+    # every witness of Z_1
+    assert got < half and scores[-1 - got] == scores[got]
+    assert scores[0] == -np.inf and (N > 1 or scores.tolist() == [-np.inf] * 2)
+
+
+@pytest.mark.parametrize("m", (16, 20))
+def test_the_enumeration_peak_is_one_block_whatever_the_witness_count(m):
+    # 2^16 and 2^20 witnesses under one bound: only a block is held at once
+    dom = TorusDomain(n=1, m=m)
+    ratio = cotype._gamma_ratio(1, m, 2.0, 2.0)
+    ratio.table(dom)  # the cached shift table is built outside the trace
+    cotype._two_point_winner.cache_clear()
+    tracemalloc.start()
+    try:
+        cotype._enumerate(two_point_space(), dom, ratio, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * SHIFT_BLOCK_ELEMENTS, peak  # a block's entries at 8 bytes
 
 
 @pytest.mark.parametrize("cap", (1, 17, 48, 200, 1 << 12))
