@@ -2,8 +2,9 @@
 """Profile the exact Hilbert-space constant over the modulus.
 
 For maps of Z_m^n into Hilbert space with p = q = 2 the extremal ratio
-has a closed form per frequency, so the constant is an exact maximum
-over folded frequency multisets. This walk prints the profile for a few
+has a closed form per frequency, and the maximizing frequency is always
+(1, ..., 1): the constant is sqrt(4n / (m^2 (2 - 2c^n))) with
+c = (1 + 2 cos(2 pi / m)) / 3. This walk prints the profile for a few
 dimensions, marks the sqrt(6)/pi ceiling that kicks in once m is a
 multiple of 4 and large against sqrt(n), and cross-checks two cells
 against the dense oracle, which whitens the edge form with eigh and
@@ -37,7 +38,7 @@ def main() -> None:
         print()
 
     # an independent route to the same numbers: eigenvalues of the two
-    # dense quadratic forms instead of a scan over frequencies
+    # dense quadratic forms instead of the closed form
     for n, m in ((1, 4), (2, 4)):
         exact, _ = gamma_hilbert_exact(n, m)
         oracle = hilbert_gamma_power_iteration(n, m)

@@ -90,14 +90,8 @@ class Report:
         }
         if self.checks:
             out["checks"] = [
-                {
-                    "name": c.name,
-                    "params": _jsonable(dict(c.params)),
-                    "lhs": float(c.lhs),
-                    "rhs": float(c.rhs),
-                    "slack": float(c.slack),
-                    "pass": bool(c.passed),
-                }
+                _jsonable({k: v for k, v in c.to_json_dict().items()
+                           if k != "tolerance"})
                 for c in self.checks
             ]
             out["failures"] = self.failures

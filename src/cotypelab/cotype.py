@@ -245,41 +245,42 @@ def gamma_hilbert_exact(n: int, m: int) -> tuple[float, tuple]:
     """Exact p=q=2 constant for maps into Hilbert space, with its maximizer.
 
     Both quadratic forms are diagonal in the character basis, so the
-    constant is max over frequencies k != 0 of
+    constant is the max over frequencies k != 0 of
 
-        sqrt( 4 * #{j : k_j odd} / (m^2 * D(k)) ),
-        D(k) = 2 - 2 * prod_j (1 + 2 cos(2 pi k_j / m)) / 3.
+        sqrt( 4 t / (m^2 * D(k)) ),  t = #{j : k_j odd},
+        D(k) = 2 - 2 * prod_j f(k_j),  f(r) = (1 + 2 cos(2 pi r / m)) / 3,
 
-    The quotient is invariant under coordinate permutations and under
-    k_j -> m - k_j, so the search runs over multisets of folded residues
-    in [0, m/2]; the reported maximizer is the sorted representative.
+    and that max is at k = (1, ..., 1). Let c = f(1) and fix t >= 1.
+    Every |f| <= 1, and f falls on [0, m/2] to f(m/2) >= -1/3, so an odd
+    k_j, folded into [1, m/2], has |f(k_j)| <= c once m >= 4 (then
+    c >= 1/3); at m = 2 the only odd residue is 1. So prod_j f(k_j) <= c^t,
+    with equality at t ones and n - t zeros, and the quotient is at most
+    2 t / (m^2 (1 - c^t)). That rises with t: for 0 < c < 1,
+    (1 - c^t) / t = (1 - c) * mean(1, c, ..., c^(t-1)) falls, and for
+    c = -1/3, (t + 1)(1 - c^t) - t(1 - c^(t+1)) = 1 - c^t (t + 1 - t c) > 0.
+    So t = n. The product runs left to right from 1.0, so the value has
+    the bits of the formula above evaluated term by term at (1, ..., 1).
+
+    In float64 (u = 2^-53) c is within 2u of f(1), and each factor adds a
+    relative u, so D is off by at most about 6nu < n * 2^-50. Where
+    D < n * 2^-45, gamma could be off by more than 1/64, so such (n, m)
+    raise PreconditionViolationError: for n <= 16, every m above
+    30,550,072 (c rounds to 1.0 from m of about 6 * 10^8).
     """
     if n < 1 or m < 2:
         raise PreconditionViolationError(f"need n >= 1 and m >= 2, got n={n} m={m}")
     _require_even_m(m)
-    half = m // 2
-    multisets = comb(half + n, n)  # 80 ns a multiset per n + 4 at (2..16, 8..400)
-    require_budget(f"a scan of {multisets} frequency multisets",
-                   seconds=80e-9 * multisets * (n + 4))
-    factors = [(1.0 + 2.0 * math.cos(2.0 * math.pi * r / m)) / 3.0
-               for r in range(half + 1)]
-    odd_flags = [r % 2 for r in range(half + 1)]
-    best = -1.0
-    best_k: tuple = ()
-    for combo in itertools.combinations_with_replacement(range(half + 1), n):
-        odd = 0
-        prod = 1.0
-        for r in combo:
-            odd += odd_flags[r]
-            prod *= factors[r]
-        if odd == 0:
-            continue  # numerator vanishes (covers the excluded k = 0 too)
-        dk = 2.0 - 2.0 * prod
-        ratio = 4.0 * odd / (m * m * dk)
-        if ratio > best:
-            best = ratio
-            best_k = combo
-    return math.sqrt(best), best_k
+    # the argmax as gamma-hilbert prints it, a tuple, a list and a JSON
+    # chunk an entry: 92-94 bytes traced at n = 10^5..10^6 and 1.0-1.5 us
+    # timed at 10^5..3 * 10^6, m = 32; the product's 6-75 ns a factor is in it
+    require_budget(f"a {n}-entry Hilbert argmax", 100 * n, 1.6e-6 * n)
+    c = (1.0 + 2.0 * math.cos(2.0 * math.pi / m)) / 3.0
+    dk = 2.0 - 2.0 * math.prod(itertools.repeat(c, n), start=1.0)
+    if dk < n * 2.0**-45:
+        raise PreconditionViolationError(
+            f"at n={n} m={m}, D = 2 - 2c^n = {dk:.3g} is below n * 2^-45: "
+            "float64 rounding could move gamma by more than 1/64")
+    return math.sqrt(4.0 * n / (m * m * dk)), (1,) * n
 
 
 def hilbert_gamma_power_iteration(n: int, m: int) -> float:
@@ -331,6 +332,7 @@ def _xor_sides(witnesses: np.ndarray, table: np.ndarray, n: int,
             xor = np.take(planes, table[s0:s0 + s_step], axis=0)
             xor ^= planes
             counts = xor.sum(axis=1, dtype=np.min_scalar_type(N))  # each <= N
+            del xor  # before the next block's gather
             for s, means in enumerate(counts / divisor, s0):
                 (lhs if s < n else rhs)[w0:w0 + w_step] += means
     return lhs, rhs
@@ -387,13 +389,13 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     count = K**N
     work = count * (ratio.n + ratio.patterns) * N  # witness-shift-points
     if K == 2:  # half the witnesses; a block's bits, sides, scores and planes
-        # take 72 + N bytes a witness, its gathers 2N + 9 a witness-shift
-        # (traced: 113 a witness at (1,16), 125 at (1,20))
+        # take 72 + N bytes a witness, its gather N + 9 a witness-shift
+        # (traced: 98 a witness at (1,16), 106 at (1,20))
         block = min(count // 2, max(1, SHIFT_BLOCK_ELEMENTS // N))
         shifts = min(ratio.n + ratio.patterns,
                      max(1, SHIFT_BLOCK_ELEMENTS // (N * block)))
         require_budget(f"{count} two-point witnesses",
-                       (72 + N + (2 * N + 9) * shifts) * block, XOR_SECONDS * work / 2)
+                       (72 + N + (N + 9) * shifts) * block, XOR_SECONDS * work / 2)
         best = _two_point_winner(dom.n, dom.m, ratio.family, ratio.amount)
         return GridFunction.points(dom, _bit_rows(best, best + 1, N)[0])
     # 2N + 9 int64/float64 entries a witness, 4 a block entry; 26 ns at (1,8)

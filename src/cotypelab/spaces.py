@@ -242,41 +242,21 @@ def validate_metric(table, labels: Iterable | None = None) -> FiniteMetricSpace:
             f"non-finite entry at ({i},{j})", f"$.dist[{i}][{j}]"
         )
 
-    loc = _first_true(arr < 0)
-    if loc is not None:
-        i, j = loc
-        raise NegativeDistanceError(
-            f"dist[{i}][{j}] = {arr[i, j]} is negative",
-            indices=(int(i), int(j)),
-            json_path=f"$.dist[{i}][{j}]",
-        )
-    diag = np.diagonal(arr)
-    bad = np.flatnonzero(diag != 0)
-    if bad.size:
-        i = int(bad[0])
-        raise NonzeroDiagonalError(
-            f"dist[{i}][{i}] = {diag[i]} must be 0",
-            indices=(i, i),
-            json_path=f"$.dist[{i}][{i}]",
-        )
-    loc = _first_true(arr != arr.T)
-    if loc is not None:
-        i, j = loc
-        raise AsymmetryError(
-            f"dist[{i}][{j}] = {arr[i, j]} but dist[{j}][{i}] = {arr[j, i]}",
-            indices=(int(i), int(j)),
-            json_path=f"$.dist[{i}][{j}]",
-        )
-    off = arr == 0
-    np.fill_diagonal(off, False)
-    loc = _first_true(off)
-    if loc is not None:
-        i, j = loc
-        raise ZeroOffDiagonalError(
-            f"distinct points {i} and {j} are at distance 0",
-            indices=(int(i), int(j)),
-            json_path=f"$.dist[{i}][{j}]",
-        )
+    # each axiom's violation mask is built once the axioms before it hold
+    for violations, error, message in (
+        (lambda: arr < 0, NegativeDistanceError, "dist[{i}][{j}] = {a} is negative"),
+        (lambda: np.diag(np.diagonal(arr) != 0), NonzeroDiagonalError,
+         "dist[{i}][{j}] = {a} must be 0"),
+        (lambda: arr != arr.T, AsymmetryError,
+         "dist[{i}][{j}] = {a} but dist[{j}][{i}] = {b}"),
+        (lambda: (arr == 0) & ~np.eye(n, dtype=bool), ZeroOffDiagonalError,
+         "distinct points {i} and {j} are at distance 0"),
+    ):
+        loc = _first_true(violations())
+        if loc is not None:
+            i, j = map(int, loc)
+            raise error(message.format(i=i, j=j, a=arr[i, j], b=arr[j, i]),
+                        indices=(i, j), json_path=f"$.dist[{i}][{j}]")
     slack = TRIANGLE_SLACK_REL * float(arr.max())
     for i in range(n):  # one (N, N) slice of the (i, k, j) scan at a time
         # viol[k, j]: going through k beats the direct entry by more than slack

@@ -6,6 +6,7 @@ Every site is checked at its boundary (the call runs with the threshold at
 its estimate and raises one unit below), and every bytes estimate is
 checked against the tracemalloc peak of the call it guards at two cells.
 """
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -94,7 +95,7 @@ BYTES_SITES = {
                  [(3, 8, 8), (4, 6, 2)]),
     "bit-planes": (lambda n, m: f"{2 ** m ** n} two-point witnesses",
                    lambda n, m: lambda: gamma_exhaustive_two_point(n, m, 2.0, 2.0),
-                   [(1, 16), (1, 18)]),
+                   [(1, 16), (1, 20)]),
     "mixed-radix": (lambda name, m: f"{SPACES[name].size ** m} witnesses",
                     lambda name, m: lambda: exhaustive_b(SPACES[name], 1, 2, m, 1 << 20),
                     [("path4", 8), ("uneven3", 10)]),
@@ -114,6 +115,9 @@ BYTES_SITES = {
                   [(2, 4, 1 << 16), (2, 16, 4096)]),
     "defect-sum": (lambda n, m, s: "a geodesic-defect sum", _extract,
                    [(4, 8, 4), (3, 16, 8)]),
+    "hilbert-argmax": (lambda n, m: f"a {n}-entry Hilbert argmax",
+                       lambda n, m: lambda: gamma_hilbert_exact(n, m),
+                       [(16, 32), (10**5, 32)]),
 }
 CELLS = [pytest.param(what(*cell), build, cell,
                       id=f"{label}-{'-'.join(map(str, cell))}")
@@ -146,8 +150,7 @@ def test_every_bytes_site_runs_at_its_estimates_and_not_one_unit_below(
     ("a distortion scan of 625 points", lambda: distortion(
         np.arange(625), points_space(np.indices((25, 25)).reshape(2, -1).T, 2.0),
         points_space(np.indices((25, 25)).reshape(2, -1).T, 1.0))),
-    ("a scan of 924 frequency multisets", lambda: gamma_hilbert_exact(6, 12)),
-], ids=["distortion", "hilbert-multisets"])
+], ids=["distortion"])
 def test_every_seconds_only_site_runs_at_its_estimate_and_not_one_ulp_below(
         what, call, budget_boundary):
     nbytes, seconds = budget_boundary(call, what)
@@ -276,12 +279,49 @@ def test_sparse_anchors_run_at_their_estimate_and_not_one_byte_below(
     assert nbytes < peak <= nbytes + 1024
 
 
-def test_a_hilbert_scan_of_600_million_multisets_is_refused(capsys):
+def test_the_hilbert_constant_at_16_32_is_answered_in_closed_form(capsys):
     code, out, err = _run(capsys, ["gamma-hilbert", "--n", "16", "--m", "32"])
+    assert code == 0 and err.startswith("runtime: ")
+    res = json.loads(out)["results"]
+    c = (1.0 + 2.0 * math.cos(math.pi / 16)) / 3.0
+    assert res["gamma"] == pytest.approx(
+        math.sqrt(4.0 * 16 / (32**2 * (2.0 - 2.0 * c**16))), rel=1e-12)
+    assert res["argmax_frequency"] == [1] * 16
+
+
+@pytest.mark.parametrize("n", [10**5, 2 * 10**5])
+def test_the_hilbert_argmax_estimate_bounds_the_traced_report(
+        capsys, budget_estimate, n):
+    # the estimate covers the report gamma-hilbert prints, not only the
+    # call; the command's own 0.1-0.25 MB is under 2.5 bytes an entry here
+    argv = ["gamma-hilbert", "--n", str(n), "--m", "32"]
+    nbytes, _ = budget_estimate(lambda: main(argv), f"a {n}-entry")
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)[
+        "results"]["argmax_frequency"] == [1] * n
+    assert 0 < peak <= nbytes, (peak, nbytes)
+
+
+def test_the_largest_hilbert_argmax_admitted_runs_and_one_more_is_refused():
+    # 1.6 us an entry against the 5 s budget; the command ran in 4.6 s
+    assert gamma_hilbert_exact(3_125_000, 32)[1] == (1,) * 3_125_000
+    with pytest.raises(BudgetExceededError,
+                       match="^a 3125001-entry Hilbert argmax needs about 5 s"):
+        gamma_hilbert_exact(3_125_001, 32)
+
+
+def test_a_hilbert_argmax_of_a_billion_entries_is_refused(capsys):
+    code, out, err = _run(capsys, ["gamma-hilbert", "--n", "1000000000",
+                                   "--m", "32"])
     assert code == 2 and out == ""
-    assert err.startswith(
-        f"error: a scan of {math.comb(32, 16)} frequency multisets needs about ")
-    assert err.count("\n") == 1
+    assert err == ("error: a 1000000000-entry Hilbert argmax needs "
+                   f"100000000000 bytes, budget is {1 << 30}\n")
 
 
 def test_a_trillion_random_witnesses_are_refused(monkeypatch):

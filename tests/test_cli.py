@@ -289,6 +289,32 @@ def test_the_hilbert_constant_below_m_2_exits_2(capsys, argv, n, m):
     assert err == f"error: need n >= 1 and m >= 2, got n={n} m={m}\n"
 
 
+@pytest.mark.parametrize("argv,n,m,dk", [
+    # c rounds to 1.0, so D is 0 (was ZeroDivisionError)
+    (["gamma-hilbert", "--n", "1", "--m", "1000000000"], 1, 10**9, "0"),
+    (["bounds", "grid-distortion", "--n", "1", "--q", "2", "--m",
+      "1000000000"], 1, 10**9, "0"),
+    # the first even m past 30,550,072, the last one answered
+    (["gamma-hilbert", "--n", "2", "--m", "30550074"], 2, 30550074, "5.64e-14"),
+])
+def test_the_hilbert_constant_past_float64_precision_exits_2(capsys, argv,
+                                                             n, m, dk):
+    code, doc, err = run_main(capsys, argv)
+    assert code == 2 and doc is None
+    assert err == (f"error: at n={n} m={m}, D = 2 - 2c^n = {dk} is below "
+                   "n * 2^-45: float64 rounding could move gamma by more "
+                   "than 1/64\n")
+
+
+def test_the_hilbert_constant_at_the_last_m_within_precision(capsys):
+    code, doc, _ = run_main(capsys, ["gamma-hilbert", "--n", "2",
+                                     "--m", "30550072"])
+    assert code == 0
+    # sqrt(3/2)/pi, the m -> infinity limit, to the 1/64 the guard keeps
+    assert doc["results"]["gamma"] == pytest.approx(math.sqrt(1.5) / math.pi,
+                                                    rel=1 / 64)
+
+
 def test_a_net_under_an_exponent_below_1_exits_2(capsys):
     # l_0.5 is no metric: (0,0), (1,0), (1,1) are 1, 1 and 4 apart
     code, doc, err = run_main(capsys, ["moduli-check", "--n", "1", "--m", "4",

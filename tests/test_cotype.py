@@ -40,6 +40,7 @@ from cotypelab import (
 )
 
 from cotypelab import cotype, spaces
+from hilbert_reference import gamma_hilbert_scan
 
 SQ2 = math.sqrt(2.0)
 
@@ -156,7 +157,23 @@ class TestHilbertExact:
         with pytest.raises(PreconditionViolationError):
             gamma_hilbert_exact(0, 4)
 
-    @pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (1, 6), (2, 6)])
+    def test_closed_form_is_the_scan_bit_for_bit_on_a_grid(self):
+        # every n <= 8 and even m <= 64 whose scan has at most 30,000
+        # multisets: the whole block holds about 450 million
+        cells = [(n, m) for n in range(1, 9) for m in range(2, 65, 2)
+                 if math.comb(m // 2 + n, n) <= 30_000]
+        assert len(cells) == 171
+        for n, m in cells:
+            got = gamma_hilbert_exact(n, m)
+            assert got == gamma_hilbert_scan(n, m), (n, m)
+            assert got[1] == (1,) * n
+
+    @pytest.mark.parametrize("n,m", [(1, 10**5), (2, 2000), (3, 400), (6, 64)])
+    def test_closed_form_is_the_scan_bit_for_bit_at_large_cells(self, n, m):
+        assert gamma_hilbert_exact(n, m) == gamma_hilbert_scan(n, m)
+
+    @pytest.mark.parametrize("n,m", [(1, 4), (2, 4), (1, 6), (2, 6), (3, 4),
+                                     (2, 8), (3, 6)])
     def test_power_iteration_oracle_agrees(self, n, m):
         exact, _ = gamma_hilbert_exact(n, m)
         assert abs(hilbert_gamma_power_iteration(n, m) - exact) <= 1e-9

@@ -80,6 +80,31 @@ def test_validate_metric_reports_first_violation():
     with pytest.raises(ZeroOffDiagonalError):
         validate_metric([[0, 0], [0, 0]])
 
+    # each axiom's message, indices and path at its row-major first
+    # violation; a table breaking several reports the earliest axiom of
+    # negativity, diagonal, symmetry, separation
+    for table, error, message, indices in [
+        ([[0, 1, 2], [1, 0, -3], [2, -3, 0]], NegativeDistanceError,
+         "dist[1][2] = -3.0 is negative", (1, 2)),
+        ([[1, 0, -1], [0, 0, 2], [-1, 3, 0]], NegativeDistanceError,
+         "dist[0][2] = -1.0 is negative", (0, 2)),
+        ([[0, 1, 1], [1, 0.5, 1], [1, 1, 2]], NonzeroDiagonalError,
+         "dist[1][1] = 0.5 must be 0", (1, 1)),
+        ([[0, 0, 1], [1, 0, 1], [1, 1, 4]], NonzeroDiagonalError,
+         "dist[2][2] = 4.0 must be 0", (2, 2)),
+        ([[0, 1, 1], [1, 0, 2], [1, 3, 0]], AsymmetryError,
+         "dist[1][2] = 2.0 but dist[2][1] = 3.0", (1, 2)),
+        ([[0, 1, 0], [1, 0, 2], [1, 2, 0]], AsymmetryError,
+         "dist[0][2] = 0.0 but dist[2][0] = 1.0", (0, 2)),
+        ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], ZeroOffDiagonalError,
+         "distinct points 1 and 2 are at distance 0", (1, 2)),
+    ]:
+        with pytest.raises(error) as ei:
+            validate_metric(table)
+        assert str(ei.value) == message
+        assert ei.value.indices == indices
+        assert ei.value.json_path == f"$.dist[{indices[0]}][{indices[1]}]"
+
     # 0 -> 2 direct costs 10 but the route through 1 costs 2
     with pytest.raises(TriangleViolationError) as ei:
         validate_metric([[0, 1, 10], [1, 0, 1], [10, 1, 0]])
