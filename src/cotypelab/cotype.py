@@ -15,10 +15,11 @@ shift by an even shift ell and averages edges over full sign patterns:
 Every witness satisfies b_hat <= 1 (up to round-off); the code treats a
 violation as a defect, not as data.
 
-Both are one ratio of a long-shift energy to an averaged edge energy, and
-each has one _Ratio record (shift family, exponent, weight, root, ceiling)
-from which every evaluation forms its value. Every maximum over maps ranks
-witnesses by one scorer (_scorer), and reports its winner's evaluation.
+Both, and the shift-mod and edge-sum checks, are one ratio of a long-shift
+energy to an averaged edge energy, and each has one _Ratio record (shift
+family, exponent, weight, root, ceiling, samples) whose measure gives every
+evaluation its two sides. Every maximum over maps ranks witnesses by one
+scorer (_scorer), and reports its winner's evaluation.
 Every shift average runs on index tables that gridops.family_table caches
 per shift family, through gridops.shift_energy or, for two-point witnesses,
 as xor counts on bit planes. Per-shift means are added in shift order, so
@@ -29,7 +30,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 from math import comb
 
 import numpy as np
@@ -67,8 +69,22 @@ WITNESS_CHUNK = 4096  # witnesses, or climbing restarts, held at once
 XOR_SECONDS = 2e-9  # a witness-shift-point on bit planes: 1.3 ns at (1,20)
 
 
+class _Report:
+    def to_json_dict(self) -> dict:
+        """Every field that is set, a point witness as its list of ints; a
+        vector witness stays out."""
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, GridFunction):
+                value = None if value.is_vector else value.values.tolist()
+            if value is not None:
+                out[field.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class CotypeReport:
+class CotypeReport(_Report):
     n: int
     m: int
     p: float
@@ -83,31 +99,6 @@ class CotypeReport:
     budget: int | None = None
     witness: GridFunction | None = None
 
-    def to_json_dict(self) -> dict:
-        return _with_run_fields(self, {
-            "n": self.n, "m": self.m, "p": self.p, "q": self.q,
-            "lhs": self.lhs, "rhs_raw": self.rhs_raw,
-            "gamma_hat": self.gamma_hat, "degenerate": self.degenerate,
-            "mode": self.mode, "stderr": self.stderr,
-        })
-
-
-def _with_run_fields(report, out: dict) -> dict:
-    """out with the report's seed, budget and point witness, where set."""
-    if report.seed is not None:
-        out["seed"] = report.seed
-    if report.budget is not None:
-        out["budget"] = report.budget
-    if report.witness is not None and not report.witness.is_vector:
-        out["witness"] = [int(v) for v in report.witness.values]
-    return out
-
-
-def _sides(means, n: int, patterns: int) -> tuple[float, float]:
-    """(lhs, rhs_raw) of one witness's per-shift means: the first n added,
-    and the rest added and divided by the pattern count, in row order."""
-    return ordered_sum(means[:n]), ordered_sum(means[n:]) / patterns
-
 
 def _require_even_m(m: int) -> None:
     if m % 2 != 0:
@@ -121,6 +112,7 @@ class _Ratio:
     rhs_raw averages those of its edge patterns. root is 1/p, or None for
     a correctly rounded square root (x ** 0.5 is libm pow, which need not
     round the same); a value above the ceiling is a defect and raises.
+    samples, when set, is the sample size of a sampled rhs_raw.
     """
 
     n: int
@@ -129,14 +121,29 @@ class _Ratio:
     p: float  # exponent of the distances
     patterns: int
     weight: float
-    root: float | None
+    root: float | None = None
     ceiling: float = math.inf
+    samples: int = 0
 
     def table(self, dom: TorusDomain) -> np.ndarray:
         return family_table(dom, self.family, self.amount)
 
+    def measure(self, f: GridFunction, space_or_norm) -> tuple[float, float, float]:
+        """(lhs, rhs_raw, stderr) of one witness f into the codomain: the
+        sides of its per-shift means over table, stderr 0; or, when samples
+        is set, lhs over the n long shifts and _sampled_eps_average's
+        estimate of rhs_raw and its stderr, the x average exact."""
+        target, dom = as_target(space_or_norm, f.values), f.domain
+        if not self.samples:
+            return *self.sides(shift_energy(f.values, target, self.table(dom), self.p)), 0.0
+        axes = family_table(dom, "axes", self.amount)
+        return (ordered_sum(shift_energy(f.values, target, axes, self.p)),
+                *_sampled_eps_average(f, target, self.p, self.samples))
+
     def sides(self, means) -> tuple[float, float]:
-        return _sides(means, self.n, self.patterns)
+        """(lhs, rhs_raw) of one witness's per-shift means: the first n added,
+        and the rest added and divided by the pattern count, in row order."""
+        return ordered_sum(means[:self.n]), ordered_sum(means[self.n:]) / self.patterns
 
     def row_sides(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sides of each row of (W, S) means, added left to right from the
@@ -162,7 +169,9 @@ class _Ratio:
 
 
 def _gamma_ratio(n: int, m: int, p: float, q: float) -> _Ratio:
-    """gamma_hat: half-circumference shifts over the {-1,0,1}^n edges."""
+    """gamma_hat: half-circumference shifts over the {-1,0,1}^n edges. The
+    edge average is exact while 3^n * m^n <= EPS_ENUM_BUDGET; past it,
+    max(n, EPS_ENUM_BUDGET // m^n) patterns are sampled."""
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
     if p > q:
@@ -170,8 +179,10 @@ def _gamma_ratio(n: int, m: int, p: float, q: float) -> _Ratio:
             f"the weak functional needs p <= q, got p={p} q={q}"
         )
     _require_even_m(m)
+    points = m**n
+    samples = 0 if 3**n * points <= EPS_ENUM_BUDGET else max(n, EPS_ENUM_BUDGET // points)
     return _Ratio(n, "edges", m // 2, p, 3**n, m**p * n ** (1.0 - p / q),
-                  1.0 / p)
+                  1.0 / p, samples=samples)
 
 
 def _b_ratio(n: int, m: int, ell: int) -> _Ratio:
@@ -182,8 +193,8 @@ def _b_ratio(n: int, m: int, ell: int) -> _Ratio:
         raise OddEllError(f"even shift required, got ell={ell}")
     if ell == 0:
         raise PreconditionViolationError("the shift must be nonzero, got ell=0")
-    return _Ratio(n, "signs", ell, 2.0, 2**n, ell**2 * n, None,
-                  1.0 + B_INVARIANT_TOL)
+    return _Ratio(n, "signs", ell, 2.0, 2**n, ell**2 * n,
+                  ceiling=1.0 + B_INVARIANT_TOL)
 
 
 def cotype_functionals(f: GridFunction, space_or_norm, p: float,
@@ -194,36 +205,26 @@ def cotype_functionals(f: GridFunction, space_or_norm, p: float,
     sampling seeded with 0, stratified by the number of zero entries of
     eps, estimates it (the x average stays exact) with its standard error.
     """
-    target = as_target(space_or_norm, f.values)
     dom = f.domain
     ratio = _gamma_ratio(dom.n, dom.m, p, q)
-    exact = 3**dom.n * dom.points <= EPS_ENUM_BUDGET
-    if exact:
-        means = shift_energy(f.values, target, ratio.table(dom), p)
-        (lhs, rhs_raw), stderr = ratio.sides(means), 0.0
-    else:
-        axes = family_table(dom, "axes", ratio.amount)  # the n long shifts
-        lhs = ordered_sum(shift_energy(f.values, target, axes, p))
-        n_samples = max(dom.n, EPS_ENUM_BUDGET // dom.points)
-        rhs_raw, stderr = _sampled_eps_average(f, target, p, n_samples,
-                                               np.random.default_rng(0))
+    lhs, rhs_raw, stderr = ratio.measure(f, space_or_norm)
     gamma_hat, degenerate = ratio.value(lhs, rhs_raw)
     return CotypeReport(
         n=dom.n, m=dom.m, p=p, q=q, lhs=lhs, rhs_raw=rhs_raw,
         gamma_hat=gamma_hat, degenerate=degenerate,
-        mode="exact" if exact else "sampled", stderr=stderr,
+        mode="sampled" if ratio.samples else "exact", stderr=stderr,
     )
 
 
 def _sampled_eps_average(f: GridFunction, target, p: float,
-                         n_samples: int, rng) -> tuple[float, float]:
-    """Stratified estimate of the {-1,0,1}^n edge average.
+                         n_samples: int) -> tuple[float, float]:
+    """Stratified estimate of the {-1,0,1}^n edge average, seeded with 0.
 
     Strata are indexed by the number z of zero entries; the all-zero
     stratum contributes exactly 0. Every pattern is drawn first, then all
     are evaluated in one kernel call. Returns (estimate, standard error).
     """
-    n = f.domain.n
+    n, rng = f.domain.n, np.random.default_rng(0)
     weights = [comb(n, z) * 2 ** (n - z) / 3**n for z in range(n)]
     wsum = ordered_sum(weights)
     alloc = [max(1, round(n_samples * w / wsum)) for w in weights]
@@ -265,11 +266,15 @@ def gamma_hilbert_exact(n: int, m: int) -> tuple[float, tuple]:
     relative u, so D is off by at most about 6nu < n * 2^-50. Where
     D < n * 2^-45, gamma could be off by more than 1/64, so such (n, m)
     raise PreconditionViolationError: for n <= 16, every m above
-    30,550,072 (c rounds to 1.0 from m of about 6 * 10^8).
+    30,550,072 (c rounds to 1.0 from m of about 6 * 10^8), and an m past
+    float64 range before it becomes a float.
     """
     if n < 1 or m < 2:
         raise PreconditionViolationError(f"need n >= 1 and m >= 2, got n={n} m={m}")
     _require_even_m(m)
+    if m > sys.float_info.max:
+        raise PreconditionViolationError(
+            f"an m of {m.bit_length()} bits is past float64 range, where D = 2 - 2c^n is 0")
     # the argmax as gamma-hilbert prints it, a tuple, a list and a JSON
     # chunk an entry: 92-94 bytes traced at n = 10^5..10^6 and 1.0-1.5 us
     # timed at 10^5..3 * 10^6, m = 32; the product's 6-75 ns a factor is in it
@@ -483,7 +488,7 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
 
 
 @dataclass(frozen=True)
-class BReport:
+class BReport(_Report):
     n: int
     m: int
     ell: int
@@ -496,13 +501,6 @@ class BReport:
     budget: int | None = None
     witness: GridFunction | None = None
 
-    def to_json_dict(self) -> dict:
-        return _with_run_fields(self, {
-            "n": self.n, "m": self.m, "ell": self.ell, "lhs": self.lhs,
-            "rhs_raw": self.rhs_raw, "b_hat": self.b_hat,
-            "degenerate": self.degenerate, "mode": self.mode,
-        })
-
 
 def b_functionals(f: GridFunction, space_or_norm, ell: int) -> BReport:
     """Evaluate the diagonal-shift quantity for one witness (p = 2).
@@ -510,11 +508,9 @@ def b_functionals(f: GridFunction, space_or_norm, ell: int) -> BReport:
     Every witness satisfies b_hat <= 1; a numerical violation beyond
     1e-9 raises InvariantViolationError.
     """
-    target = as_target(space_or_norm, f.values)
     dom = f.domain
     ratio = _b_ratio(dom.n, dom.m, ell)
-    lhs, rhs_raw = ratio.sides(
-        shift_energy(f.values, target, ratio.table(dom), ratio.p))
+    lhs, rhs_raw, _ = ratio.measure(f, space_or_norm)
     b_hat, degenerate = ratio.value(lhs, rhs_raw)
     return BReport(n=dom.n, m=dom.m, ell=ell, lhs=lhs, rhs_raw=rhs_raw,
                    b_hat=b_hat, degenerate=degenerate)
@@ -529,21 +525,27 @@ def _quotient(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.where(rhs > 0, lhs / rhs, -math.inf)
 
 
-def _scorer(space, ratio: _Ratio, dom: TorusDomain, sides=None):
+def _scorer(space, ratio: _Ratio, dom: TorusDomain):
     """(kernel, scores) for a maximum of ratio over maps dom -> space: kernel
     gives a stack of tables' memos and moves them (gridops.ShiftSums's
     interface), scores(memo) one float per row, -inf where degenerate.
 
-    Only without sides is table = ratio.table(dom) built. Then, where the
-    distance powers are non-negative integers, symmetric with a zero diagonal,
-    and table.size times the largest D is below 2^26, the memos are
-    ShiftSums's integer sums and a row scores _quotient(lhs_sum, rhs_sum), in
-    which the value is monotone: lhs_sum <= n N D and rhs_sum <= (S - n) N D
-    keep cross products below (S N D)^2 / 4. A two-point space's powers are
-    one gap's power times the xor, so it scores by xor sums. Otherwise a memo
-    is (lhs, rhs_raw) of sides(tables), by default one shift_energy_batch
-    call, and a row scores ratio.value."""
-    if sides is None:
+    When ratio samples, a memo is each table's (lhs, rhs_raw) by
+    ratio.measure, and table = ratio.table(dom) is never built. Otherwise,
+    where the distance powers are non-negative integers, symmetric with a
+    zero diagonal, and table.size times the largest D is below 2^26, the
+    memos are ShiftSums's integer sums and a row scores
+    _quotient(lhs_sum, rhs_sum), in which the value is monotone:
+    lhs_sum <= n N D and rhs_sum <= (S - n) N D keep cross products below
+    (S N D)^2 / 4. A two-point space's powers are one gap's power times the
+    xor, so it scores by xor sums. Otherwise a memo is (lhs, rhs_raw) of one
+    shift_energy_batch call. Every memo of (lhs, rhs_raw) scores by
+    ratio.value."""
+    if ratio.samples:
+        def sides(tables):
+            return np.array([ratio.measure(GridFunction.points(dom, v), space)[:2]
+                             for v in tables]).T
+    else:
         table = ratio.table(dom)
         dist_p = 1.0 - np.eye(2) if space.size == 2 else dist_power(space.dist, ratio.p)
         if (np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
@@ -614,10 +616,11 @@ def _climb_chunk(tables: np.ndarray, rngs: list, steps: np.ndarray, K: int,
 
 
 def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
-            budget: int, seed: int, initial_values, sides=None) -> np.ndarray:
+            budget: int, seed: int, initial_values) -> np.ndarray:
     """The best table of maps dom -> space by _scorer's scores: every map
-    (_enumerate, refusals standing) when sides is None and they fit budget
-    (_fits), else a hill climb (sides evaluates a stack of tables in full).
+    (_enumerate, refusals standing) when ratio's average is exact and they
+    fit budget (_fits), else a hill climb. A climb that scores by sampled
+    evaluations is refused past require_budget first.
 
     Each restart spends m^n evaluations (at least 2) of the budget; provided
     starting witnesses, all checked, lead the restarts, and constant random
@@ -633,9 +636,14 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     initial = [GridFunction.points(dom, v).values for v in initial_values]
     for vals in initial:
         require_indices(vals, K)
-    if sides is None and _fits(K, N, budget):
+    if ratio.samples:  # the budget's evaluations and the report's; a term, one
+        # shift at one point, takes 5 ns an axis and 40 ns (timed in searches:
+        # 31-38 ns at n = 1..6, 47-52 at n = 7, 8, 93-100 at (12, 2) .. (16, 2))
+        require_budget(f"a {budget}-evaluation sampled search", seconds=(budget + 1)
+                       * (ratio.n + ratio.samples) * N * 5e-9 * (ratio.n + 8))
+    elif _fits(K, N, budget):
         return _enumerate(space, dom, ratio, budget).values
-    kernel, scores = _scorer(space, ratio, dom, sides)
+    kernel, scores = _scorer(space, ratio, dom)
 
     def start(i, rng):
         if i < len(initial):
@@ -676,15 +684,8 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
     """
     ratio = _gamma_ratio(n, m, p, q)
     dom = TorusDomain(n=n, m=m)
-    sides = None
-    if 3**n * dom.points > EPS_ENUM_BUDGET:  # the eps average is sampled
-
-        def sides(tables):
-            return np.array([(rep.lhs, rep.rhs_raw) for rep in (cotype_functionals(
-                GridFunction.points(dom, v), space, p, q) for v in tables)]).T
-
     witness = GridFunction.points(dom, _search(
-        space, dom, ratio, budget, seed, initial_witnesses, sides))
+        space, dom, ratio, budget, seed, initial_witnesses))
     return replace(cotype_functionals(witness, space, p, q),
                    seed=seed, budget=budget, witness=witness)
 
@@ -723,16 +724,10 @@ def mod_inequality_check(f: GridFunction, space_or_norm, a: int,
         raise PreconditionViolationError(f"need 0 <= r < m, got r={r} m={m}")
     if a < 0:
         raise PreconditionViolationError(f"need a >= 0, got a={a}")
-    target = as_target(space_or_norm, f.values)
-    table = family_table(dom, "signs", a * m + r)
-    lhs, edge = _sides(shift_energy(f.values, target, table, 2.0), n, 2**n)
-    rhs = min(r**2, (m - r) ** 2) * n * edge
-    return make_check(
-        "shift-mod-bound",
-        {"n": n, "m": m, "a": a, "r": r},
-        lhs,
-        rhs,
-    )
+    ratio = _Ratio(n, "signs", a * m + r, 2.0, 2**n, min(r**2, (m - r) ** 2) * n)
+    lhs, edge, _ = ratio.measure(f, space_or_norm)
+    return make_check("shift-mod-bound", {"n": n, "m": m, "a": a, "r": r},
+                      lhs, ratio.weight * edge)
 
 
 def edge_sum_check(f: GridFunction, space_or_norm,
@@ -747,11 +742,10 @@ def edge_sum_check(f: GridFunction, space_or_norm,
     n = dom.n
     if p < 1:
         raise PreconditionViolationError(f"p must be >= 1, got {p}")
-    target = as_target(space_or_norm, f.values)
-    lhs, edge = _sides(
-        shift_energy(f.values, target, family_table(dom, "edges", 1), p), n, 3**n)
-    rhs = 3.0 * 2.0 ** (p - 1.0) * n * edge
-    return make_check("edge-sum-bound", {"n": n, "m": dom.m, "p": p}, lhs, rhs)
+    ratio = _Ratio(n, "edges", 1, p, 3**n, 3.0 * 2.0 ** (p - 1.0) * n)
+    lhs, edge, _ = ratio.measure(f, space_or_norm)
+    return make_check("edge-sum-bound", {"n": n, "m": dom.m, "p": p}, lhs,
+                      ratio.weight * edge)
 
 
 def contraction_principle_check(vectors, scalars, p: float,
@@ -843,13 +837,6 @@ class ScanResult:
     found_m: int
     profile: list  # [(m, gamma_hat), ...] in scan order
     mode: str  # "exact" or "lower-bound"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "found_m": self.found_m,
-            "profile": [[m, g] for m, g in self.profile],
-            "mode": self.mode,
-        }
 
 
 def m_parameter_experiment(space_or_norm, n: int, p: float, q: float,

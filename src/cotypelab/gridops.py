@@ -7,7 +7,7 @@ import operator
 
 import numpy as np
 
-from .spaces import TorusDomain
+from .spaces import TorusDomain, require_budget
 
 
 def ordered_sum(values) -> float:
@@ -71,13 +71,18 @@ def shift_table(domain: TorusDomain, shifts) -> np.ndarray:
     """Read-only (S, m^n) int64 array: table[s, x] = linear index of x + shifts[s].
     A coordinate plus a shift residue is below 2m, so in the narrowest dtype
     holding 2m one conditional subtraction of m reduces it."""
-    m = domain.m
+    m, n, N = domain.m, domain.n, domain.points
     small = np.min_scalar_type(2 * m)
-    res = np.asarray(shifts, dtype=np.int64).reshape(-1, domain.n) % m
+    res = np.asarray(shifts, dtype=np.int64).reshape(-1, n) % m
     res = res.astype(small)
+    # the table, two int64 coordinate copies, per axis the new sums and the
+    # last ones or their mask, and numpy's 8192-entry int64 cast buffer
+    # (traced: 0.83 of it at (3, 16) and 0.81 at (2, 200), edge patterns)
+    require_budget(f"a {len(res)} x {N} shift table",
+                   (8 + 2 * small.itemsize) * len(res) * N + 16 * n * N + 65536)
     coords = domain.coords().astype(small)
-    table = np.zeros((len(res), domain.points), dtype=np.int64)
-    for ax in range(domain.n):  # row-major index, built in place
+    table = np.zeros((len(res), N), dtype=np.int64)
+    for ax in range(n):  # row-major index, built in place
         v = coords[:, ax] + res[:, ax, None]
         np.subtract(v, m, out=v, where=v >= m)
         table *= m

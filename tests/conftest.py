@@ -27,7 +27,7 @@ def budget_estimate(monkeypatch):
     """estimate(call, what) runs call and returns (nbytes, seconds), the
     estimate its require_budget call whose work description starts with
     what passed; every module that calls require_budget is recorded."""
-    from cotypelab import cotype, embeddings, harmonic, spaces
+    from cotypelab import cotype, embeddings, gridops, harmonic, spaces
 
     def estimate(call, what):
         seen, real = [], spaces.require_budget
@@ -37,7 +37,7 @@ def budget_estimate(monkeypatch):
             real(name, nbytes, seconds)
 
         with monkeypatch.context() as patch:
-            for module in (spaces, harmonic, cotype, embeddings):
+            for module in (spaces, harmonic, cotype, embeddings, gridops):
                 patch.setattr(module, "require_budget", record)
             call()
         found = {(b, s) for name, b, s in seen if name.startswith(what)}

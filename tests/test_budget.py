@@ -25,6 +25,7 @@ from cotypelab import (
     extract_grid,
     frechet_cycle,
     gamma_exhaustive_two_point,
+    gamma_search,
     grid_to_torus,
     gamma_hilbert_exact,
     hilbert_gamma_power_iteration,
@@ -41,6 +42,7 @@ from cotypelab import (
 )
 from cotypelab import cotype, embeddings, gridops, harmonic, spaces
 from cotypelab.cli import main
+from shift_reference import three_patterns
 
 DATA = Path(__file__).parent / "data"
 PATH4 = load_metric_space(str(DATA / "path4_space.json"))
@@ -118,6 +120,11 @@ BYTES_SITES = {
     "hilbert-argmax": (lambda n, m: f"a {n}-entry Hilbert argmax",
                        lambda n, m: lambda: gamma_hilbert_exact(n, m),
                        [(16, 32), (10**5, 32)]),
+    # 2m = 400 takes the uint16 coordinates
+    "shift-table": (lambda n, m: f"a {3 ** n} x {m ** n} shift table",
+                    lambda n, m: lambda: gridops.shift_table(
+                        TorusDomain(n=n, m=m), three_patterns(n)),
+                    [(3, 16), (2, 200)]),
 }
 CELLS = [pytest.param(what(*cell), build, cell,
                       id=f"{label}-{'-'.join(map(str, cell))}")
@@ -150,7 +157,10 @@ def test_every_bytes_site_runs_at_its_estimates_and_not_one_unit_below(
     ("a distortion scan of 625 points", lambda: distortion(
         np.arange(625), points_space(np.indices((25, 25)).reshape(2, -1).T, 2.0),
         points_space(np.indices((25, 25)).reshape(2, -1).T, 1.0))),
-], ids=["distortion"])
+    # one climbing evaluation and the report's, each of 5 + 128 shifts
+    ("a 1-evaluation sampled search",
+     lambda: gamma_search(two_point_space(), 5, 8, 2.0, 2.0, 1, 0)),
+], ids=["distortion", "sampled-search"])
 def test_every_seconds_only_site_runs_at_its_estimate_and_not_one_ulp_below(
         what, call, budget_boundary):
     nbytes, seconds = budget_boundary(call, what)
@@ -322,6 +332,31 @@ def test_a_hilbert_argmax_of_a_billion_entries_is_refused(capsys):
     assert code == 2 and out == ""
     assert err == ("error: a 1000000000-entry Hilbert argmax needs "
                    f"100000000000 bytes, budget is {1 << 30}\n")
+
+
+def test_a_shift_table_of_8_gib_is_refused(capsys, address_cap):
+    # 70 shifts of 16^6 points: the int64 table alone is 8.75 GiB, and the
+    # allocation ended in numpy's _ArrayMemoryError, exit 1
+    address_cap(2 << 30)  # work begun anyway fails with MemoryError
+    code, out, err = _run(capsys, ["mod-check", "--n", "6", "--m", "16",
+                                   "--r", "2", "--trials", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: a 70 x 16777216 shift table needs ")
+    assert err.endswith(f" bytes, budget is {1 << 30}\n") and err.count("\n") == 1
+
+
+def test_a_default_budget_sampled_search_is_refused_before_it_evaluates(
+        capsys, monkeypatch):
+    # each sampled evaluation at (5, 8) takes about 0.15 s: 2^20 of them are
+    # some 40 hours
+    def no_evaluation(*args):
+        raise AssertionError("an evaluation ran before the guard")
+
+    monkeypatch.setattr(cotype._Ratio, "measure", no_evaluation)
+    code, out, err = _run(capsys, ["gamma-search", "--n", "5", "--m", "8"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: a 1048576-evaluation sampled search needs about ")
+    assert err.endswith(" s, budget is 5.0 s\n") and err.count("\n") == 1
 
 
 def test_a_trillion_random_witnesses_are_refused(monkeypatch):

@@ -306,6 +306,21 @@ def test_the_hilbert_constant_past_float64_precision_exits_2(capsys, argv,
                    "than 1/64\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma-hilbert", "--n", "1"],
+    ["bounds", "grid-distortion", "--n", "1", "--q", "2"],
+    ["plot", "distortion-vs-n", "--n-max", "2", "--plot", "{plot}"],
+])
+def test_an_m_past_float64_range_exits_2(capsys, tmp_path, argv):
+    # m = 10^400 ended in OverflowError: int too large to convert to float
+    plot = tmp_path / "x.svg"
+    argv = [a.format(plot=plot) for a in argv] + ["--m", str(10**400)]
+    code, doc, err = run_main(capsys, argv)
+    assert code == 2 and doc is None and not plot.exists()
+    assert err == ("error: an m of 1329 bits is past float64 range, where "
+                   "D = 2 - 2c^n is 0\n")
+
+
 def test_the_hilbert_constant_at_the_last_m_within_precision(capsys):
     code, doc, _ = run_main(capsys, ["gamma-hilbert", "--n", "2",
                                      "--m", "30550072"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,42 @@ class TestCotypeFunctionals:
         d = cotype_functionals(f, two_point_space(), 2.0, 2.0).to_json_dict()
         assert d["mode"] == "exact"
         assert set(d) >= {"n", "m", "p", "q", "lhs", "rhs_raw", "gamma_hat"}
+
+
+def spelled_out_json(report, keys) -> dict:
+    """The reports' serializer as each once spelled it out: its own keys,
+    then seed, budget and a point witness, each where set."""
+    out = {key: getattr(report, key) for key in keys}
+    if report.seed is not None:
+        out["seed"] = report.seed
+    if report.budget is not None:
+        out["budget"] = report.budget
+    if report.witness is not None and not report.witness.is_vector:
+        out["witness"] = [int(v) for v in report.witness.values]
+    return out
+
+
+@pytest.mark.parametrize("seed,budget", [(None, None), (0, None), (None, 1),
+                                         (7, 400)])
+@pytest.mark.parametrize("witness", ["absent", "point", "vector"])
+def test_reports_serialize_their_fields_as_the_spelled_out_keys(seed, budget,
+                                                                witness):
+    dom, sp = TorusDomain(n=1, m=4), two_point_space()
+    f = GridFunction.points(dom, [0, 1, 1, 0])
+    w = {"absent": None, "point": f,
+         "vector": GridFunction.vector(dom, np.arange(4.0))}[witness]
+    for report, keys in (
+            (cotype_functionals(f, sp, 2.0, 2.0), ("n", "m", "p", "q", "lhs", "rhs_raw",
+                                                   "gamma_hat", "degenerate", "mode",
+                                                   "stderr")),
+            (b_functionals(f, sp, 2), ("n", "m", "ell", "lhs", "rhs_raw", "b_hat",
+                                       "degenerate", "mode"))):
+        report = replace(report, seed=seed, budget=budget, witness=w)
+        got, want = report.to_json_dict(), spelled_out_json(report, keys)
+        assert list(got.items()) == list(want.items())
+        assert ("witness" in got) == (witness == "point")
+        if witness == "point":
+            assert [type(v) for v in got["witness"]] == [int] * 4
 
 
 class TestHilbertExact:
@@ -625,8 +662,6 @@ class TestMParameterExperiment:
         assert [m for m, _ in res.profile] == [2, 4, 6]
         assert res.profile[0][1] == pytest.approx(1.0606601717798212,
                                                   rel=1e-12)
-        d = res.to_json_dict()
-        assert d["found_m"] == 6
 
     def test_returns_at_or_before_guaranteed_m(self):
         # a 4-divisible m >= (2/3) pi sqrt(n) always qualifies at the

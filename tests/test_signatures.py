@@ -40,6 +40,7 @@ SIGNATURES = {
 ABSENT_METHODS = {
     "FiniteMetricSpace": ("save", "to_json_dict", "diameter", "pairs"),
     "ModuliTables": ("to_json_dict",),
+    "ScanResult": ("to_json_dict",),
     "SpectralCoefficients": ("coeff",),
     "GeodesicPath": ("to_json_dict",),
     "TorusDomain": ("lin", "require_points"),
