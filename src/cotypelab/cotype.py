@@ -21,16 +21,15 @@ family, exponent, weight, root, ceiling, samples) whose measure gives every
 evaluation its two sides. Every maximum over maps ranks witnesses by one
 scorer (_scorer), and reports its winner's evaluation.
 Every shift average runs on index tables that gridops.family_table caches
-per shift family, through gridops.shift_energy or, for two-point witnesses,
-as xor counts on bit planes. Per-shift means are added in shift order, so
-values match a shift-by-shift evaluation bit for bit.
+per shift family or edge sample, through gridops.shift_energy or, for
+two-point witnesses, as xor counts on bit planes. Per-shift means are
+added in shift order, so values match a shift-by-shift evaluation bit for bit.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from math import comb
 
@@ -54,12 +53,11 @@ from .gridops import (
     random_point_values,
     shift_energy,
     shift_energy_batch,
-    shift_table,
     sign_patterns,
 )
 from .harmonic import GridFunction
 from .spaces import (FiniteMetricSpace, TorusDomain, require_budget,
-                     require_indices, two_point_space)
+                     require_float, require_indices, two_point_space)
 from .targets import NormTarget, as_target
 
 EPS_ENUM_BUDGET = 1 << 22  # exact eps enumeration while 3^n * m^n stays below
@@ -108,12 +106,11 @@ def _require_even_m(m: int) -> None:
 @dataclass(frozen=True)
 class _Ratio:
     """One quantity root(lhs / (weight * rhs_raw)) on Z_m^n: lhs adds the
-    means of the n long shifts that lead family_table(dom, family, amount),
-    rhs_raw averages those of its edge patterns. root is 1/p, or None for
-    a correctly rounded square root (x ** 0.5 is libm pow, which need not
-    round the same); a value above the ceiling is a defect and raises.
-    samples, when set, is the sample size of a sampled rhs_raw.
-    """
+    means of the n long shifts that lead its table, rhs_raw averages those
+    of its edge patterns, or estimates that from samples of them (strata).
+    root is 1/p, or None for a correctly rounded square root (x ** 0.5 is
+    libm pow, which need not round the same); a value above the ceiling is
+    a defect and raises."""
 
     n: int
     family: str
@@ -125,32 +122,40 @@ class _Ratio:
     ceiling: float = math.inf
     samples: int = 0
 
+    @functools.cached_property
+    def strata(self) -> tuple:
+        """((weight, start, stop), ...) per number z = 0..n-1 of zero entries
+        of eps: its share of {-1,0,1}^n and the table rows sampled from it;
+        () when exact. Decided on first use, as its big integers grow with n."""
+        n, k = self.n, self.samples
+        weights = [comb(n, z) * 2 ** (n - z) / 3**n for z in range(n)] if k else []
+        wsum, stop = ordered_sum(weights), n
+        return tuple((w, stop, stop := stop + max(1, round(k * w / wsum))) for w in weights)
+
     def table(self, dom: TorusDomain) -> np.ndarray:
-        return family_table(dom, self.family, self.amount)
+        return family_table(dom, tuple(b - a for _, a, b in self.strata) or self.family,
+                            self.amount)
 
     def measure(self, f: GridFunction, space_or_norm) -> tuple[float, float, float]:
-        """(lhs, rhs_raw, stderr) of one witness f into the codomain: the
-        sides of its per-shift means over table, stderr 0; or, when samples
-        is set, lhs over the n long shifts and _sampled_eps_average's
-        estimate of rhs_raw and its stderr, the x average exact."""
-        target, dom = as_target(space_or_norm, f.values), f.domain
-        if not self.samples:
-            return *self.sides(shift_energy(f.values, target, self.table(dom), self.p)), 0.0
-        axes = family_table(dom, "axes", self.amount)
-        return (ordered_sum(shift_energy(f.values, target, axes, self.p)),
-                *_sampled_eps_average(f, target, self.p, self.samples))
-
-    def sides(self, means) -> tuple[float, float]:
-        """(lhs, rhs_raw) of one witness's per-shift means: the first n added,
-        and the rest added and divided by the pattern count, in row order."""
-        return ordered_sum(means[:self.n]), ordered_sum(means[self.n:]) / self.patterns
+        """(lhs, rhs_raw, stderr) of one witness f into the codomain: row_sides
+        of its per-shift means over table, and a sampled rhs_raw's stderr."""
+        means = shift_energy(f.values, as_target(space_or_norm, f.values),
+                             self.table(f.domain), self.p)
+        (lhs,), (rhs_raw,) = self.row_sides(means[None])
+        var = ordered_sum([w**2 * float(means[a:b].var(ddof=1)) / (b - a)
+                           for w, a, b in self.strata if b - a > 1])
+        return float(lhs), float(rhs_raw), math.sqrt(var)
 
     def row_sides(self, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sides of each row of (W, S) means, added left to right from the
-        first term: from 0.0 as sides adds, unless that term is -0.0."""
-        acc, n = np.add.accumulate, self.n
-        return (acc(means[:, :n], axis=1)[:, -1],
-                acc(means[:, n:], axis=1)[:, -1] / self.patterns)
+        """(lhs, rhs_raw) of each row of (W, S) means, added in row order from
+        0.0 as += adds: the first n means, and the rest over the pattern count
+        or, when sampled, each stratum's weight times its mean."""
+        def added(terms):  # + 0.0 turns a -0.0 total into the 0.0 of 0.0 + -0.0
+            return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+
+        n, strata = self.n, [w * means[:, a:b].mean(axis=1) for w, a, b in self.strata]
+        return added(means[:, :n]), (added(np.column_stack(strata)) if strata
+                                     else added(means[:, n:]) / self.patterns)
 
     def value(self, lhs: float, rhs_raw: float) -> tuple[float, bool]:
         """(value, degenerate); 0 and degenerate when rhs_raw <= 0 or the
@@ -216,32 +221,6 @@ def cotype_functionals(f: GridFunction, space_or_norm, p: float,
     )
 
 
-def _sampled_eps_average(f: GridFunction, target, p: float,
-                         n_samples: int) -> tuple[float, float]:
-    """Stratified estimate of the {-1,0,1}^n edge average, seeded with 0.
-
-    Strata are indexed by the number z of zero entries; the all-zero
-    stratum contributes exactly 0. Every pattern is drawn first, then all
-    are evaluated in one kernel call. Returns (estimate, standard error).
-    """
-    n, rng = f.domain.n, np.random.default_rng(0)
-    weights = [comb(n, z) * 2 ** (n - z) / 3**n for z in range(n)]
-    wsum = ordered_sum(weights)
-    alloc = [max(1, round(n_samples * w / wsum)) for w in weights]
-    eps = np.zeros((sum(alloc), n), dtype=np.int64)
-    for row, z in enumerate(np.repeat(np.arange(n), alloc)):
-        nonzero = rng.choice(n, size=n - z, replace=False)
-        eps[row, nonzero] = rng.choice((-1, 1), size=n - z)
-    means = shift_energy(f.values, target, shift_table(f.domain, eps), p)
-    est = var = 0.0
-    for w, k in zip(weights, alloc):
-        vals, means = means[:k], means[k:]
-        est += w * float(vals.mean())
-        if k > 1:
-            var += w**2 * float(vals.var(ddof=1)) / k
-    return est, math.sqrt(var)
-
-
 def gamma_hilbert_exact(n: int, m: int) -> tuple[float, tuple]:
     """Exact p=q=2 constant for maps into Hilbert space, with its maximizer.
 
@@ -266,15 +245,14 @@ def gamma_hilbert_exact(n: int, m: int) -> tuple[float, tuple]:
     relative u, so D is off by at most about 6nu < n * 2^-50. Where
     D < n * 2^-45, gamma could be off by more than 1/64, so such (n, m)
     raise PreconditionViolationError: for n <= 16, every m above
-    30,550,072 (c rounds to 1.0 from m of about 6 * 10^8), and an m past
-    float64 range before it becomes a float.
+    30,550,072 (c rounds to 1.0 from m of about 6 * 10^8), and an m or n
+    past float64 range before it becomes a float.
     """
     if n < 1 or m < 2:
         raise PreconditionViolationError(f"need n >= 1 and m >= 2, got n={n} m={m}")
     _require_even_m(m)
-    if m > sys.float_info.max:
-        raise PreconditionViolationError(
-            f"an m of {m.bit_length()} bits is past float64 range, where D = 2 - 2c^n is 0")
+    require_float("m", m, ", where D = 2 - 2c^n is 0")
+    require_float("n", n)
     # the argmax as gamma-hilbert prints it, a tuple, a list and a JSON
     # chunk an entry: 92-94 bytes traced at n = 10^5..10^6 and 1.0-1.5 us
     # timed at 10^5..3 * 10^6, m = 32; the product's 6-75 ns a factor is in it
@@ -459,7 +437,7 @@ def random_two_point_mc(n: int, m: int, p: float, q: float, trials: int,
                    * min(trials, WITNESS_CHUNK),
                    XOR_SECONDS * trials * ((n + ratio.patterns) * N + 64))
     rng = np.random.default_rng(seed)
-    table = ratio.table(dom)
+    table = family_table(dom, ratio.family, ratio.amount)  # every edge, never a sample
     L, R = np.empty(trials), np.empty(trials)
     for done in range(0, trials, WITNESS_CHUNK):
         k = min(WITNESS_CHUNK, trials - done)
@@ -530,51 +508,40 @@ def _scorer(space, ratio: _Ratio, dom: TorusDomain):
     gives a stack of tables' memos and moves them (gridops.ShiftSums's
     interface), scores(memo) one float per row, -inf where degenerate.
 
-    When ratio samples, a memo is each table's (lhs, rhs_raw) by
-    ratio.measure, and table = ratio.table(dom) is never built. Otherwise,
-    where the distance powers are non-negative integers, symmetric with a
-    zero diagonal, and table.size times the largest D is below 2^26, the
-    memos are ShiftSums's integer sums and a row scores
-    _quotient(lhs_sum, rhs_sum), in which the value is monotone:
-    lhs_sum <= n N D and rhs_sum <= (S - n) N D keep cross products below
-    (S N D)^2 / 4. A two-point space's powers are one gap's power times the
-    xor, so it scores by xor sums. Otherwise a memo is (lhs, rhs_raw) of one
-    shift_energy_batch call. Every memo of (lhs, rhs_raw) scores by
-    ratio.value."""
-    if ratio.samples:
-        def sides(tables):
-            return np.array([ratio.measure(GridFunction.points(dom, v), space)[:2]
-                             for v in tables]).T
-    else:
-        table = ratio.table(dom)
-        dist_p = 1.0 - np.eye(2) if space.size == 2 else dist_power(space.dist, ratio.p)
-        if (np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
-                and np.array_equal(dist_p, dist_p.T) and not np.diagonal(dist_p).any()
-                and table.size * dist_p.max() < 2**26):
-            n = ratio.n
-            return ShiftSums(dist_p, table), lambda memo: _quotient(
-                memo[:, :n].sum(axis=1), memo[:, n:].sum(axis=1))
-
-        def sides(tables):
-            return ratio.row_sides(shift_energy_batch(tables, space, table, ratio.p))
+    Where ratio's average is exact, the distance powers are non-negative
+    integers, symmetric with a zero diagonal, and table = ratio.table(dom)
+    has size times the largest D below 2^26, the memos are ShiftSums's
+    integer sums, and a row scores _quotient(lhs_sum, rhs_sum), in which the
+    value is monotone: lhs_sum <= n N D and rhs_sum <= (S - n) N D keep
+    cross products below (S N D)^2 / 4. A two-point space's powers are one
+    gap's power times the xor, so it scores by xor sums. Otherwise a memo
+    is _FullSides' (lhs, rhs_raw), and scores by ratio.value."""
+    table = ratio.table(dom)
+    dist_p = 1.0 - np.eye(2) if space.size == 2 else dist_power(space.dist, ratio.p)
+    if (not ratio.samples and np.all((dist_p >= 0) & (dist_p == np.floor(dist_p)))
+            and np.array_equal(dist_p, dist_p.T) and not np.diagonal(dist_p).any()
+            and table.size * dist_p.max() < 2**26):
+        n = ratio.n
+        return ShiftSums(dist_p, table), lambda memo: _quotient(
+            memo[:, :n].sum(axis=1), memo[:, n:].sum(axis=1))
 
     def scores(memo):  # value takes Python floats, and powers with libm
         return np.array([-math.inf if degenerate else value for value, degenerate
                          in map(ratio.value, *memo.T.tolist())])
 
-    return _FullSides(sides), scores
+    return _FullSides(ratio, space, table), scores
 
 
 class _FullSides:
-    """gridops.ShiftSums's interface for tables that sides(tables) evaluates
-    in full: a table's memo is its (lhs, rhs_raw), and a move evaluates the
-    moved tables."""
+    """gridops.ShiftSums's interface by full evaluation: a table's memo is
+    its ratio.row_sides over table, and a move evaluates the moved tables."""
 
-    def __init__(self, sides):
-        self.sides = sides
+    def __init__(self, ratio: _Ratio, space, table: np.ndarray):
+        self.ratio, self.space, self.table = ratio, space, table
 
     def __call__(self, tables: np.ndarray) -> np.ndarray:
-        return np.column_stack(self.sides(tables))
+        return np.column_stack(self.ratio.row_sides(
+            shift_energy_batch(tables, self.space, self.table, self.ratio.p)))
 
     def move(self, tables: np.ndarray, memo, x: np.ndarray,
              b: np.ndarray) -> np.ndarray:
@@ -636,11 +603,11 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     initial = [GridFunction.points(dom, v).values for v in initial_values]
     for vals in initial:
         require_indices(vals, K)
-    if ratio.samples:  # the budget's evaluations and the report's; a term, one
-        # shift at one point, takes 5 ns an axis and 40 ns (timed in searches:
-        # 31-38 ns at n = 1..6, 47-52 at n = 7, 8, 93-100 at (12, 2) .. (16, 2))
-        require_budget(f"a {budget}-evaluation sampled search", seconds=(budget + 1)
-                       * (ratio.n + ratio.samples) * N * 5e-9 * (ratio.n + 8))
+    if ratio.samples:  # a table of (n + samples) x N terms built (4-13 ns a term an
+        # axis), then evaluated for the budget and the report (7.2-11.2 ns a term),
+        # timed at (5,8) (7,4) (4,16) (9,2) (10,2) (13,2) (16,2) (2,684)
+        require_budget(f"a {budget}-evaluation sampled search", seconds=(
+            ratio.n + ratio.samples) * N * (10e-9 * ratio.n + 12e-9 * (budget + 1)))
     elif _fits(K, N, budget):
         return _enumerate(space, dom, ratio, budget).values
     kernel, scores = _scorer(space, ratio, dom)
@@ -885,4 +852,5 @@ def grid_distortion_bound(n: int, q: float, K: float) -> float:
     """Distortion lower bound n^(1/q) / (2K) for bijections of Z_m^n."""
     if n < 1 or q < 1 or K <= 0:
         raise PreconditionViolationError("need n >= 1, q >= 1, K > 0")
+    require_float("n", n)
     return n ** (1.0 / q) / (2.0 * K)

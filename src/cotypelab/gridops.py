@@ -99,14 +99,24 @@ _FAMILIES = {
 }
 
 
+def _edge_draws(n: int, counts: tuple) -> np.ndarray:
+    """counts[z] patterns of {-1,0,1}^n with z zero entries for z = 0, 1, ...,
+    each drawn from one default_rng(0): its nonzero positions, their signs."""
+    rng, eps = np.random.default_rng(0), np.zeros((sum(counts), n), dtype=np.int64)
+    for row, z in enumerate(np.repeat(np.arange(len(counts)), counts)):
+        nonzero = rng.choice(n, size=n - z, replace=False)
+        eps[row, nonzero] = rng.choice((-1, 1), size=n - z)
+    return eps
+
+
 @functools.lru_cache(maxsize=8)
-def family_table(domain: TorusDomain, family: str,
+def family_table(domain: TorusDomain, family: str | tuple,
                  amount: int | None = None) -> np.ndarray:
     """Cached shift_table of amount * e_j for each axis j (no such rows when
-    amount is None), then the patterns of one family in row-major order. A
-    table at the exact-mode limit of the cotype functional (3^n m^n = 2^22)
-    takes 32 MiB, so few are kept."""
-    pats = _FAMILIES[family](domain.n)
+    amount is None), then a family's patterns in row-major order, or, for a
+    tuple of counts, _edge_draws's. A table at or past the exact-mode limit
+    of the cotype functional (3^n m^n = 2^22) takes about 32 MiB: few are kept."""
+    pats = _FAMILIES[family](domain.n) if family in _FAMILIES else _edge_draws(domain.n, family)
     if amount is not None:
         pats = np.vstack([amount * np.eye(domain.n, dtype=np.int64), pats])
     return shift_table(domain, pats)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -162,6 +163,13 @@ def require_budget(what: str, nbytes: int = 0, seconds: float = 0.0) -> None:
     if seconds > WORK_BUDGET:
         raise BudgetExceededError(
             f"{what} needs about {seconds:.3g} s, budget is {WORK_BUDGET} s")
+
+
+def require_float(name: str, value: int, why: str = "") -> None:
+    """Refuse an integer past float64 range before it becomes a float."""
+    if value > sys.float_info.max:
+        raise PreconditionViolationError(
+            f"an {name} of {value.bit_length()} bits is past float64 range{why}")
 
 
 def require_indices(values: np.ndarray, size: int) -> None:

@@ -13,6 +13,7 @@ from cotypelab import (
     b_functionals,
     load_metric_space,
 )
+from cotypelab import cli
 from cotypelab.cli import (
     COMMANDS,
     TABLE,
@@ -319,6 +320,45 @@ def test_an_m_past_float64_range_exits_2(capsys, tmp_path, argv):
     assert code == 2 and doc is None and not plot.exists()
     assert err == ("error: an m of 1329 bits is past float64 range, where "
                    "D = 2 - 2c^n is 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-hilbert", "--m", "32"],
+    ["bounds", "grid-distortion", "--q", "2", "--m", "32"],
+    ["bounds", "grid-distortion", "--q", "2", "--K", "1"],
+    ["plot", "gamma-vs-m", "--m-max", "4", "--plot", "{plot}"],
+])
+def test_an_n_past_float64_range_exits_2(capsys, tmp_path, argv):
+    # n = 10^400 ended in OverflowError: the budget line formed 1.6e-6 * n,
+    # and the bound n ** (1/q)
+    plot = tmp_path / "x.svg"
+    argv = [a.format(plot=plot) for a in argv] + ["--n", str(10**400)]
+    code, doc, err = run_main(capsys, argv)
+    assert code == 2 and doc is None and not plot.exists()
+    assert err == "error: an n of 1329 bits is past float64 range\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["plot", "distortion-vs-n", "--m", "4", "--n-max", "100000000"],
+     "a 100000000-point plot needs 52800000000 bytes, budget is 1073741824"),
+    # every m passes gamma_hilbert_exact's own guard; the loop did not
+    (["plot", "gamma-vs-m", "--n", "1", "--m-max", "2000000"],
+     "a 1000000-point plot needs about 12.1 s, budget is 5.0 s"),
+    (["plot", "gamma-vs-m", "--n", "1", "--m-max", str(10**400)],
+     "an m_max of 1329 bits is past float64 range"),
+    (["plot", "distortion-vs-n", "--m", "4", "--n-max", str(10**400)],
+     "an n_max of 1329 bits is past float64 range"),
+])
+def test_a_plot_past_its_budget_exits_2_before_its_first_point(
+        capsys, tmp_path, monkeypatch, argv, message):
+    def no_point(*args):
+        raise AssertionError("a point was computed before the plot's budget")
+
+    monkeypatch.setattr(cli, "gamma_hilbert_exact", no_point)
+    plot = tmp_path / "x.svg"
+    code, doc, err = run_main(capsys, argv + ["--plot", str(plot)])
+    assert code == 2 and doc is None and not plot.exists()
+    assert err == f"error: {message}\n"
 
 
 def test_the_hilbert_constant_at_the_last_m_within_precision(capsys):

@@ -173,6 +173,62 @@ def test_b_functionals_bit_exact(wit, ell):
     assert rep.rhs_raw == (rhs if rhs > 0 else 0.0)
 
 
+def counted_shift_tables(monkeypatch) -> list:
+    """Empty family_table's cache and record the shift count of every
+    gridops.shift_table call from then on."""
+    calls = []
+
+    def counted(domain, shifts):
+        calls.append(len(shifts))
+        return shift_table(domain, shifts)
+
+    family_table.cache_clear()
+    monkeypatch.setattr(gridops, "shift_table", counted)
+    return calls
+
+
+def test_a_sampled_cell_builds_its_shift_table_once(monkeypatch):
+    calls = counted_shift_tables(monkeypatch)
+    monkeypatch.setattr(cotype, "EPS_ENUM_BUDGET", 9 * 4**3)  # 9 of 26 patterns
+    dom = TorusDomain(n=3, m=4)
+    f = GridFunction.points(dom, np.random.default_rng(3).integers(0, 5, 64))
+    first = cotype_functionals(f, CYCLE5, 2.0, 2.0)
+    assert first.mode == "sampled"
+    assert cotype_functionals(f, CYCLE5, 2.0, 2.0) == first
+    cotype.gamma_search(CYCLE5, 3, 4, 2.0, 2.0, 200, 1)  # every step sampled
+    assert calls == [3 + 9]  # the long shifts, then 3 + 4 + 2 sampled patterns
+
+
+def test_a_new_sample_size_gets_its_own_table(monkeypatch):
+    # the cache key holds the sample's counts, so a budget patched between
+    # two calls is not answered from the first call's table
+    calls = counted_shift_tables(monkeypatch)
+    f = GridFunction.points(TorusDomain(n=3, m=4),
+                            np.random.default_rng(5).integers(0, 5, 64))
+    for budget in (3 * 4**3, 9 * 4**3):
+        monkeypatch.setattr(cotype, "EPS_ENUM_BUDGET", budget)
+        rep = cotype_functionals(f, CYCLE5, 1.5, 2.0)
+        assert rep.mode == "sampled"
+        assert (rep.lhs, rep.rhs_raw, rep.gamma_hat, rep.stderr) == \
+            ref_cotype(f, CYCLE5, 1.5, 2.0, budget)
+    assert calls == [3 + 3, 3 + 9]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batched_sampled_sides_match_single_measures(monkeypatch, n):
+    m = 4 if n < 5 else 2
+    dom = TorusDomain(n=n, m=m)
+    monkeypatch.setattr(cotype, "EPS_ENUM_BUDGET", dom.points * min(40, 3**n - 1))
+    ratio = cotype._gamma_ratio(n, m, 1.5, 2.0)
+    assert ratio.samples
+    tables = np.random.default_rng(n).integers(0, 5, (7, dom.points))
+    lhs, rhs = ratio.row_sides(shift_energy_batch(tables, CYCLE5, ratio.table(dom), 1.5))
+    single = np.array([ratio.measure(GridFunction.points(dom, v), CYCLE5)[:2]
+                       for v in tables])
+    assert lhs.tobytes() == single[:, 0].tobytes()
+    assert rhs.tobytes() == single[:, 1].tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(witnesses(), st.integers(0, 2), st.integers(0, 2), P_VALUES)
 def test_mod_and_edge_sum_checks_bit_exact(wit, a, half_r, p):
