@@ -270,7 +270,9 @@ def _extract_grid(cfg: ExperimentConfig, n, m, s):
         raise SchemaViolationError(f"s must be divisible by 4, got {s}",
                                    json_path="$.params.s")
     dom = TorusDomain(n=n, m=m)
-    require_defect_budget(dom, s)  # before the witness and its edge tables
+    # extract_grid makes this check too, but only after the identity witness
+    # and torus coordinates built here (9 GiB at n = 9, m = 8)
+    require_defect_budget(dom, s)
     f = GridFunction.points(dom, np.arange(dom.points, dtype=np.int64))
     rec, info = extract_grid(f, torus_space(dom), s)
     return {"embedding": rec.to_json_dict(), "extraction": _jsonable(info)}, [], "exact"

@@ -19,7 +19,7 @@ Both, and the shift-mod and edge-sum checks, are one ratio of a long-shift
 energy to an averaged edge energy, and each has one _Ratio record (shift
 family, exponent, weight, root, ceiling, samples) whose measure gives every
 evaluation its two sides. Every maximum over maps ranks witnesses by one
-scorer (_scorer), and reports its winner's evaluation.
+scorer (_scorer), keeps the first best (_first_best), and reports it.
 Every shift average runs on index tables that gridops.family_table caches
 per shift family or edge sample, through gridops.shift_energy or, for
 two-point witnesses, as xor counts on bit planes. Per-shift means are
@@ -56,7 +56,7 @@ from .gridops import (
     sign_patterns,
 )
 from .harmonic import GridFunction
-from .spaces import (FiniteMetricSpace, TorusDomain, require_budget,
+from .spaces import (FiniteMetricSpace, TorusDomain, count_text, require_budget,
                      require_float, require_indices, two_point_space)
 from .targets import NormTarget, as_target
 
@@ -321,24 +321,35 @@ def _xor_sides(witnesses: np.ndarray, table: np.ndarray, n: int,
     return lhs, rhs
 
 
+def _first_best(blocks) -> tuple[int, np.ndarray]:
+    """(index, row) of the first best candidate over (scores, rows) blocks in
+    index order, a later block winning only with a strictly higher score (all
+    -inf: candidate 0); one block and the winner's row (a copy) are held."""
+    best, top, row, start = 0, -math.inf, None, 0
+    for scores, rows in blocks:
+        i = int(np.argmax(scores))
+        if row is None or scores[i] > top:
+            best, top, row = start + i, scores[i], rows[i].copy()
+        start += len(scores)
+        del scores, rows  # before the next block is built
+    return best, row
+
+
 @functools.lru_cache(maxsize=4)
 def _two_point_winner(n: int, m: int, family: str, amount: int) -> int:
-    """Index of the first two-point witness on Z_m^n whose xor count sums
-    rank highest under _quotient, whatever the gap and exponents. A witness's
-    complement, index 2^N - 1 - i, has its xor counts, so the first maximiser
-    lies below 2^(N-1): only those stream, SHIFT_BLOCK_ELEMENTS // N at a
-    time, and a later block wins only with a strictly higher score."""
+    """Index of the first two-point witness on Z_m^n whose xor count sums rank
+    highest under _quotient, whatever the gap and exponents. A complement,
+    index 2^N - 1 - i, has witness i's xor counts, so the first maximiser lies
+    below 2^(N-1): only those stream, SHIFT_BLOCK_ELEMENTS // N at a time."""
     dom = TorusDomain(n=n, m=m)
     N, table = dom.points, family_table(dom, family, amount)
     half, step = 2 ** (N - 1), max(1, SHIFT_BLOCK_ELEMENTS // N)
-    best, top = 0, -math.inf
-    for w0 in range(0, half, step):
-        scores = _quotient(*_xor_sides(_bit_rows(w0, min(w0 + step, half), N),
-                                       table, n, 1))
-        i = int(np.argmax(scores))
-        if scores[i] > top:
-            best, top = w0 + i, scores[i]
-    return best
+
+    def block(w0):  # a generator would hold the last 512 KiB of bits (N = 16)
+        bits = _bit_rows(w0, min(w0 + step, half), N)
+        return _quotient(*_xor_sides(bits, table, n, 1)), bits
+
+    return _first_best(map(block, range(0, half, step)))[0]
 
 
 def _codomain_size(space) -> int:
@@ -363,12 +374,12 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     A two-point space enumerates the bit tables of the witness indices on
     bit planes (point 0 the lowest bit), whose xor count sums _quotient
     ranks as _scorer's exact scores do (_two_point_winner); any other space
-    enumerates assignments in mixed radix (point 0 the highest digit), scored
-    by _scorer a chunk at a time. Past budget witnesses (_fits) or
-    require_budget, it raises BudgetExceededError."""
+    enumerates assignments in mixed radix (point 0 the highest digit), each
+    WITNESS_CHUNK decoded and scored by _scorer in turn (_first_best). Past
+    budget witnesses (_fits) or require_budget, it raises BudgetExceededError."""
     N, K = dom.points, _codomain_size(space)
     if not _fits(K, N, budget):
-        raise BudgetExceededError(f"{K}^{N} witnesses exceed budget {budget}")
+        raise BudgetExceededError(f"{K}^{count_text(N)} witnesses exceed budget {budget}")
     count = K**N
     work = count * (ratio.n + ratio.patterns) * N  # witness-shift-points
     if K == 2:  # half the witnesses; a block's bits, sides, scores and planes
@@ -381,15 +392,14 @@ def _enumerate(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
                        (72 + N + (N + 9) * shifts) * block, XOR_SECONDS * work / 2)
         best = _two_point_winner(dom.n, dom.m, ratio.family, ratio.amount)
         return GridFunction.points(dom, _bit_rows(best, best + 1, N)[0])
-    # 2N + 9 int64/float64 entries a witness, 4 a block entry; 26 ns at (1,8)
-    require_budget(f"{count} witnesses", count * (16 * N + 72)
+    # 2N + 9 int64/float64 entries a chunk's witness, 4 a block entry; 26 ns at (1,8)
+    require_budget(f"{count} witnesses", min(count, WITNESS_CHUNK) * (16 * N + 72)
                    + 32 * min(work, SHIFT_BLOCK_ELEMENTS), 30e-9 * work)
-    idx = np.arange(count, dtype=np.int64)
-    F = (idx[:, None] // K ** np.arange(N - 1, -1, -1)) % K
+    powers = K ** np.arange(N - 1, -1, -1)
     kernel, scores = _scorer(space, ratio, dom)
-    best = int(np.argmax(np.concatenate([scores(kernel(F[w0:w0 + WITNESS_CHUNK]))
-                                         for w0 in range(0, count, WITNESS_CHUNK)])))
-    return GridFunction.points(dom, F[best])
+    maps = (np.arange(w0, min(w0 + WITNESS_CHUNK, count), dtype=np.int64)[:, None]
+            // powers % K for w0 in range(0, count, WITNESS_CHUNK))
+    return GridFunction.points(dom, _first_best((scores(kernel(F)), F) for F in maps)[1])
 
 
 def gamma_exhaustive_two_point(n: int, m: int, p: float, q: float,
@@ -551,17 +561,16 @@ class _FullSides:
 
 
 def _climb_chunk(tables: np.ndarray, rngs: list, steps: np.ndarray, K: int,
-                 kernel, scores) -> tuple[float, np.ndarray]:
-    """(score, table) of the best row of tables, the first winning ties,
-    each row w climbed in lockstep by steps[w] steps drawn from rngs[w]: a
-    point x, then a new value at x among the other K - 1 (no draw when
-    K = 1). Row w's whole climb is drawn before the first step, in one
-    integers call whose bounds alternate [0, 1, ...] / [N, K, ...]; it gives
-    the values, and leaves the Generator in the state, of the alternating
-    scalar calls integers(N), integers(1, K). The draws are held in the
-    narrowest signed dtype holding max(N, K). kernel gives each table's memo
-    and moves it (gridops.ShiftSums), scores(memo) the rows' scores, and a
-    move is kept only when its score is higher."""
+                 kernel, scores) -> tuple[np.ndarray, np.ndarray]:
+    """(each row's best score, tables) after row w of tables climbs in place,
+    in lockstep, steps[w] steps drawn from rngs[w]: a point x, then a new
+    value at x among the other K - 1 (no draw when K = 1). Row w's whole
+    climb is drawn up front in one integers call with bounds alternating
+    [0, 1, ...] / [N, K, ...], which gives the values, and leaves the
+    Generator in the state, of the scalar calls integers(N), integers(1, K),
+    in the narrowest signed dtype holding max(N, K). kernel gives each
+    table's memo and moves it (gridops.ShiftSums), scores(memo) the rows'
+    scores, and a move is kept only when its score is higher."""
     N, rows, most = tables.shape[1], np.arange(len(tables)), int(steps.max())
     pair = 2 if K > 1 else 1  # draws per step
     lows, highs = np.tile([0, 1][:pair], most), np.tile([N, K][:pair], most)
@@ -578,8 +587,7 @@ def _climb_chunk(tables: np.ndarray, rngs: list, steps: np.ndarray, K: int,
         new = scores(moved)
         up = np.flatnonzero(new > best[:live])
         tables[up, x[up]], memo[up], best[up] = b[up], moved[up], new[up]
-    w = int(np.argmax(best))
-    return best[w], tables[w].copy()
+    return best, tables
 
 
 def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
@@ -594,8 +602,8 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     starts are resampled. Restart i draws from child i of SeedSequence(seed)
     alone, so restarts climb in lockstep, WITNESS_CHUNK at a time, with the
     draws of one climb after another, each climb drawn up front
-    (_climb_chunk). The earliest restart wins ties; when every restart
-    scores -inf, the first restart's table is returned.
+    (_climb_chunk). The earliest best restart wins (_first_best), the first
+    restart's table when every restart scores -inf.
     """
     if budget < 1:
         raise PreconditionViolationError(f"budget must be >= 1, got {budget}")
@@ -606,11 +614,16 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
     if ratio.samples:  # a table of (n + samples) x N terms built (4-13 ns a term an
         # axis), then evaluated for the budget and the report (7.2-11.2 ns a term),
         # timed at (5,8) (7,4) (4,16) (9,2) (10,2) (13,2) (16,2) (2,684)
-        require_budget(f"a {budget}-evaluation sampled search", seconds=(
-            ratio.n + ratio.samples) * N * (10e-9 * ratio.n + 12e-9 * (budget + 1)))
+        terms = (ratio.n + ratio.samples) * N
+        require_float("entry count", terms, " for a sampled search's shift table")
+        require_budget(f"a {budget}-evaluation sampled search",
+                       seconds=terms * (10e-9 * ratio.n + 12e-9 * (budget + 1)))
     elif _fits(K, N, budget):
         return _enumerate(space, dom, ratio, budget).values
     kernel, scores = _scorer(space, ratio, dom)
+    per_restart = max(2, N)
+    restarts = max(1, math.ceil(budget / per_restart))
+    seeds = np.random.SeedSequence(seed)
 
     def start(i, rng):
         if i < len(initial):
@@ -620,20 +633,14 @@ def _search(space: FiniteMetricSpace, dom: TorusDomain, ratio: _Ratio,
             vals = random_point_values(dom, K, rng)
         return vals
 
-    per_restart = max(2, N)
-    restarts = max(1, math.ceil(budget / per_restart))
-    seeds = np.random.SeedSequence(seed)
-    best_score, best = -math.inf, None
-    for r0 in range(0, restarts, WITNESS_CHUNK):
+    def block(r0):
         ri = np.arange(r0, min(r0 + WITNESS_CHUNK, restarts))
         rngs = [np.random.default_rng(s) for s in seeds.spawn(len(ri))]  # as one spawn
-        got, top = _climb_chunk(
-            np.stack(list(map(start, ri, rngs))), rngs,
-            np.minimum(per_restart - 1, budget - 1 - per_restart * ri), K, kernel, scores)
-        if best is None or got > best_score:
-            best_score, best = got, top
-        del rngs, top  # one chunk's state at a time
-    return best
+        steps = np.minimum(per_restart - 1, budget - 1 - per_restart * ri)
+        return _climb_chunk(np.stack(list(map(start, ri, rngs))), rngs, steps, K,
+                            kernel, scores)
+
+    return _first_best(map(block, range(0, restarts, WITNESS_CHUNK)))[1]
 
 
 def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
@@ -660,13 +667,8 @@ def gamma_search(space: FiniteMetricSpace, n: int, m: int, p: float, q: float,
 def b_quantity_search(space: FiniteMetricSpace, n: int, ell: int, m: int,
                       budget: int, seed: int,
                       initial_witnesses=()) -> BReport:
-    """Maximize b_hat over maps Z_m^n -> space; result stays <= 1.
-
-    Same search as gamma_search: budget >= 1 evaluations, strict
-    improvement of the score, earliest restart wins ties, and the first
-    restart's witness, flagged degenerate, when no witness met is
-    nondegenerate.
-    """
+    """Maximize b_hat over maps Z_m^n -> space, by gamma_search's rules;
+    the result stays <= 1."""
     ratio = _b_ratio(n, m, ell)
     dom = TorusDomain(n=n, m=m)
     witness = GridFunction.points(dom, _search(

@@ -22,12 +22,14 @@ from .spaces import (
     EmbeddingRecord,
     FiniteMetricSpace,
     TorusDomain,
+    count_text,
     distortion,
     grid_points,
     moduli,
     ROW_BLOCK,
     points_space,
     require_budget,
+    require_float,
     snowflake,
     torus_space,
 )
@@ -258,7 +260,8 @@ def require_defect_budget(domain: TorusDomain, s: int) -> int:
     # float64 entries a point; traced peak 6.21 MiB of 6.36 at (4,8,4), 2.61
     # of 2.92 at (3,16,8), 123.6 of 127.1 at (4,16,8). 4.7 ns a term
     # (838,860,800 terms at (4,16,8): 3.96 s)
-    require_budget(f"a geodesic-defect sum of {work} transition-point terms",
+    require_float("extraction term count", work)
+    require_budget(f"a geodesic-defect sum of {count_text(work)} transition-point terms",
                    8 * (2**n * (wrapped + N) + wrapped + (20 + 2 * n) * N),
                    5e-9 * work)
     return work

@@ -7,7 +7,7 @@ import operator
 
 import numpy as np
 
-from .spaces import TorusDomain, require_budget
+from .spaces import TorusDomain, count_text, require_budget
 
 
 def ordered_sum(values) -> float:
@@ -24,13 +24,19 @@ def sign_patterns(n: int) -> np.ndarray:
 def random_vector_values(domain: TorusDomain, d: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Standard complex Gaussian value table of shape (m^n, d)."""
+    # two float64 draws, i times one and their sum, and 8 KiB of numpy's
+    # buffers (traced: 0.99 of it at (3, 16, 2), 0.90 at (2, 64, 3))
     shape = (domain.points, d)
+    require_budget(f"{count_text(domain.points)} x {d} random vector values",
+                   56 * domain.points * d + 8192)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_point_values(domain: TorusDomain, size: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Uniform codomain indices of shape (m^n,)."""
+    require_budget(f"{count_text(domain.points)} random point values",
+                   8 * domain.points + 8192)
     return rng.integers(0, size, size=domain.points, dtype=np.int64)
 
 
@@ -67,6 +73,16 @@ def climb(values: np.ndarray, score, propose, steps: int,
 SHIFT_BLOCK_ELEMENTS = 1 << 18  # gathered value entries per kernel block
 
 
+def _require_table(domain: TorusDomain, rows: int) -> None:
+    """shift_table's price for rows shifts: the table, two int64 coordinate
+    copies, per axis the new sums and the last ones or their mask, and
+    numpy's 8192-entry int64 cast buffer (traced: 0.83 of it at (3, 16) and
+    0.81 at (2, 200), edge patterns)."""
+    N, item = domain.points, np.min_scalar_type(2 * domain.m).itemsize
+    require_budget(f"a {count_text(rows)} x {count_text(N)} shift table",
+                   (8 + 2 * item) * rows * N + 16 * domain.n * N + 65536)
+
+
 def shift_table(domain: TorusDomain, shifts) -> np.ndarray:
     """Read-only (S, m^n) int64 array: table[s, x] = linear index of x + shifts[s].
     A coordinate plus a shift residue is below 2m, so in the narrowest dtype
@@ -75,11 +91,7 @@ def shift_table(domain: TorusDomain, shifts) -> np.ndarray:
     small = np.min_scalar_type(2 * m)
     res = np.asarray(shifts, dtype=np.int64).reshape(-1, n) % m
     res = res.astype(small)
-    # the table, two int64 coordinate copies, per axis the new sums and the
-    # last ones or their mask, and numpy's 8192-entry int64 cast buffer
-    # (traced: 0.83 of it at (3, 16) and 0.81 at (2, 200), edge patterns)
-    require_budget(f"a {len(res)} x {N} shift table",
-                   (8 + 2 * small.itemsize) * len(res) * N + 16 * n * N + 65536)
+    _require_table(domain, len(res))
     coords = domain.coords().astype(small)
     table = np.zeros((len(res), N), dtype=np.int64)
     for ax in range(n):  # row-major index, built in place
@@ -114,11 +126,16 @@ def family_table(domain: TorusDomain, family: str | tuple,
                  amount: int | None = None) -> np.ndarray:
     """Cached shift_table of amount * e_j for each axis j (no such rows when
     amount is None), then a family's patterns in row-major order, or, for a
-    tuple of counts, _edge_draws's. A table at or past the exact-mode limit
-    of the cotype functional (3^n m^n = 2^22) takes about 32 MiB: few are kept."""
-    pats = _FAMILIES[family](domain.n) if family in _FAMILIES else _edge_draws(domain.n, family)
+    tuple of counts, _edge_draws's, priced from its row count before any
+    pattern is built. A table at or past the exact-mode limit of the cotype
+    functional (3^n m^n = 2^22) takes about 32 MiB: few are kept."""
+    n = domain.n
+    rows = {"axes": 0, "signs": 2**n, "edges": 3**n - 1}[family] \
+        if family in _FAMILIES else sum(family)
+    _require_table(domain, rows + (0 if amount is None else n))
+    pats = _FAMILIES[family](n) if family in _FAMILIES else _edge_draws(n, family)
     if amount is not None:
-        pats = np.vstack([amount * np.eye(domain.n, dtype=np.int64), pats])
+        pats = np.vstack([amount * np.eye(n, dtype=np.int64), pats])
     return shift_table(domain, pats)
 
 

@@ -153,13 +153,19 @@ def _working_dtype(coords, p, period) -> np.dtype:
     return arr.dtype if np.iscomplexobj(arr) else np.dtype(np.float64)
 
 
+def count_text(k: int) -> str:
+    """k in digits, or as ~2^e from 2^64 on: str() refuses an int past 4,300
+    digits, and float() one past float64 range."""
+    return f"{k}" if k < 1 << 64 else f"~2^{round(math.log2(k))}"
+
+
 def require_budget(what: str, nbytes: int = 0, seconds: float = 0.0) -> None:
     """Raise BudgetExceededError, before the work named what starts, when its
     estimated peak bytes pass MEMORY_BUDGET or its estimated seconds pass
     WORK_BUDGET; no clock is read, so a refusal is the same on every host."""
     if nbytes > MEMORY_BUDGET:
         raise BudgetExceededError(
-            f"{what} needs {nbytes} bytes, budget is {MEMORY_BUDGET}")
+            f"{what} needs {count_text(nbytes)} bytes, budget is {MEMORY_BUDGET}")
     if seconds > WORK_BUDGET:
         raise BudgetExceededError(
             f"{what} needs about {seconds:.3g} s, budget is {WORK_BUDGET} s")

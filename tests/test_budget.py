@@ -125,6 +125,19 @@ BYTES_SITES = {
                     lambda n, m: lambda: gridops.shift_table(
                         TorusDomain(n=n, m=m), three_patterns(n)),
                     [(3, 16), (2, 200)]),
+    # priced from the row count before the patterns; uncached, so each call builds
+    "family-table": (lambda n, m: f"a {2 ** n + n} x {m ** n} shift table",
+                     lambda n, m: lambda: gridops.family_table.__wrapped__(
+                         TorusDomain(n=n, m=m), "signs", 2),
+                     [(3, 16), (2, 200)]),
+    "random-points": (lambda n, m: f"{m ** n} random point values",
+                      lambda n, m: lambda: gridops.random_point_values(
+                          TorusDomain(n=n, m=m), 3, np.random.default_rng(0)),
+                      [(1, 1000), (2, 300)]),
+    "random-vectors": (lambda n, m, d: f"{m ** n} x {d} random vector values",
+                       lambda n, m, d: lambda: random_vector_values(
+                           TorusDomain(n=n, m=m), d, np.random.default_rng(0)),
+                       [(3, 16, 2), (2, 64, 3)]),
 }
 CELLS = [pytest.param(what(*cell), build, cell,
                       id=f"{label}-{'-'.join(map(str, cell))}")
@@ -357,6 +370,41 @@ def test_a_default_budget_sampled_search_is_refused_before_it_evaluates(
     assert code == 2 and out == ""
     assert err.startswith("error: a 1048576-evaluation sampled search needs about ")
     assert err.endswith(" s, budget is 5.0 s\n") and err.count("\n") == 1
+
+
+LARGE_N = [  # each ended in a traceback, exit 1, or ran without bound
+    # (n + samples) m^n formed a float: OverflowError
+    ("gamma-search --n 3000 --m 2 --budget 1",
+     "an entry count of 3013 bits is past float64 range"),
+    # the refusal printed 2^(2^100000): ValueError past 4,300 digits
+    ("gamma-exhaustive --n 100000 --m 2", "2^~2^100000 witnesses exceed budget"),
+    ("bq --exhaustive --n 100000 --m 2 --ell 2", "2^~2^100000 witnesses exceed budget"),
+    # 2^3000 sign patterns were built before the table was priced
+    ("bq --n 3000 --m 2 --ell 2 --budget 1",
+     "a ~2^3000 x ~2^3000 shift table needs ~2^6003 bytes"),
+    # an m^n-entry draw: numpy's ValueError
+    ("mod-check --n 3000 --m 2 --r 0 --trials 1",
+     "~2^3000 random point values needs ~2^3003 bytes"),
+    ("moduli-check --n 3000 --m 2 --trials 1",
+     "~2^3000 random point values needs ~2^3003 bytes"),
+    # the defect sum's work printed past 4,300 digits: ValueError
+    ("extract-grid --n 3000 --m 8 --s 4",
+     "an extraction term count of 15012 bits is past float64 range"),
+]
+
+
+@pytest.mark.parametrize("line,message", LARGE_N)
+def test_a_large_n_is_refused_in_one_error_line(capsys, line, message):
+    code, out, err = _run(capsys, line.split())
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_a_count_past_2_to_the_64_prints_as_a_power_of_two():
+    assert spaces.count_text((1 << 64) - 1) == str((1 << 64) - 1)
+    assert spaces.count_text(1 << 64) == "~2^64"
+    assert spaces.count_text(3 * 2**100000) == "~2^100002"  # past 4,300 digits
+    assert spaces.count_text(2**5000 + 1) == "~2^5000"  # past float64 range
 
 
 def test_a_trillion_random_witnesses_are_refused(monkeypatch):

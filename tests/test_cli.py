@@ -230,6 +230,18 @@ def test_extract_grid_over_the_defect_budget(capsys, monkeypatch,
         assert f"budget is {below}" in err
 
 
+def test_extract_grid_refuses_before_its_witness_and_coordinates(capsys,
+                                                                 address_cap):
+    # 8^9 points: the identity witness and torus coordinates alone take
+    # 9 GiB, and extract_grid's own defect check comes after the command
+    # builds them
+    address_cap(1 << 30)  # work begun anyway fails with MemoryError
+    code, doc, err = run_main(capsys, ["extract-grid", "--n", "9", "--m", "8",
+                                       "--s", "4"])
+    assert code == 2 and doc is None
+    assert err.startswith("error: a geodesic-defect sum of 317896299380736 ")
+
+
 def test_extract_grid_runs_without_a_torus_table(capsys, address_cap,
                                                  monkeypatch):
     from cotypelab import TorusDomain, embeddings

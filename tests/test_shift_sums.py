@@ -13,6 +13,7 @@ b_functionals value. The searches fall back to full evaluation when the
 sums could round: non-integer distances, non-integer powers and the
 sampled eps average.
 """
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -30,6 +31,7 @@ from cotypelab import (
     b_quantity_search,
     cotype_functionals,
     exhaustive_b,
+    gamma_exhaustive_two_point,
     gamma_search,
     torus_space,
     two_point_space,
@@ -415,9 +417,9 @@ ENUMERATED = [  # (space, ratio, n, m): every witness ranked in Python
 ]
 
 
-@pytest.mark.parametrize("case", range(len(ENUMERATED)))
-def test_an_enumeration_reports_the_first_exact_maximiser(case):
-    space, kind, n, m = ENUMERATED[case]
+def ranked(space, kind, n, m):
+    """(dom, ratio, witnesses, scores): every map of Z_m^n into space in
+    enumeration order, each with its exact ratio."""
     dom, K = TorusDomain(n=n, m=m), space.size
     if kind == "b":
         ratio = cotype._b_ratio(n, m, 4 if m > 4 else 2)
@@ -436,10 +438,116 @@ def test_an_enumeration_reports_the_first_exact_maximiser(case):
             digits = [(idx // K**k) % K for k in range(dom.points - 1, -1, -1)]
         witnesses.append(np.array(digits))
     rows = shift_table(dom, shifts).tolist()
-    scores = [exact_ratio(w, powers, rows, n) for w in witnesses]
+    return dom, ratio, witnesses, [exact_ratio(w, powers, rows, n) for w in witnesses]
+
+
+@pytest.mark.parametrize("case", range(len(ENUMERATED)))
+def test_an_enumeration_reports_the_first_exact_maximiser(case):
+    space = ENUMERATED[case][0]
+    dom, ratio, witnesses, scores = ranked(*ENUMERATED[case])
     first = scores.index(max(scores))
     got = cotype._enumerate(space, dom, ratio, 1 << 20)
     assert got.values.tolist() == witnesses[first].tolist()
+
+
+# ------------------------------------ one winner stream, block by block
+
+def tied_maxima(scores):
+    """The first two indices of the highest score."""
+    top = max(scores)
+    first = scores.index(top)
+    return first, scores.index(top, first + 1)
+
+
+@pytest.mark.parametrize("case", [2, 3, 4])  # mixed radix
+def test_tied_maxima_across_witness_chunks_report_the_first(monkeypatch, case):
+    space = ENUMERATED[case][0]
+    dom, ratio, witnesses, scores = ranked(*ENUMERATED[case])
+    first, second = tied_maxima(scores)
+    # the first maximum ends a chunk or opens one, the two fall in adjacent
+    # chunks, or they share the first
+    for chunk in (first + 1, max(first, 1), second - first, second + 1):
+        monkeypatch.setattr(cotype, "WITNESS_CHUNK", chunk)
+        got = cotype._enumerate(space, dom, ratio, 1 << 20)
+        assert got.values.tolist() == witnesses[first].tolist(), chunk
+
+
+@pytest.mark.parametrize("case", [ENUMERATED[0], (two_point_space(), "gamma", 1, 8)])
+def test_tied_maxima_across_bit_plane_blocks_report_the_first(monkeypatch, case):
+    dom, ratio, witnesses, scores = ranked(*case)
+    half = len(scores) // 2  # complements tie, so the stream stops here
+    first, second = tied_maxima(scores[:half])
+    key = (dom.n, dom.m, ratio.family, ratio.amount)
+    for step in (first + 1, max(first, 1), second - first, second + 1):
+        monkeypatch.setattr(cotype, "SHIFT_BLOCK_ELEMENTS", step * dom.points)
+        assert cotype._two_point_winner.__wrapped__(*key) == first, step
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+def test_tied_restarts_across_chunks_report_the_first(monkeypatch, chunk):
+    # two rotations of the two-point maximum on Z_8 tie, and a climb from
+    # either never moves; 256 maps exceed the budget of 9, so they climb
+    monkeypatch.setattr(cotype, "WITNESS_CHUNK", chunk)
+    best = gamma_exhaustive_two_point(1, 8, 2.0, 2.0).witness.values
+    a, b = best.tolist(), np.roll(best, 1).tolist()
+    assert a != b
+    for starts in ([a, b], [b, a]):
+        got = gamma_search(two_point_space(), 1, 8, 2.0, 2.0, 9, 0, starts)
+        assert got.witness.values.tolist() == starts[0]
+        got = b_quantity_search(two_point_space(), 1, 2, 8, 9, 0, starts)
+        assert got.witness.values.tolist() == starts[0]
+
+
+def no_score(monkeypatch):
+    """Every candidate scores -inf, as a degenerate one does, under a
+    winner cache of this test's own."""
+    real = cotype._scorer
+    winner = cotype._two_point_winner.__wrapped__
+    monkeypatch.setattr(cotype, "_two_point_winner", functools.lru_cache(winner))
+
+    def scorer(*args):
+        kernel, _ = real(*args)
+        return kernel, lambda memo: np.full(len(memo), -np.inf)
+
+    monkeypatch.setattr(cotype, "_scorer", scorer)
+    monkeypatch.setattr(cotype, "_quotient", lambda lhs, rhs: np.full(len(lhs), -np.inf))
+
+
+def test_every_candidate_degenerate_reports_candidate_0(monkeypatch):
+    no_score(monkeypatch)
+    monkeypatch.setattr(cotype, "WITNESS_CHUNK", 5)
+    monkeypatch.setattr(cotype, "SHIFT_BLOCK_ELEMENTS", 3 * 12)
+    for space, kind, n, m in ENUMERATED:
+        dom = TorusDomain(n=n, m=m)
+        ratio = cotype._b_ratio(n, m, 2) if kind == "b" else \
+            cotype._gamma_ratio(n, m, 2.0, 2.0)
+        got = cotype._enumerate(space, dom, ratio, 1 << 20)
+        assert got.values.tolist() == [0] * dom.points  # index 0 either way
+    start = np.arange(16) % 3
+    for chunk in (1, 3):  # 25 restarts in 25 or 9 chunks
+        monkeypatch.setattr(cotype, "WITNESS_CHUNK", chunk)
+        got = gamma_search(SPACES["path3"], 2, 4, 2.0, 2.0, 400, 1, [start])
+        assert got.witness.values.tolist() == start.tolist()
+        got = b_quantity_search(UNEVEN, 2, 2, 4, 400, 1, [start])
+        assert got.witness.values.tolist() == start.tolist()
+
+
+def mixed_radix_peak(m):
+    dom, ratio = TorusDomain(n=1, m=m), cotype._b_ratio(1, m, 2)
+    cotype._scorer(SPACES["path3"], ratio, dom)  # the cached table, untraced
+    tracemalloc.start()
+    try:
+        cotype._enumerate(SPACES["path3"], dom, ratio, 1 << 20)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_mixed_radix_peak_is_one_chunk_whatever_the_witness_count():
+    # 3^10 and 3^12 maps: 2.5 and 3.0 MB traced, where holding every map's
+    # digits and score took 9.9 and 106 MB
+    small, big = mixed_radix_peak(10), mixed_radix_peak(12)
+    assert big < 1.5 * small, (small, big)
 
 
 # ------------------------------------- a search enumerates when it fits
